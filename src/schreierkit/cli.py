@@ -25,6 +25,7 @@ from .lemma import (
     run_lemma,
     verify_certificate,
 )
+from .perms import DEFAULT_IMAGE_CEILING
 from .rewriting import surface_survey
 from .transversal import (
     _through_details,
@@ -151,7 +152,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     witness_p.add_argument("--presentation", required=True)
     witness_p.add_argument("--relator", required=True)
-    witness_p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE)
+    witness_p.add_argument(
+        "--max-degree",
+        type=int,
+        default=DEFAULT_MAX_DEGREE,
+        help="largest degree of symmetric group to search (default %(default)s);"
+        f" a first witness whose image group has more than {DEFAULT_IMAGE_CEILING}"
+        " elements exits 2 with 'error: image group exceeds the ceiling ...'",
+    )
     witness_p.set_defaults(func=cmd_witness)
 
     verify_p = sub.add_parser("verify", help="re-check a certificate from raw data")

@@ -5,6 +5,22 @@ class SchreierKitError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidAlphabet(SchreierKitError, ValueError):
+    """Generator names are missing, repeated, or not single lowercase ASCII letters."""
+
+
+class UnreducedWord(SchreierKitError, ValueError):
+    """A word's letters contain an adjacent inverse pair."""
+
+
+class InvalidPermutation(SchreierKitError, ValueError):
+    """An image list is not a bijection on ``[0, n)``."""
+
+
+class InvalidHom(SchreierKitError, ValueError):
+    """Generator images do not match the alphabet size or share no degree."""
+
+
 class InvalidLetter(SchreierKitError):
     """A letter references a generator outside its alphabet, or has a bad sign."""
 

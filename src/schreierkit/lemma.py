@@ -33,7 +33,7 @@ from .errors import (
     EmptyWord,
     ImageTooLarge,
 )
-from .perms import FiniteQuotientHom, Perm, image_closure, kills_relators
+from .perms import FiniteQuotientHom, Perm, kills_relators
 from .transversal import (
     AlphabetOrientation,
     SchreierTransversal,
@@ -93,22 +93,94 @@ def _invert_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _distinct_walk(
+    letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
+    identity: tuple[int, ...],
+) -> tuple[int, ...] | None:
+    """Image of the word spelled by ``letters`` when all its initial
+    segments, the empty one and the whole word included, have pairwise
+    distinct images; ``None`` otherwise."""
+    acc = identity
+    seen = {acc}
+    for g, s in letters:
+        acc = _compose(acc, imgs[g] if s > 0 else invs[g])
+        if acc in seen:
+            return None
+        seen.add(acc)
+    return acc
+
+
 def _separates_and_kills(
-    r_letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]], degree: int
+    r_letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
+    identity: tuple[int, ...],
 ) -> bool:
     # images of the |r| initial segments must be pairwise distinct, and the
     # full word must die (automatic when r lies in the relators' normal
     # closure, but enforced so the subgroup always contains r)
-    identity = tuple(range(degree))
-    acc = identity
-    seen = {acc}
-    for g, s in r_letters[:-1]:
-        acc = _compose(acc, imgs[g] if s > 0 else invs[g])
-        if acc in seen:
-            return False
-        seen.add(acc)
+    acc = _distinct_walk(r_letters[:-1], imgs, invs, identity)
+    if acc is None:
+        return False
     g, s = r_letters[-1]
     return _compose(acc, imgs[g] if s > 0 else invs[g]) == identity
+
+
+def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
+    seen = [False] * len(p)
+    lengths = []
+    for start in range(len(p)):
+        length = 0
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths))
+
+
+def _class_minima(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The least permutation of each cycle type, in lexicographic order.
+    ``perms`` must be all of S_d in lexicographic order; cycle types are
+    the conjugacy classes of S_d, so these are the class minima."""
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for p in perms:
+        first.setdefault(_cycle_type(p), p)
+    return list(first.values())
+
+
+def _centraliser(
+    group: list[tuple[int, ...]], p: tuple[int, ...]
+) -> list[tuple[int, ...]]:
+    """The elements of ``group`` that commute with ``p``, in order."""
+    pairs = tuple(enumerate(p))
+    out = []
+    for s in group:
+        for i, j in pairs:
+            if s[j] != p[s[i]]:
+                break
+        else:
+            out.append(s)
+    return out
+
+
+def _orbit_minima(
+    perms: list[tuple[int, ...]], group: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The least element of each orbit of ``group`` acting on ``perms`` by
+    conjugation, in the order of ``perms``, which must be lexicographic and
+    closed under that action."""
+    if len(group) == 1:
+        return perms
+    pairs = [(s, _invert_tuple(s)) for s in group]
+    marked: set[tuple[int, ...]] = set()
+    minima = []
+    for q in perms:
+        if q not in marked:
+            minima.append(q)
+            # the conjugate sending s[i] to s[q[i]]
+            marked.update(tuple(s[q[i]] for i in s_inv) for s, s_inv in pairs)
+    return minima
 
 
 def find_separating_quotient(
@@ -119,10 +191,27 @@ def find_separating_quotient(
     pairwise distinct permutations.  Returns ``None`` when the search space
     is exhausted.
 
-    Degrees are tried ascending; within one degree, generator images run
-    through all permutations in lexicographic order.  A relator is checked
-    as soon as every generator it mentions has an image, which prunes
-    without disturbing the lexicographic order of complete assignments.
+    Degrees are tried ascending; within one degree, the tuples of generator
+    images are searched in lexicographic order.  A relator is checked as
+    soon as every generator it mentions has an image, and the leading
+    initial segments of ``r`` are checked for separation as soon as every
+    generator they mention has one.  These prunes drop only assignments
+    that cannot be completed to a solution.
+
+    The search also skips every assignment that is not the least element
+    of its orbit under simultaneous conjugation, which cannot change the
+    first hit.  The three conditions are invariant under conjugating all
+    generator images by one permutation ``s``.  So if ``T`` is the
+    lexicographically least solution, every conjugate ``s T s^-1`` is a
+    solution too, and ``T <= s T s^-1`` for every ``s``.  Hence ``T[0]``
+    is the least permutation of its conjugacy class, that is of its cycle
+    type.  And ``T[k] <= s T[k] s^-1`` for every ``s`` that commutes with
+    ``T[0], ..., T[k-1]``, so ``T[k]`` is the least of its orbit under the
+    joint centraliser of the earlier images.  Generator ``k`` therefore ranges
+    only over those minima.  They are taken from the lexicographic list in
+    order, so the search order of the remaining tuples is unchanged and
+    the first tuple found is the same as in the plain search (McKay,
+    "Isomorph-free exhaustive generation", J. Algorithms 1998).
     """
     if max_degree < 1:
         raise BadBound(f"max_degree must be at least 1, got {max_degree}")
@@ -135,20 +224,38 @@ def find_separating_quotient(
     for rel in p.relators:
         top = max(g for g, _ in rel.letters)
         by_level[top + 1].append(rel.letters)
+    # early[k]: r's longest leading run over generators 0..k, at most
+    # |r| - 1 letters; its initial segments are checked for separation once
+    # generator k has an image.  It is () where it is no longer than at
+    # level k - 1, and at the last level, which checks all of r.
+    early: list[tuple] = []
+    covered = 0
+    for k in range(m - 1):
+        start = covered
+        while covered < len(r) - 1 and r.letters[covered].gen <= k:
+            covered += 1
+        early.append(r.letters[:covered] if covered > start else ())
+    early.append(())
 
     for degree in range(1, max_degree + 1):
         perms = list(itertools.permutations(range(degree)))
-        inverses = [_invert_tuple(p_) for p_ in perms]
+        inverse = {p_: _invert_tuple(p_) for p_ in perms}
         identity = tuple(range(degree))
         imgs: list[tuple[int, ...]] = []
         invs: list[tuple[int, ...]] = []
 
-        def assign(k: int) -> bool:
+        def assign(k: int, group: list[tuple[int, ...]]) -> bool:
+            # group: the joint centraliser of the images fixed so far
             if k == m:
-                return _separates_and_kills(r.letters, imgs, invs, degree)
-            for cand, cand_inv in zip(perms, inverses):
+                return _separates_and_kills(r.letters, imgs, invs, identity)
+            if k == 0:
+                candidates = _class_minima(perms)
+            else:
+                group = _centraliser(group, imgs[-1])
+                candidates = _orbit_minima(perms, group)
+            for cand in candidates:
                 imgs.append(cand)
-                invs.append(cand_inv)
+                invs.append(inverse[cand])
                 ok = True
                 for rel in by_level[k + 1]:
                     acc = identity
@@ -157,13 +264,15 @@ def find_separating_quotient(
                     if acc != identity:
                         ok = False
                         break
-                if ok and assign(k + 1):
+                if ok and early[k]:
+                    ok = _distinct_walk(early[k], imgs, invs, identity) is not None
+                if ok and assign(k + 1, group):
                     return True
                 imgs.pop()
                 invs.pop()
             return False
 
-        if assign(0):
+        if assign(0, perms):
             return FiniteQuotientHom(p.alphabet, tuple(Perm(t) for t in imgs))
     return None
 
@@ -172,7 +281,10 @@ def run_lemma(
     p: Presentation, r: FreeWord, max_degree: int = DEFAULT_MAX_DEGREE
 ) -> LemmaCertificate | None:
     """Search, build, and certify.  ``None`` means no separating quotient
-    exists within the degree bound."""
+    exists within the degree bound.  Raises :class:`ImageTooLarge` when the
+    first separating quotient's image group exceeds the closure ceiling
+    (:data:`~schreierkit.perms.DEFAULT_IMAGE_CEILING` elements): the
+    regular table would have that many cosets."""
     hom = find_separating_quotient(p, r, max_degree)
     if hom is None:
         return None
@@ -220,15 +332,13 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     if not kills_relators(c.hom, p.relators):
         fail("hom_kills_relators")
     try:
-        closure_size = len(image_closure(c.hom))
+        regular: CosetTable | None = regular_table(c.hom)
     except ImageTooLarge:
-        closure_size = -1
-    if closure_size != c.image_order or c.image_order != n:
+        regular = None
+    # the regular table has one coset per image element
+    if regular is None or regular.n != c.image_order or c.image_order != n:
         fail("image_order_matches")
-    try:
-        if c.table != regular_table(c.hom):
-            fail("table_matches_regular")
-    except ImageTooLarge:
+    if c.table != regular:
         fail("table_matches_regular")
     if not all(contains(c.table, rel) for rel in p.relators):
         fail("relators_in_subgroup")

@@ -12,7 +12,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import AlphabetMismatch, ImageTooLarge, ParseError
+from .errors import (
+    AlphabetMismatch,
+    ImageTooLarge,
+    InvalidHom,
+    InvalidPermutation,
+    ParseError,
+)
 from .words import Alphabet, FreeWord
 
 DEFAULT_IMAGE_CEILING = 10000
@@ -26,7 +32,9 @@ class Perm:
 
     def __post_init__(self) -> None:
         if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a bijection on [0, {len(self.images)}): {self.images!r}")
+            raise InvalidPermutation(
+                f"not a bijection on [0, {len(self.images)}): {self.images!r}"
+            )
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -81,12 +89,12 @@ class FiniteQuotientHom:
 
     def __post_init__(self) -> None:
         if len(self.gen_images) != self.alphabet.size:
-            raise ValueError(
+            raise InvalidHom(
                 f"{self.alphabet.size} generators but {len(self.gen_images)} images"
             )
         degrees = {p.degree for p in self.gen_images}
         if len(degrees) != 1:
-            raise ValueError(f"generator images have mixed degrees: {sorted(degrees)}")
+            raise InvalidHom(f"generator images have mixed degrees: {sorted(degrees)}")
         object.__setattr__(
             self, "_inverses", tuple(p.inverse() for p in self.gen_images)
         )

@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .errors import AlphabetMismatch, EmptyWord, InvalidLetter, ParseError
+from .errors import (
+    AlphabetMismatch,
+    EmptyWord,
+    InvalidAlphabet,
+    InvalidLetter,
+    ParseError,
+    UnreducedWord,
+)
 
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
@@ -28,12 +35,12 @@ class Alphabet:
 
     def __post_init__(self) -> None:
         if not self.names:
-            raise ValueError("alphabet needs at least one generator")
+            raise InvalidAlphabet("alphabet needs at least one generator")
         if len(set(self.names)) != len(self.names):
-            raise ValueError(f"duplicate generator names: {self.names!r}")
+            raise InvalidAlphabet(f"duplicate generator names: {self.names!r}")
         for name in self.names:
             if len(name) != 1 or name not in _LOWERCASE:
-                raise ValueError(
+                raise InvalidAlphabet(
                     f"generator name must be a single lowercase ASCII letter: {name!r}"
                 )
 
@@ -96,7 +103,7 @@ class FreeWord:
     def __post_init__(self) -> None:
         _check_letters(self.alphabet, self.letters)
         if not is_reduced(self.letters):
-            raise ValueError(f"letters are not freely reduced: {self.letters!r}")
+            raise UnreducedWord(f"letters are not freely reduced: {self.letters!r}")
 
     def __len__(self) -> int:
         return len(self.letters)

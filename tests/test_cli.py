@@ -1,5 +1,6 @@
 import json
 
+from schreierkit import FiniteQuotientHom, Perm, lemma
 from schreierkit.cli import main
 
 AA_PRESENTATION = "gens: a b\nrel: aa\n"
@@ -28,6 +29,14 @@ def test_reduce_bad_input(capsys):
     code, _, err = run(capsys, "reduce", "a$b")
     assert code == 2
     assert "error" in err
+
+
+def test_reduce_bad_alphabet_is_input_error(capsys):
+    for argv in (("reduce", "é"), ("reduce", "aÀ"), ("reduce", "ab", "--gens", "aa")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), argv
+        assert "Traceback" not in err
 
 
 def test_reduce_with_explicit_gens(capsys):
@@ -86,6 +95,25 @@ def test_witness_higman_notfound(capsys, tmp_path):
         "--max-degree", "3",
     )
     assert (code, out) == (1, "NOTFOUND\n")
+
+
+def test_witness_image_beyond_ceiling_is_input_error(capsys, tmp_path, monkeypatch):
+    # a first witness generating S_8 (40320 elements) has no regular table
+    # within the closure ceiling
+    def huge_witness(p, r, max_degree):
+        return FiniteQuotientHom(
+            p.alphabet, (Perm((1, 0, 2, 3, 4, 5, 6, 7)), Perm((1, 2, 3, 4, 5, 6, 7, 0)))
+        )
+
+    monkeypatch.setattr(lemma, "find_separating_quotient", huge_witness)
+    pres = tmp_path / "free.pres"
+    pres.write_text("gens: a b\n")
+    code, out, err = run(
+        capsys, "witness", "--presentation", str(pres), "--relator", "ab",
+        "--max-degree", "8",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: image group exceeds the ceiling of 10000 elements\n"
 
 
 def test_verify_detects_tamper(capsys, tmp_path):

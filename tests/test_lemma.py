@@ -1,7 +1,8 @@
 import itertools
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from schreierkit import (
     Alphabet,
@@ -11,6 +12,7 @@ from schreierkit import (
     EmptyWord,
     FiniteQuotientHom,
     LemmaCertificate,
+    Letter,
     Perm,
     Presentation,
     SchreierTransversal,
@@ -19,14 +21,17 @@ from schreierkit import (
     certificate_to_json,
     eval_word,
     find_separating_quotient,
+    free_reduce,
     kills_relators,
     parse_word,
     prefixes,
     run_lemma,
     verify_certificate,
 )
+from schreierkit.lemma import _centraliser, _class_minima, _orbit_minima
 
 AB = Alphabet.of("ab")
+ABC = Alphabet.of("abc")
 AA_PRES = Presentation(AB, (parse_word("aa", AB),))
 AA_REL = parse_word("aa", AB)
 
@@ -62,19 +67,109 @@ def test_find_separating_quotient_aa():
 
 
 def test_find_separating_quotient_matches_brute_force():
-    rng = random.Random(12)
+    def pres(alphabet, *relators):
+        return Presentation(alphabet, tuple(parse_word(t, alphabet) for t in relators))
+
     cases = [
-        (Presentation(AB, ()), "ab"),
-        (Presentation(AB, ()), "aB"),
-        (Presentation(AB, (parse_word("abAB", AB),)), "abAB"),
-        (Presentation(AB, (parse_word("aB", AB),)), "aB"),
-        (Presentation(Alphabet.of("a"), ()), "aaa"),
+        (pres(AB), "ab", 3),
+        (pres(AB), "aB", 3),
+        (pres(AB, "abAB"), "abAB", 3),
+        (pres(AB, "aB"), "aB", 3),
+        (pres(Alphabet.of("a")), "aaa", 3),
+        # found, two generators
+        (pres(AB), "abAB", 4),
+        (pres(AB), "aabb", 4),
+        (pres(AB), "aaab", 4),
+        (pres(AB, "bbb"), "abbaB", 4),
+        (pres(AB, "aaaa"), "aBAbab", 4),
+        # NOTFOUND, two generators
+        (pres(AB), "aBBAAA", 4),
+        (pres(AB), "baaBAbAB", 4),
+        (pres(AB, "abAB"), "abbAAB", 4),
+        (pres(AB, "bbbb", "abab"), "bab", 4),
+        # found, three generators
+        (pres(ABC), "abc", 3),
+        (pres(ABC), "cab", 3),
+        (pres(ABC, "abAB"), "abcabc", 3),
+        # NOTFOUND, three generators
+        (pres(ABC), "aCbbA", 3),
+        (pres(ABC, "aa"), "bcaaB", 3),
+        (pres(ABC, "abAB", "cc"), "acbCAB", 3),
+        (pres(ABC, "cc", "aaa"), "bbcA", 3),
     ]
-    for pres, text in cases:
-        r = parse_word(text, pres.alphabet)
-        assert find_separating_quotient(pres, r, 3) == brute_force_first_hom(
-            pres, r, 3
-        )
+    for p, text, degree in cases:
+        r = parse_word(text, p.alphabet)
+        assert find_separating_quotient(p, r, degree) == brute_force_first_hom(
+            p, r, degree
+        ), (p, text, degree)
+
+
+def _words(alphabet, min_size, max_size):
+    letters = st.tuples(
+        st.integers(0, alphabet.size - 1), st.sampled_from((1, -1))
+    ).map(lambda t: Letter(*t))
+    return (
+        st.lists(letters, max_size=max_size)
+        .map(lambda raw: free_reduce(alphabet, raw))
+        .filter(lambda w: len(w) >= min_size)
+    )
+
+
+@st.composite
+def _search_inputs(draw):
+    alphabet = Alphabet.first(draw(st.integers(1, 3)))
+    relators = draw(st.lists(_words(alphabet, 1, 6), max_size=2))
+    r = draw(_words(alphabet, 1, 8))
+    degree = 4 if alphabet.size <= 2 else 3
+    return Presentation(alphabet, tuple(relators)), r, degree
+
+
+@settings(max_examples=150, deadline=None)
+@given(_search_inputs())
+def test_find_separating_quotient_matches_brute_force_hypothesis(inputs):
+    p, r, degree = inputs
+    assert find_separating_quotient(p, r, degree) == brute_force_first_hom(p, r, degree)
+
+
+def _conjugates(p, group):
+    return {(s.inverse() * p * s).images for s in group}
+
+
+def test_class_minima_are_conjugacy_class_minima():
+    for degree in range(1, 7):
+        perms = list(itertools.permutations(range(degree)))
+        symmetric = [Perm(t) for t in perms]
+        minima = _class_minima(perms)
+        assert minima == sorted(minima)
+        covered = 0
+        for rep in minima:
+            conjugacy_class = _conjugates(Perm(rep), symmetric)
+            assert min(conjugacy_class) == rep
+            covered += len(conjugacy_class)
+        # distinct class minima lie in distinct classes; together they
+        # must cover S_d
+        assert covered == len(perms)
+
+
+def test_orbit_minima_match_brute_force_orbits():
+    def check(perms, group, p):
+        # group: a subgroup of S_d as image tuples; p: the next image
+        centraliser = [s for s in group if Perm(s) * Perm(p) == Perm(p) * Perm(s)]
+        assert _centraliser(group, p) == centraliser
+        acting = [Perm(s) for s in centraliser]
+        orbits = {frozenset(_conjugates(Perm(q), acting)) for q in perms}
+        minima = _orbit_minima(perms, centraliser)
+        assert minima == sorted(min(orbit) for orbit in orbits)
+        return centraliser, minima
+
+    for degree in range(1, 6):
+        perms = list(itertools.permutations(range(degree)))
+        for p0 in _class_minima(perms):
+            group, minima = check(perms, perms, p0)
+            if degree <= 4:
+                # the joint centraliser of two fixed images
+                for p1 in minima:
+                    check(perms, group, p1)
 
 
 def test_single_letter_relator_uses_trivial_quotient():
@@ -269,3 +364,14 @@ def test_verify_detects_image_order_tamper():
     result = verify_certificate(tampered(cert, image_order=3))
     assert not result
     assert "image_order_matches" in result.failures
+
+
+def test_verify_flags_hom_beyond_closure_ceiling():
+    # a transposition and an 8-cycle generate S_8, with 40320 > 10000 elements
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    huge = FiniteQuotientHom(
+        AB, (Perm((1, 0, 2, 3, 4, 5, 6, 7)), Perm((1, 2, 3, 4, 5, 6, 7, 0)))
+    )
+    result = verify_certificate(tampered(cert, hom=huge))
+    assert "image_order_matches" in result.failures
+    assert "table_matches_regular" in result.failures
