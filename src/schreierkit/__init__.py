@@ -55,13 +55,10 @@ from .perms import (
     eval_word,
     image_closure,
     kills_relators,
-    perm_from_text,
-    perm_to_text,
 )
 from .rewriting import (
     SubgroupPresentation,
     SurfaceReport,
-    back_substitute,
     rewrite_presentation,
     surface_presentation,
     surface_report,
@@ -77,7 +74,6 @@ from .transversal import (
     check_transversal,
     evaluate_positions,
     fold_verify,
-    respell,
     rewrite_in_basis,
     schreier_basis,
     schreier_transversal,

@@ -26,9 +26,9 @@ from .lemma import (
     verify_certificate,
 )
 from .perms import DEFAULT_IMAGE_CEILING
-from .rewriting import surface_survey
+from .rewriting import rewrite_presentation, surface_survey
 from .transversal import (
-    _through_details,
+    basis_through_word,
     basis_to_text,
     schreier_basis,
     schreier_transversal,
@@ -79,7 +79,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     else:
         word = parse_word(args.through, table.alphabet)
         try:
-            basis, position, _ = _through_details(table, word)
+            basis, position, _ = basis_through_word(table, word)
         except (NotInSubgroup, PrefixesNotSeparated) as exc:
             print(f"REJECTED: {exc}")
             return 1
@@ -121,8 +121,6 @@ def cmd_rewrite(args: argparse.Namespace) -> int:
     presentation = presentation_from_text(Path(args.presentation).read_text())
     table = table_from_text(Path(args.table).read_text())
     try:
-        from .rewriting import rewrite_presentation
-
         sp = rewrite_presentation(presentation, table)
     except RelatorNotKilled as exc:
         print(f"REJECTED: {exc}")

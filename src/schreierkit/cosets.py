@@ -17,11 +17,12 @@ from .errors import (
     BadBound,
     BadCoset,
     EmptyWord,
+    ImageTooLarge,
     InvalidTable,
     ParseError,
 )
-from .perms import FiniteQuotientHom, Perm, _bfs_closure, image_closure
-from .words import Alphabet, FreeWord, parse_word, prefixes
+from .perms import FiniteQuotientHom, Perm, image_closure
+from .words import Alphabet, FreeWord, parse_word
 
 BASE = 0
 DEFAULT_MAX_INDEX = 8
@@ -121,16 +122,28 @@ def acts_trivially(t: CosetTable, w: FreeWord) -> bool:
 def separates_prefixes(t: CosetTable, w: FreeWord) -> bool:
     """True iff the initial segments of ``w`` trace to pairwise distinct
     cosets from the base."""
-    cosets = {trace(t, BASE, p) for p in prefixes(w)}
+    if len(w) == 0:
+        raise EmptyWord("the empty word has no initial-segment list")
+    if w.alphabet != t.alphabet:
+        raise AlphabetMismatch("word and table use different alphabets")
+    c = BASE
+    cosets = {c}
+    for gen, sign in w.letters[:-1]:
+        c = t.step(c, gen, sign)
+        cosets.add(c)
     return len(cosets) == len(w)
 
 
 def is_regular(t: CosetTable) -> bool:
     """True iff the permutation group generated by the table's columns has
     order exactly ``n`` (only the identity fixes a point), i.e. the table is
-    the regular action of a quotient group and the subgroup is normal."""
-    elements, truncated = _bfs_closure(t.n, t.action, t.n + 1)
-    return not truncated and len(elements) == t.n
+    the regular action of a quotient group and the subgroup is normal.
+    A transitive action generates at least ``n`` elements, so a closure
+    capped at ``n`` decides it."""
+    try:
+        return len(image_closure(FiniteQuotientHom(t.alphabet, t.action), t.n)) == t.n
+    except ImageTooLarge:
+        return False
 
 
 def canonical_form(t: CosetTable) -> CosetTable:

@@ -38,7 +38,7 @@ from .transversal import (
     AlphabetOrientation,
     SchreierTransversal,
     SubgroupBasis,
-    _through_details,
+    basis_through_word,
     check_basis,
     check_transversal,
     fold_verify,
@@ -289,7 +289,7 @@ def run_lemma(
     if hom is None:
         return None
     table = regular_table(hom)
-    basis, position, matched_inverse = _through_details(table, r)
+    basis, position, matched_inverse = basis_through_word(table, r)
     n, m = table.n, p.alphabet.size
     certificate = LemmaCertificate(
         presentation=p,

@@ -10,15 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .errors import (
-    AlphabetMismatch,
-    ImageTooLarge,
-    InvalidHom,
-    InvalidPermutation,
-    ParseError,
-)
+from .errors import AlphabetMismatch, ImageTooLarge, InvalidHom, InvalidPermutation
 from .words import Alphabet, FreeWord
 
 DEFAULT_IMAGE_CEILING = 10000
@@ -60,23 +54,6 @@ class Perm:
     @property
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
-
-
-def perm_to_text(p: Perm) -> str:
-    """One-line image-list form, e.g. ``[1,0,2]``."""
-    return "[" + ",".join(str(i) for i in p.images) + "]"
-
-
-def perm_from_text(text: str) -> Perm:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"permutation must look like [1,0,2], got {text!r}")
-    body = text[1:-1].strip()
-    try:
-        images = tuple(int(part) for part in body.split(",")) if body else ()
-        return Perm(images)
-    except ValueError as exc:
-        raise ParseError(f"bad permutation {text!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -124,29 +101,6 @@ def kills_relators(h: FiniteQuotientHom, relators: Sequence[FreeWord]) -> bool:
     return all(eval_word(h, rel).is_identity for rel in relators)
 
 
-def _bfs_closure(
-    degree: int, generators: Iterable[Perm], limit: int
-) -> tuple[list[Perm], bool]:
-    """Breadth-first closure from the identity, multiplying on the right by
-    the generators in the given order, then by their inverses in the same
-    order.  Returns (elements in discovery order, truncated flag)."""
-    gens = list(generators)
-    steps = [g.images for g in gens] + [g.inverse().images for g in gens]
-    identity = tuple(range(degree))
-    seen: dict[tuple[int, ...], None] = {identity: None}
-    queue: deque[tuple[int, ...]] = deque([identity])
-    while queue:
-        current = queue.popleft()
-        for step in steps:
-            nxt = tuple(step[i] for i in current)
-            if nxt not in seen:
-                if len(seen) >= limit:
-                    return [Perm(t) for t in seen], True
-                seen[nxt] = None
-                queue.append(nxt)
-    return [Perm(t) for t in seen], False
-
-
 def image_closure(
     h: FiniteQuotientHom, ceiling: int = DEFAULT_IMAGE_CEILING
 ) -> list[Perm]:
@@ -155,9 +109,20 @@ def image_closure(
     The first element is the identity; discovery multiplies each known
     element on the right by the generator images in alphabet order, then by
     their inverses in alphabet order.  This order is part of the contract:
-    certificates index cosets by it.
+    certificates index cosets by it.  Raises :class:`ImageTooLarge` when
+    the group has more than ``ceiling`` elements.
     """
-    elements, truncated = _bfs_closure(h.degree, h.gen_images, ceiling)
-    if truncated:
-        raise ImageTooLarge(ceiling)
-    return elements
+    steps = [h.image(g, s).images for s in (1, -1) for g in range(h.alphabet.size)]
+    identity = tuple(range(h.degree))
+    seen: dict[tuple[int, ...], None] = {identity: None}
+    queue: deque[tuple[int, ...]] = deque([identity])
+    while queue:
+        current = queue.popleft()
+        for step in steps:
+            nxt = tuple(step[i] for i in current)
+            if nxt not in seen:
+                if len(seen) >= ceiling:
+                    raise ImageTooLarge(ceiling)
+                seen[nxt] = None
+                queue.append(nxt)
+    return [Perm(t) for t in seen]

@@ -3,9 +3,12 @@ surface-group rank-deficiency checks.
 
 For a table on which every relator acts trivially, each coset ``c`` and
 each source relator ``rho`` contribute one rewritten relator: the word
-``rep(c) · rho · rep(c)^-1`` expressed over the subgroup basis.  Rewritten
-relators are kept raw (freely reduced over the fresh basis symbols, but
-never simplified further) so the counting identities are exact:
+``rep(c) · rho · rep(c)^-1`` expressed over the subgroup basis.  It is
+read off by tracing ``rho`` from coset ``c`` and recording the non-tree
+edges it crosses (Reidemeister–Schreier); ``rep(c)`` runs along the
+spanning tree and contributes nothing, so the conjugate is never built.
+Rewritten relators are kept raw (freely reduced over the fresh basis
+symbols, but never simplified further) so the counting identities are exact:
 ``generators = n·(m-1) + 1`` and ``relators = n·k`` make the presentation
 Euler characteristic multiply by the index.
 """
@@ -19,11 +22,10 @@ from .errors import BadBound, BadGenus, RelatorNotKilled
 from .transversal import (
     SchreierTransversal,
     SubgroupBasis,
-    rewrite_in_basis,
     schreier_basis,
     schreier_transversal,
 )
-from .words import Alphabet, FreeWord, Letter, concat_reduce, free_reduce, invert
+from .words import Alphabet, Letter, free_reduce
 
 MAX_GENUS = 12
 DEFAULT_REPORT_MAX_GENUS = 4
@@ -96,16 +98,6 @@ def surface_presentation(g: int) -> Presentation:
     return Presentation(alphabet, (relator,))
 
 
-def _reduce_symbols(symbols: list[SignedSymbol]) -> SymbolWord:
-    out: list[SignedSymbol] = []
-    for pos, sign in symbols:
-        if out and out[-1][0] == pos and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((pos, sign))
-    return tuple(out)
-
-
 def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation:
     """Rewrite every relator through every coset of the table.
 
@@ -119,27 +111,15 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
                 raise RelatorNotKilled(rel, c)
     tr = schreier_transversal(t)
     basis = schreier_basis(tr)
-    rewritten: list[SymbolWord] = []
-    for c in range(t.n):
-        rep = tr.reps[c]
-        for rel in p.relators:
-            conjugate = concat_reduce(concat_reduce(rep, rel), invert(rep))
-            rewritten.append(tuple(_reduce_symbols(rewrite_in_basis(basis, conjugate))))
+    rewritten = [
+        tuple(basis.crossings(c, rel)) for c in range(t.n) for rel in p.relators
+    ]
     return SubgroupPresentation(
         generator_count=len(basis.elements),
         relators=tuple(rewritten),
         source=(p, t, tr),
         basis=basis,
     )
-
-
-def back_substitute(sp: SubgroupPresentation, relator: SymbolWord) -> FreeWord:
-    """Replace each fresh symbol by its basis word and freely reduce."""
-    acc = FreeWord(sp.basis.table.alphabet)
-    for pos, sign in relator:
-        factor = sp.basis.elements[pos]
-        acc = concat_reduce(acc, factor if sign > 0 else invert(factor))
-    return acc
 
 
 def surface_survey(

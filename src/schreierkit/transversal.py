@@ -10,8 +10,7 @@ subgroup, with exactly ``n·(m-1) + 1`` elements for index ``n`` over
 
 An :class:`AlphabetOrientation` supports the last-letter swap: generators
 in its ``flipped`` set are replaced by their inverses before the basis is
-read off, and the emitted elements are respelled back over the original
-alphabet for storage.
+read off.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from .errors import (
 )
 from .words import (
     FreeWord,
-    Letter,
     concat_reduce,
     empty_word,
     invert,
@@ -83,16 +81,27 @@ class SubgroupBasis:
     elements: tuple[FreeWord, ...]
     edge_index: dict[tuple[int, int], int]
 
-
-def respell(w: FreeWord, orientation: AlphabetOrientation) -> FreeWord:
-    """Rename letters between the original alphabet and the oriented one:
-    flip the sign of every letter whose generator is flipped.  The renaming
-    is an involution and maps prefixes to prefixes, so it preserves both
-    reducedness and the Schreier property of a transversal."""
-    return FreeWord(
-        w.alphabet,
-        tuple(Letter(g, s * orientation.sign(g)) for g, s in w.letters),
-    )
+    def crossings(self, start: int, w: FreeWord) -> list[tuple[int, int]]:
+        """Walk ``w`` from coset ``start`` and emit ``(element position,
+        sign)`` whenever a non-tree edge is crossed; tree edges contribute
+        nothing.  The caller checks that ``start`` is a coset of the table
+        and ``w`` is over its alphabet.  For reduced ``w`` the result is
+        freely reduced: between two crossings of one edge in opposite
+        directions the walk would be a closed non-backtracking path in the
+        spanning tree, which is empty, and then ``w`` itself would cancel."""
+        out: list[tuple[int, int]] = []
+        c = start
+        for g, s in w.letters:
+            d = self.table.step(c, g, s)
+            if s * self.orientation.sign(g) > 0:
+                key, sign = (c, g), 1
+            else:
+                key, sign = (d, g), -1
+            position = self.edge_index.get(key)
+            if position is not None:
+                out.append((position, sign))
+            c = d
+        return out
 
 
 def schreier_transversal(
@@ -192,28 +201,12 @@ def schreier_basis(
 
 
 def rewrite_in_basis(b: SubgroupBasis, w: FreeWord) -> list[tuple[int, int]]:
-    """Express a subgroup element in the basis.
-
-    Scans ``w`` letter by letter through the coset graph and emits
-    ``(element position, sign)`` whenever a non-tree edge is crossed; tree
-    edges contribute nothing.  The signed product of the corresponding
-    basis elements freely reduces back to ``w`` exactly.
-    """
+    """Express a subgroup element in the basis: its crossings from the
+    base.  The signed product of the corresponding basis elements freely
+    reduces back to ``w`` exactly."""
     if not contains(b.table, w):
         raise NotInSubgroup(f"{w} does not fix the base coset")
-    out: list[tuple[int, int]] = []
-    c = BASE
-    for g, s in w.letters:
-        d = b.table.step(c, g, s)
-        if s * b.orientation.sign(g) > 0:
-            key, sign = (c, g), 1
-        else:
-            key, sign = (d, g), -1
-        position = b.edge_index.get(key)
-        if position is not None:
-            out.append((position, sign))
-        c = d
-    return out
+    return b.crossings(BASE, w)
 
 
 def evaluate_positions(b: SubgroupBasis, positions: Sequence[tuple[int, int]]) -> FreeWord:
@@ -225,7 +218,16 @@ def evaluate_positions(b: SubgroupBasis, positions: Sequence[tuple[int, int]]) -
     return acc
 
 
-def _through_details(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int, bool]:
+def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int, bool]:
+    """A basis of the table's subgroup containing ``w`` verbatim, with the
+    position of ``w`` in it and whether the final edge emitted ``w^-1``.
+
+    Seeds the transversal with the initial segments of ``w`` (which must
+    reach pairwise distinct cosets).  When the last letter of ``w`` is
+    positive the plain Schreier basis already contains ``w``; when it is
+    negative the alphabet is reoriented at that generator, and if the final
+    edge emitted ``w^-1`` it is normalized back to ``w``.
+    """
     if len(w) == 0:
         raise EmptyWord("cannot build a basis through the empty word")
     if not contains(t, w):
@@ -257,19 +259,6 @@ def _through_details(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int, bo
     raise AssertionError(
         f"final-edge element {raw} is neither {w} nor its inverse"
     )
-
-
-def basis_through_word(t: CosetTable, w: FreeWord) -> SubgroupBasis:
-    """A basis of the table's subgroup containing ``w`` verbatim.
-
-    Seeds the transversal with the initial segments of ``w`` (which must
-    reach pairwise distinct cosets).  When the last letter of ``w`` is
-    positive the plain Schreier basis already contains ``w``; when it is
-    negative the alphabet is reoriented at that generator, and if the final
-    edge emitted ``w^-1`` it is normalized back to ``w``.
-    """
-    basis, _, _ = _through_details(t, w)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from schreierkit import (
     Letter,
     Perm,
     Presentation,
-    back_substitute,
     certificate_to_json,
     concat_reduce,
     contains,
@@ -241,7 +240,7 @@ def test_criterion_7_rewriting_soundness():
                     expected = concat_reduce(
                         concat_reduce(tr.reps[c], rel), invert(tr.reps[c])
                     )
-                    assert back_substitute(sp, sp.relators[i]) == expected
+                    assert evaluate_positions(sp.basis, sp.relators[i]) == expected
                     i += 1
     print("ACCEPTANCE 7 rewriting soundness (round trip + back-substitution): PASS")
 

@@ -22,6 +22,7 @@ from schreierkit import (
     is_regular,
     low_index_tables,
     parse_word,
+    prefixes,
     presentation_from_text,
     presentation_to_text,
     regular_table,
@@ -165,6 +166,15 @@ def test_separates_prefixes():
     assert not separates_prefixes(TWO, parse_word("aaa", AB))  # pigeonhole
     with pytest.raises(EmptyWord):
         separates_prefixes(TWO, parse_word("1", AB))
+    # against the definition: trace every initial segment from the base
+    rng = random.Random(733)
+    for _ in range(200):
+        table = random_table(rng, AB, rng.randrange(1, 6))
+        w = random_word(rng, AB, 8)
+        if len(w) == 0:
+            continue
+        cosets = {trace(table, 0, p) for p in prefixes(w)}
+        assert separates_prefixes(table, w) == (len(cosets) == len(w))
 
 
 def test_is_regular():

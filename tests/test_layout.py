@@ -1,0 +1,19 @@
+"""Module layout rules checked from the source text."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "schreierkit"
+
+
+def test_no_private_names_imported_across_modules():
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                offenders.extend(
+                    f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if alias.name.startswith("_")
+                )
+    assert offenders == []

@@ -18,8 +18,6 @@ from schreierkit import (
     invert,
     kills_relators,
     parse_word,
-    perm_from_text,
-    perm_to_text,
 )
 
 AB = Alphabet.of("ab")
@@ -52,14 +50,6 @@ def test_perm_composition_is_right_action():
     assert (p * q).images == (2, 0, 1)
     assert (p * p.inverse()).is_identity
     assert p.inverse() == p
-
-
-def test_perm_text_roundtrip():
-    p = Perm((1, 0, 2))
-    assert perm_to_text(p) == "[1,0,2]"
-    assert perm_from_text("[1,0,2]") == p
-    with pytest.raises(Exception):
-        perm_from_text("1,0,2")
 
 
 def test_hom_shape_validation():

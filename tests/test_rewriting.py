@@ -13,15 +13,16 @@ from schreierkit import (
     Perm,
     Presentation,
     RelatorNotKilled,
-    back_substitute,
     concat_reduce,
     eval_word,
+    evaluate_positions,
     free_reduce,
     invert,
     is_reduced,
     low_index_tables,
     parse_word,
     regular_table,
+    rewrite_in_basis,
     rewrite_presentation,
     surface_presentation,
     surface_report,
@@ -142,19 +143,26 @@ def test_rewrite_counts_genus2_index2():
         assert len(sp.relators) == 2
 
 
+def assert_relators_are_conjugates(pres, table, sp):
+    """Each traced relator equals the old conjugate-based rewrite, is freely
+    reduced over the basis symbols, and multiplies out to the conjugate."""
+    _, _, tr = sp.source
+    i = 0
+    for c in range(table.n):
+        for rel in pres.relators:
+            conjugate = concat_reduce(concat_reduce(tr.reps[c], rel), invert(tr.reps[c]))
+            relator = sp.relators[i]
+            assert relator == tuple(rewrite_in_basis(sp.basis, conjugate))
+            assert all(x[0] != y[0] or x[1] != -y[1] for x, y in zip(relator, relator[1:]))
+            assert evaluate_positions(sp.basis, relator) == conjugate
+            i += 1
+    assert i == len(sp.relators)
+
+
 def test_back_substitution_reduces_to_conjugates():
     pres = surface_presentation(2)
     for table in low_index_tables(pres, 2):
-        sp = rewrite_presentation(pres, table)
-        _, _, tr = sp.source
-        i = 0
-        for c in range(table.n):
-            for rel in pres.relators:
-                expected = concat_reduce(
-                    concat_reduce(tr.reps[c], rel), invert(tr.reps[c])
-                )
-                assert back_substitute(sp, sp.relators[i]) == expected
-                i += 1
+        assert_relators_are_conjugates(pres, table, rewrite_presentation(pres, table))
 
 
 def test_euler_characteristic_multiplies_randomized():
@@ -170,6 +178,7 @@ def test_euler_characteristic_multiplies_randomized():
         assert sp.generator_count == n * (m - 1) + 1
         assert len(sp.relators) == n * k
         assert 1 - sp.generator_count + len(sp.relators) == n * (1 - m + k)
+        assert_relators_are_conjugates(pres, table, sp)
 
 
 def test_surface_report_genus2_index2():

@@ -5,7 +5,6 @@ import pytest
 
 from schreierkit import (
     Alphabet,
-    AlphabetOrientation,
     BadSeed,
     CosetTable,
     EmptyWord,
@@ -31,7 +30,6 @@ from schreierkit import (
     parse_word,
     prefixes,
     regular_table,
-    respell,
     rewrite_in_basis,
     schreier_basis,
     schreier_transversal,
@@ -204,22 +202,6 @@ def test_index_rank_formula_randomized():
         assert fold_verify(basis)
 
 
-def test_respell_preserves_schreier_property():
-    rng = random.Random(5150)
-    orientation = AlphabetOrientation.of(1)
-    for _ in range(30):
-        table = random_table(rng, AB, rng.randrange(1, 7))
-        tr = schreier_transversal(table)
-        respelled = [respell(w, orientation) for w in tr.reps]
-        pool = set(respelled)
-        for w in respelled:
-            assert len(w.letters) == len(w.letters)  # respelling keeps length
-            if len(w) > 0:
-                from schreierkit import FreeWord
-
-                assert FreeWord(w.alphabet, w.letters[:-1]) in pool
-
-
 def test_rewrite_in_basis_examples():
     basis = schreier_basis(schreier_transversal(TWO))
     assert rewrite_in_basis(basis, empty_word(AB)) == []
@@ -267,7 +249,8 @@ def test_basis_elements_rewrite_to_themselves():
 
 
 def test_basis_through_word_case1():
-    basis = basis_through_word(TWO, parse_word("aa", AB))
+    basis, position, matched_inverse = basis_through_word(TWO, parse_word("aa", AB))
+    assert (position, matched_inverse) == (1, False)
     assert [str(u) for u in basis.elements] == ["b", "aa", "abA"]
     assert basis.orientation.flipped == frozenset()
     assert basis.elements[basis.edge_index[(1, 0)]] == parse_word("aa", AB)
@@ -277,18 +260,20 @@ def test_basis_through_word_case1():
 def test_basis_through_word_case2():
     table = regular_table(FiniteQuotientHom(AB, (Perm((1, 0)), Perm((1, 0)))))
     w = parse_word("aB", AB)
-    basis = basis_through_word(table, w)
+    basis, position, matched_inverse = basis_through_word(table, w)
     assert basis.orientation.flipped == frozenset({1})
     assert len(basis.elements) == 3
-    assert w in basis.elements
+    assert (position, matched_inverse) == (2, False)
+    assert basis.elements[position] == w
     assert fold_verify(basis)
 
 
 def test_basis_through_single_negative_letter():
     one = regular_table(FiniteQuotientHom(AB, (Perm((0,)), Perm((0,)))))
     w = parse_word("A", AB)
-    basis = basis_through_word(one, w)
-    assert w in basis.elements
+    basis, position, matched_inverse = basis_through_word(one, w)
+    assert (position, matched_inverse) == (0, False)
+    assert basis.elements[position] == w
     assert fold_verify(basis)
     assert not check_basis(basis)
 
@@ -312,15 +297,15 @@ def test_basis_through_word_randomized():
         if w is None:
             continue
         built += 1
-        basis = basis_through_word(table, w)
-        assert w in basis.elements
+        basis, position, _ = basis_through_word(table, w)
+        assert basis.elements[position] == w
         assert not check_basis(basis)
         assert fold_verify(basis)
         # the through-word sits on its final edge
         from schreierkit import FreeWord
 
         final = trace(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
-        assert basis.elements[basis.edge_index[(final, w.letters[-1].gen)]] == w
+        assert basis.edge_index[(final, w.letters[-1].gen)] == position
 
 
 def test_fold_verify_rejects_tampered_lists():
