@@ -79,7 +79,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     else:
         word = parse_word(args.through, table.alphabet)
         try:
-            basis, position, _ = basis_through_word(table, word)
+            basis, position = basis_through_word(table, word)
         except (NotInSubgroup, PrefixesNotSeparated) as exc:
             print(f"REJECTED: {exc}")
             return 1

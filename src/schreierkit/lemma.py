@@ -33,7 +33,7 @@ from .errors import (
     EmptyWord,
     ImageTooLarge,
 )
-from .perms import FiniteQuotientHom, Perm, kills_relators
+from .perms import DEFAULT_IMAGE_CEILING, FiniteQuotientHom, Perm, kills_relators
 from .transversal import (
     AlphabetOrientation,
     SchreierTransversal,
@@ -47,6 +47,11 @@ from .transversal import (
 from .words import Alphabet, FreeWord, invert, parse_word, prefixes
 
 DEFAULT_MAX_DEGREE = 6
+
+# Largest ``hom.degree`` a certificate may claim.  Verifying builds up to
+# DEFAULT_IMAGE_CEILING permutations of this degree; ``witness`` searches
+# every degree up to its bound, which is out of reach far below this.
+MAX_CERTIFICATE_DEGREE = 64
 
 CERTIFICATE_SCHEMA = "lemma-certificate/1"
 
@@ -289,7 +294,7 @@ def run_lemma(
     if hom is None:
         return None
     table = regular_table(hom)
-    basis, position, matched_inverse = basis_through_word(table, r)
+    basis, position = basis_through_word(table, r)
     n, m = table.n, p.alphabet.size
     certificate = LemmaCertificate(
         presentation=p,
@@ -300,7 +305,7 @@ def run_lemma(
         transversal=basis.transversal,
         basis=basis,
         r_position=position,
-        matched_inverse=matched_inverse,
+        matched_inverse=False,
         generator_bound=(m - 1) * n,
     )
     result = verify_certificate(certificate)
@@ -425,12 +430,23 @@ def certificate_to_json(c: LemmaCertificate) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(doc: dict, key: str, kind: type):
     if key not in doc:
         raise CertificateFormatError(f"missing field {key!r}")
     value = doc[key]
-    if kind is int and isinstance(value, bool) or not isinstance(value, kind):
+    if not (_is_int(value) if kind is int else isinstance(value, kind)):
         raise CertificateFormatError(f"field {key!r} must be {kind.__name__}")
+    return value
+
+
+def _bounded(doc: dict, key: str, limit: int, what: str) -> int:
+    value = _require(doc, key, int)
+    if value > limit:
+        raise CertificateFormatError(f"{what} {value} exceeds the limit of {limit}")
     return value
 
 
@@ -438,7 +454,12 @@ def certificate_from_json(text: str) -> LemmaCertificate:
     """Parse a certificate document.  Structural problems (bad JSON, missing
     fields, malformed words or permutations) raise
     :class:`CertificateFormatError`; semantic tampering is representable and
-    left for :func:`verify_certificate` to flag."""
+    left for :func:`verify_certificate` to flag.
+
+    Sizes are bounded before any permutation is built: ``hom.degree`` at
+    most :data:`MAX_CERTIFICATE_DEGREE` and ``table.n`` at most
+    :data:`~schreierkit.perms.DEFAULT_IMAGE_CEILING`, the largest regular
+    table the verifier can build."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -458,40 +479,42 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         presentation = Presentation(alphabet, relators)
         relator = parse_word(_require(doc, "relator", str), alphabet)
         hom_doc = _require(doc, "hom", dict)
+        degree = _bounded(hom_doc, "degree", MAX_CERTIFICATE_DEGREE, "hom.degree")
+        table_doc = _require(doc, "table", dict)
+        n = _bounded(table_doc, "n", DEFAULT_IMAGE_CEILING, "table.n")
         gen_images = tuple(
             Perm(tuple(images)) for images in _require(hom_doc, "gen_images", list)
         )
         hom = FiniteQuotientHom(alphabet, gen_images)
-        if hom.degree != _require(hom_doc, "degree", int):
+        if hom.degree != degree:
             raise CertificateFormatError("hom degree does not match its images")
-        table_doc = _require(doc, "table", dict)
         action = tuple(
             Perm(tuple(images)) for images in _require(table_doc, "action", list)
         )
         table = CosetTable(alphabet, action)
-        if table.n != _require(table_doc, "n", int):
+        if table.n != n:
             raise CertificateFormatError("table n does not match its action")
         reps = tuple(
             parse_word(w, alphabet) for w in _require(doc, "transversal", list)
         )
         transversal = SchreierTransversal(table, reps)
         basis_doc = _require(doc, "basis", dict)
-        flipped = frozenset(_require(basis_doc, "flipped", list))
-        if not all(isinstance(g, int) and 0 <= g < alphabet.size for g in flipped):
+        flipped = _require(basis_doc, "flipped", list)
+        if not all(_is_int(g) and 0 <= g < alphabet.size for g in flipped):
             raise CertificateFormatError("flipped must list generator indices")
         elements = tuple(
             parse_word(w, alphabet) for w in _require(basis_doc, "elements", list)
         )
         edge_index: dict[tuple[int, int], int] = {}
         for entry in _require(basis_doc, "edge_index", list):
-            if not (isinstance(entry, list) and len(entry) == 3):
+            if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_int, entry))):
                 raise CertificateFormatError("edge_index entries must be [coset, gen, pos]")
             coset, gen, position = entry
             edge_index[(coset, gen)] = position
         basis = SubgroupBasis(
             table,
             transversal,
-            AlphabetOrientation(flipped),
+            AlphabetOrientation(frozenset(flipped)),
             elements,
             edge_index,
         )

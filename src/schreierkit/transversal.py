@@ -218,15 +218,18 @@ def evaluate_positions(b: SubgroupBasis, positions: Sequence[tuple[int, int]]) -
     return acc
 
 
-def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int, bool]:
+def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
     """A basis of the table's subgroup containing ``w`` verbatim, with the
-    position of ``w`` in it and whether the final edge emitted ``w^-1``.
+    position of ``w`` in it.
 
     Seeds the transversal with the initial segments of ``w`` (which must
     reach pairwise distinct cosets).  When the last letter of ``w`` is
     positive the plain Schreier basis already contains ``w``; when it is
-    negative the alphabet is reoriented at that generator, and if the final
-    edge emitted ``w^-1`` it is normalized back to ``w``.
+    negative the alphabet is reoriented at that generator.  Either way the
+    final edge, read along the last letter ``y`` from the coset ``c`` of
+    ``w`` less ``y``, emits ``rep(c) · y · rep(BASE)^-1``; the seed makes
+    ``rep(c)`` that prefix and ``rep(BASE)`` is empty, so the element is
+    ``w`` itself, never its inverse.
     """
     if len(w) == 0:
         raise EmptyWord("cannot build a basis through the empty word")
@@ -236,29 +239,14 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int, 
         raise PrefixesNotSeparated(
             f"the initial segments of {w} do not reach distinct cosets"
         )
-    seed = prefixes(w)
-    tr = schreier_transversal(t, seed)
+    tr = schreier_transversal(t, prefixes(w))
     g_last, s_last = w.letters[-1]
     orientation = (
         AlphabetOrientation.empty() if s_last > 0 else AlphabetOrientation.of(g_last)
     )
     basis = schreier_basis(tr, orientation)
     final_coset = trace(t, BASE, FreeWord(w.alphabet, w.letters[:-1]))
-    position = basis.edge_index[(final_coset, g_last)]
-    raw = basis.elements[position]
-    if raw == w:
-        return basis, position, False
-    if raw == invert(w):
-        elements = list(basis.elements)
-        elements[position] = w
-        normalized = SubgroupBasis(
-            basis.table, basis.transversal, basis.orientation,
-            tuple(elements), basis.edge_index,
-        )
-        return normalized, position, True
-    raise AssertionError(
-        f"final-edge element {raw} is neither {w} nor its inverse"
-    )
+    return basis, basis.edge_index[(final_coset, g_last)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,104 +254,90 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int, 
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[int, int] = {}
-
-    def add(self, x: int) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        self.parent[self.find(x)] = self.find(y)
-
-
 def fold_verify(b: SubgroupBasis) -> bool:
     """Check, independently of the transversal, that the elements are a
-    basis of exactly the table's subgroup.
+    basis of exactly the table's subgroup.  Reads only ``b.elements`` and
+    ``b.table``.
 
-    Wedges one loop per element at a base vertex, then folds: while two
-    equally-labeled edges leave (or enter) the same vertex, their far
-    endpoints are identified and the edges merged.  A fold whose endpoints
-    already coincide merges two loops into one and witnesses a dependent
-    (non-basis) list.  The fully folded graph must be isomorphic, as a
-    based labeled graph, to the coset graph of the table.
+    Wedges one loop per element at a base vertex, then folds (Stallings,
+    1983): while two equally-labeled edges leave (or enter) the same
+    vertex, their far endpoints are identified and the edges merged.  The
+    fold is a worklist over half-edges with union-find on the vertices and
+    one neighbour slot per vertex and signed letter; a merge re-files the
+    at most ``2m`` slots of the absorbed vertex, so the work is near-linear
+    in the total letter count.  Identifying two vertices removes one vertex
+    and one edge; merging two edges whose far ends already coincide removes
+    only an edge and witnesses a dependent (non-basis) list.  Folding is
+    confluent, so the list is independent exactly when the folded graph has
+    rank ``E - V + 1`` equal to the number of elements.  The folded graph
+    must then be isomorphic, as a based labeled graph, to the coset graph
+    of the table.
     """
     t = b.table
-    uf = _UnionFind()
-    base = 0
-    uf.add(base)
-    next_vertex = 1
-    edges: list[tuple[int, int, int]] = []  # (src, gen, dst), src --g--> dst
+    width = 2 * t.alphabet.size  # slot 2g: out along g; slot 2g+1: in along g
+    parent = [0]  # union-find over vertices; vertex 0 is the base
+    work: list[int] = []  # flat (vertex, slot, far vertex) half-edges
     for w in b.elements:
         if len(w) == 0:
             return False
-        current = base
+        current = 0
+        last = len(w) - 1
         for i, (g, s) in enumerate(w.letters):
-            target = base if i == len(w.letters) - 1 else next_vertex
-            if target == next_vertex:
-                uf.add(target)
-                next_vertex += 1
-            if s > 0:
-                edges.append((current, g, target))
+            if i == last:
+                target = 0
             else:
-                edges.append((target, g, current))
+                target = len(parent)
+                parent.append(target)
+            slot = 2 * g + (s < 0)
+            work += (current, slot, target, target, slot ^ 1, current)
             current = target
 
-    rank_dropped = False
-    while True:
-        canon = [(uf.find(u), g, uf.find(v)) for u, g, v in edges]
-        out_seen: dict[tuple[int, int], int] = {}
-        in_seen: dict[tuple[int, int], int] = {}
-        fold_at: tuple[int, int, int, int] | None = None  # (idx_keep, idx_drop, a, b)
-        for idx, (u, g, v) in enumerate(canon):
-            if (u, g) in out_seen:
-                other = out_seen[(u, g)]
-                fold_at = (other, idx, canon[other][2], v)
-                break
-            out_seen[(u, g)] = idx
-            if (g, v) in in_seen:
-                other = in_seen[(g, v)]
-                fold_at = (other, idx, canon[other][0], u)
-                break
-            in_seen[(g, v)] = idx
-        if fold_at is None:
-            break
-        _, drop, a, c = fold_at
-        if uf.find(a) == uf.find(c):
-            rank_dropped = True
-        else:
-            uf.union(a, c)
-        edges.pop(drop)
-    if rank_dropped:
-        return False
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
 
-    # folded graph: deterministic partial action
-    out_map: dict[tuple[int, int], int] = {}
-    vertices = {uf.find(base)}
-    for u, g, v in edges:
-        u, v = uf.find(u), uf.find(v)
-        vertices.update((u, v))
-        out_map[(u, g)] = v
-    if len(vertices) != t.n:
+    nbr = [-1] * (len(parent) * width)
+    while work:
+        far = find(work.pop())
+        slot = work.pop()
+        at = find(work.pop()) * width + slot
+        held = nbr[at]
+        if held < 0:
+            nbr[at] = far
+            continue
+        held = find(held)
+        if held == far:
+            continue  # an equal edge is already filed at this slot
+        parent[far] = held
+        absorbed = far * width
+        for j in range(width):
+            other = nbr[absorbed + j]
+            if other >= 0:
+                work += (held, j, other)
+                nbr[absorbed + j] = -1
+
+    vertices = sum(1 for v, p in enumerate(parent) if v == p)
+    edges = sum(1 for y in nbr if y >= 0) // 2
+    if edges - vertices + 1 != len(b.elements):
+        return False
+    if vertices != t.n:
         return False
     # match against the coset graph by following generators from the base
-    mapping = {uf.find(base): BASE}
-    queue = deque([uf.find(base)])
+    base = find(0)
+    mapping = {base: BASE}
+    queue = deque([base])
     while queue:
         u = queue.popleft()
         c = mapping[u]
         for g in range(t.alphabet.size):
-            v = out_map.get((u, g))
-            if v is None:
+            v = nbr[u * width + 2 * g]
+            if v < 0:
                 return False  # coset graph is complete; folded graph is not
+            v = find(v)
             expected = t.step(c, g, 1)
             if v in mapping:
                 if mapping[v] != expected:

@@ -1,6 +1,7 @@
 import json
 
 from schreierkit import FiniteQuotientHom, Perm, lemma
+from schreierkit.perms import DEFAULT_IMAGE_CEILING
 from schreierkit.cli import main
 
 AA_PRESENTATION = "gens: a b\nrel: aa\n"
@@ -137,6 +138,41 @@ def test_verify_rejects_truncated_file(capsys, tmp_path):
     cert.write_text(out[: len(out) // 2])
     code, _, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 2
+
+
+def oversized_certificate(capsys, tmp_path, edit):
+    pres = tmp_path / "aa.pres"
+    pres.write_text(AA_PRESENTATION)
+    _, out, _ = run(capsys, "witness", "--presentation", str(pres), "--relator", "aa")
+    doc = json.loads(out)
+    edit(doc)
+    cert = tmp_path / "oversized.json"
+    cert.write_text(json.dumps(doc))
+    return run(capsys, "verify", "--certificate", str(cert))
+
+
+def test_verify_rejects_degree_beyond_limit(capsys, tmp_path):
+    def edit(doc):
+        doc["hom"]["degree"] = lemma.MAX_CERTIFICATE_DEGREE + 1
+
+    code, out, err = oversized_certificate(capsys, tmp_path, edit)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: hom.degree {lemma.MAX_CERTIFICATE_DEGREE + 1}"
+        f" exceeds the limit of {lemma.MAX_CERTIFICATE_DEGREE}\n"
+    )
+
+
+def test_verify_rejects_table_beyond_ceiling(capsys, tmp_path):
+    def edit(doc):
+        doc["table"]["n"] = DEFAULT_IMAGE_CEILING + 1
+
+    code, out, err = oversized_certificate(capsys, tmp_path, edit)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: table.n {DEFAULT_IMAGE_CEILING + 1}"
+        f" exceeds the limit of {DEFAULT_IMAGE_CEILING}\n"
+    )
 
 
 def test_basis_plain(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +268,20 @@ def test_certificate_format_errors():
         certificate_from_json("{}")
     with pytest.raises(CertificateFormatError):
         certificate_from_json(text.replace('"relator": "aa",', ""))
+
+
+def test_certificate_rejects_bool_generator_in_flipped():
+    doc = json.loads(certificate_to_json(run_lemma(AA_PRES, AA_REL, 4)))
+    doc["basis"]["flipped"] = [True]
+    with pytest.raises(CertificateFormatError, match="flipped"):
+        certificate_from_json(json.dumps(doc))
+
+
+def test_certificate_rejects_non_int_edge_index_entry():
+    doc = json.loads(certificate_to_json(run_lemma(AA_PRES, AA_REL, 4)))
+    doc["basis"]["edge_index"][0] = ["x", 0, 0]
+    with pytest.raises(CertificateFormatError, match="edge_index"):
+        certificate_from_json(json.dumps(doc))
 
 
 def tampered(cert, **overrides):

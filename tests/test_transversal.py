@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from schreierkit import (
+    BASE,
     Alphabet,
     BadSeed,
     CosetTable,
@@ -249,8 +250,8 @@ def test_basis_elements_rewrite_to_themselves():
 
 
 def test_basis_through_word_case1():
-    basis, position, matched_inverse = basis_through_word(TWO, parse_word("aa", AB))
-    assert (position, matched_inverse) == (1, False)
+    basis, position = basis_through_word(TWO, parse_word("aa", AB))
+    assert position == 1
     assert [str(u) for u in basis.elements] == ["b", "aa", "abA"]
     assert basis.orientation.flipped == frozenset()
     assert basis.elements[basis.edge_index[(1, 0)]] == parse_word("aa", AB)
@@ -260,10 +261,10 @@ def test_basis_through_word_case1():
 def test_basis_through_word_case2():
     table = regular_table(FiniteQuotientHom(AB, (Perm((1, 0)), Perm((1, 0)))))
     w = parse_word("aB", AB)
-    basis, position, matched_inverse = basis_through_word(table, w)
+    basis, position = basis_through_word(table, w)
     assert basis.orientation.flipped == frozenset({1})
     assert len(basis.elements) == 3
-    assert (position, matched_inverse) == (2, False)
+    assert position == 2
     assert basis.elements[position] == w
     assert fold_verify(basis)
 
@@ -271,8 +272,8 @@ def test_basis_through_word_case2():
 def test_basis_through_single_negative_letter():
     one = regular_table(FiniteQuotientHom(AB, (Perm((0,)), Perm((0,)))))
     w = parse_word("A", AB)
-    basis, position, matched_inverse = basis_through_word(one, w)
-    assert (position, matched_inverse) == (0, False)
+    basis, position = basis_through_word(one, w)
+    assert position == 0
     assert basis.elements[position] == w
     assert fold_verify(basis)
     assert not check_basis(basis)
@@ -297,7 +298,7 @@ def test_basis_through_word_randomized():
         if w is None:
             continue
         built += 1
-        basis, position, _ = basis_through_word(table, w)
+        basis, position = basis_through_word(table, w)
         assert basis.elements[position] == w
         assert not check_basis(basis)
         assert fold_verify(basis)
@@ -333,6 +334,171 @@ def test_fold_verify_rejects_tampered_lists():
         basis.edge_index,
     )
     assert not fold_verify(squared)
+
+
+class _ReferenceUnionFind:
+    def __init__(self) -> None:
+        self.parent: dict[int, int] = {}
+
+    def add(self, x: int) -> None:
+        self.parent.setdefault(x, x)
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: int, y: int) -> None:
+        self.parent[self.find(x)] = self.find(y)
+
+
+def reference_fold_verify(b: SubgroupBasis) -> bool:
+    """Oracle: the quadratic fold that rescans every edge after each fold."""
+    t = b.table
+    uf = _ReferenceUnionFind()
+    base = 0
+    uf.add(base)
+    next_vertex = 1
+    edges: list[tuple[int, int, int]] = []  # (src, gen, dst), src --g--> dst
+    for w in b.elements:
+        if len(w) == 0:
+            return False
+        current = base
+        for i, (g, s) in enumerate(w.letters):
+            target = base if i == len(w.letters) - 1 else next_vertex
+            if target == next_vertex:
+                uf.add(target)
+                next_vertex += 1
+            if s > 0:
+                edges.append((current, g, target))
+            else:
+                edges.append((target, g, current))
+            current = target
+
+    rank_dropped = False
+    while True:
+        canon = [(uf.find(u), g, uf.find(v)) for u, g, v in edges]
+        out_seen: dict[tuple[int, int], int] = {}
+        in_seen: dict[tuple[int, int], int] = {}
+        fold_at: tuple[int, int, int, int] | None = None  # (idx_keep, idx_drop, a, b)
+        for idx, (u, g, v) in enumerate(canon):
+            if (u, g) in out_seen:
+                other = out_seen[(u, g)]
+                fold_at = (other, idx, canon[other][2], v)
+                break
+            out_seen[(u, g)] = idx
+            if (g, v) in in_seen:
+                other = in_seen[(g, v)]
+                fold_at = (other, idx, canon[other][0], u)
+                break
+            in_seen[(g, v)] = idx
+        if fold_at is None:
+            break
+        _, drop, a, c = fold_at
+        if uf.find(a) == uf.find(c):
+            rank_dropped = True
+        else:
+            uf.union(a, c)
+        edges.pop(drop)
+    if rank_dropped:
+        return False
+
+    # folded graph: deterministic partial action
+    out_map: dict[tuple[int, int], int] = {}
+    vertices = {uf.find(base)}
+    for u, g, v in edges:
+        u, v = uf.find(u), uf.find(v)
+        vertices.update((u, v))
+        out_map[(u, g)] = v
+    if len(vertices) != t.n:
+        return False
+    # match against the coset graph by following generators from the base
+    mapping = {uf.find(base): BASE}
+    queue = deque([uf.find(base)])
+    while queue:
+        u = queue.popleft()
+        c = mapping[u]
+        for g in range(t.alphabet.size):
+            v = out_map.get((u, g))
+            if v is None:
+                return False  # coset graph is complete; folded graph is not
+            expected = t.step(c, g, 1)
+            if v in mapping:
+                if mapping[v] != expected:
+                    return False
+            else:
+                mapping[v] = expected
+                queue.append(v)
+    if len(mapping) != t.n or len(set(mapping.values())) != t.n:
+        return False
+    return True
+
+
+def with_elements(basis, elements):
+    return SubgroupBasis(
+        basis.table, basis.transversal, basis.orientation, tuple(elements),
+        basis.edge_index,
+    )
+
+
+def tampered_lists(rng, elements):
+    """The element list itself plus the tampered variants: dropped,
+    duplicated, squared, a product substituted, one element inverted,
+    shuffled, and a product appended."""
+    elements = list(elements)
+    k = len(elements)
+    i, j = rng.randrange(k), rng.randrange(k)
+    variants = [elements]
+    variants.append(elements[:i] + elements[i + 1:])
+    variants.append(elements + [elements[i]])
+    squared = list(elements)
+    squared[i] = concat_reduce(elements[i], elements[i])
+    variants.append(squared)
+    product = list(elements)
+    product[i] = concat_reduce(elements[i], elements[j])
+    variants.append(product)
+    inverted = list(elements)
+    inverted[i] = invert(elements[i])
+    variants.append(inverted)
+    shuffled = list(elements)
+    rng.shuffle(shuffled)
+    variants.append(shuffled)
+    variants.append(elements + [concat_reduce(elements[i], elements[j])])
+    return variants
+
+
+def test_fold_verify_matches_reference_fold():
+    rng = random.Random(6060)
+    verdicts = {True: 0, False: 0}
+    for _ in range(60):
+        m = rng.randrange(1, 4)
+        n = rng.randrange(1, 31)
+        table = random_table(rng, Alphabet.first(m), n)
+        bases = [schreier_basis(schreier_transversal(table))]
+        w = random_subgroup_word(rng, table, max_tries=200)
+        if w is not None:
+            bases.append(basis_through_word(table, w)[0])
+        for basis in bases:
+            for elements in tampered_lists(rng, basis.elements):
+                candidate = with_elements(basis, elements)
+                verdict = fold_verify(candidate)
+                assert verdict == reference_fold_verify(candidate)
+                verdicts[verdict] += 1
+                if len(elements) > len(basis.elements):
+                    assert not verdict  # a dependent list must drop rank
+    assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_fold_verify_large_index():
+    rng = random.Random(2000)
+    table = random_table(rng, AB, 2000)
+    basis = schreier_basis(schreier_transversal(table))
+    assert fold_verify(basis)
+    extra = concat_reduce(basis.elements[0], basis.elements[1])
+    assert not fold_verify(with_elements(basis, basis.elements + (extra,)))
 
 
 def test_serialization_formats():
