@@ -5,7 +5,6 @@ from .cosets import (
     BASE,
     CosetTable,
     Presentation,
-    acts_trivially,
     canonical_form,
     contains,
     is_regular,

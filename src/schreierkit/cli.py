@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 mathematical negative (NOTFOUND, failed
-verification, unmet precondition), 2 usage or input error.  Stdout is
+verification, unmet precondition), 2 usage or input error (including a
+file that cannot be read or is not UTF-8).  Stdout is
 machine-parseable for codes 0 and 1; diagnostics go to stderr.
 """
 
@@ -197,7 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchreierKitError, OSError) as exc:
+    except (SchreierKitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,7 +1,7 @@
 """Finite-index subgroups of a free group as complete coset tables.
 
-A :class:`CosetTable` records, for each generator, the permutation it
-induces on coset identifiers ``0 .. n-1``; coset ``0`` is the base coset of
+A :class:`CosetTable` is a :class:`~schreierkit.perms.FiniteQuotientHom`
+acting on coset identifiers ``0 .. n-1``; coset ``0`` is the base coset of
 the subgroup itself.  Tables are validated on construction: every
 generator's column must be a bijection and the action must be transitive
 from the base.
@@ -21,7 +21,7 @@ from .errors import (
     InvalidTable,
     ParseError,
 )
-from .perms import FiniteQuotientHom, Perm, image_closure
+from .perms import FiniteQuotientHom, Perm, image_closure, kills_relators
 from .words import Alphabet, FreeWord, parse_word
 
 BASE = 0
@@ -29,42 +29,30 @@ DEFAULT_MAX_INDEX = 8
 
 
 @dataclass(frozen=True)
-class CosetTable:
-    """Transitive action of the free group's generators on ``n`` cosets."""
+class CosetTable(FiniteQuotientHom):
+    """A homomorphism into S_n whose action is transitive from the base:
+    generator ``g`` sends coset ``c`` to ``gen_images[g][c]``."""
 
-    alphabet: Alphabet
-    action: tuple[Perm, ...]
+    invalid = InvalidTable
 
     def __post_init__(self) -> None:
-        if len(self.action) != self.alphabet.size:
-            raise InvalidTable(
-                f"{self.alphabet.size} generators but {len(self.action)} action columns"
-            )
-        degrees = {p.degree for p in self.action}
-        if len(degrees) != 1:
-            raise InvalidTable(f"action columns have mixed degrees: {sorted(degrees)}")
-        object.__setattr__(self, "_inverse", tuple(p.inverse() for p in self.action))
-        n = self.n
+        super().__post_init__()
+        columns = [self.image(g, s).images for g in range(self.alphabet.size) for s in (1, -1)]
         reached = {BASE}
         frontier = deque([BASE])
         while frontier:
             c = frontier.popleft()
-            for g in range(self.alphabet.size):
-                for d in (self.action[g].images[c], self._inverse[g].images[c]):
-                    if d not in reached:
-                        reached.add(d)
-                        frontier.append(d)
-        if len(reached) != n:
-            raise InvalidTable(f"only {len(reached)} of {n} cosets reachable from base")
+            for d in [col[c] for col in columns]:
+                if d not in reached:
+                    reached.add(d)
+                    frontier.append(d)
+        if len(reached) != self.n:
+            raise InvalidTable(f"only {len(reached)} of {self.n} cosets reachable from base")
 
     @property
     def n(self) -> int:
         """The index: number of cosets."""
-        return self.action[0].degree
-
-    def step(self, coset: int, gen: int, sign: int) -> int:
-        perm = self.action[gen] if sign > 0 else self._inverse[gen]
-        return perm.images[coset]
+        return self.degree
 
 
 @dataclass(frozen=True)
@@ -113,12 +101,6 @@ def contains(t: CosetTable, w: FreeWord) -> bool:
     return trace(t, BASE, w) == BASE
 
 
-def acts_trivially(t: CosetTable, w: FreeWord) -> bool:
-    """True iff the word fixes every coset, i.e. lies in the kernel of the
-    table's permutation action."""
-    return all(trace(t, c, w) == c for c in range(t.n))
-
-
 def separates_prefixes(t: CosetTable, w: FreeWord) -> bool:
     """True iff the initial segments of ``w`` trace to pairwise distinct
     cosets from the base."""
@@ -141,7 +123,7 @@ def is_regular(t: CosetTable) -> bool:
     A transitive action generates at least ``n`` elements, so a closure
     capped at ``n`` decides it."""
     try:
-        return len(image_closure(FiniteQuotientHom(t.alphabet, t.action), t.n)) == t.n
+        return len(image_closure(t, t.n)) == t.n
     except ImageTooLarge:
         return False
 
@@ -271,7 +253,7 @@ def low_index_tables(
                 table = CosetTable(
                     p.alphabet, tuple(Perm(tuple(col)) for col in fwd)
                 )
-                if all(acts_trivially(table, rel) for rel in p.relators):
+                if kills_relators(table, p.relators):
                     found.append(table)
             return
         c, g, s = slot
@@ -308,7 +290,7 @@ def table_to_text(t: CosetTable) -> str:
     ``<name>: i0 i1 ... i(n-1)``."""
     lines = [f"n={t.n}"]
     for g, name in enumerate(t.alphabet.names):
-        lines.append(f"{name}: " + " ".join(str(i) for i in t.action[g].images))
+        lines.append(f"{name}: " + " ".join(str(i) for i in t.gen_images[g].images))
     return "\n".join(lines) + "\n"
 
 

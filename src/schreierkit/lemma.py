@@ -24,7 +24,6 @@ from .cosets import (
     contains,
     regular_table,
     separates_prefixes,
-    trace,
 )
 from .errors import (
     AlphabetMismatch,
@@ -44,7 +43,7 @@ from .transversal import (
     fold_verify,
     schreier_basis,
 )
-from .words import Alphabet, FreeWord, invert, parse_word, prefixes
+from .words import Alphabet, FreeWord, invert, parse_word
 
 DEFAULT_MAX_DEGREE = 6
 
@@ -89,13 +88,6 @@ class VerificationResult:
 
 def _compose(acc: tuple[int, ...], step: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(step[i] for i in acc)
-
-
-def _invert_tuple(p: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
 
 
 def _distinct_walk(
@@ -170,14 +162,15 @@ def _centraliser(
 
 
 def _orbit_minima(
-    perms: list[tuple[int, ...]], group: list[tuple[int, ...]]
+    perms: list[tuple[int, ...]], group: list[tuple[int, ...]], inverse: dict
 ) -> list[tuple[int, ...]]:
     """The least element of each orbit of ``group`` acting on ``perms`` by
     conjugation, in the order of ``perms``, which must be lexicographic and
-    closed under that action."""
+    closed under that action.  ``inverse`` maps each element of ``group``
+    to its inverse."""
     if len(group) == 1:
         return perms
-    pairs = [(s, _invert_tuple(s)) for s in group]
+    pairs = [(s, inverse[s]) for s in group]
     marked: set[tuple[int, ...]] = set()
     minima = []
     for q in perms:
@@ -244,7 +237,7 @@ def find_separating_quotient(
 
     for degree in range(1, max_degree + 1):
         perms = list(itertools.permutations(range(degree)))
-        inverse = {p_: _invert_tuple(p_) for p_ in perms}
+        inverse = {q: Perm(q).inverse().images for q in perms}
         identity = tuple(range(degree))
         imgs: list[tuple[int, ...]] = []
         invs: list[tuple[int, ...]] = []
@@ -257,7 +250,7 @@ def find_separating_quotient(
                 candidates = _class_minima(perms)
             else:
                 group = _centraliser(group, imgs[-1])
-                candidates = _orbit_minima(perms, group)
+                candidates = _orbit_minima(perms, group, inverse)
             for cand in candidates:
                 imgs.append(cand)
                 invs.append(inverse[cand])
@@ -357,8 +350,13 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     if check_transversal(c.transversal):
         fail("transversal_valid")
     elif len(r) > 0:
-        for prefix in prefixes(r):
-            if c.transversal.reps[trace(c.table, BASE, prefix)] != prefix:
+        # one walk along r: the representatives are prefix-closed and trace
+        # to their cosets, so if rep(d) spells r[:i-1], rep(d·x) spells
+        # r[:i] exactly when it has i letters and ends in x
+        coset, reps = BASE, c.transversal.reps
+        for i, letter in enumerate(r.letters[:-1], 1):
+            coset = c.table.step(coset, *letter)
+            if len(reps[coset]) != i or reps[coset].letters[-1] != letter:
                 fail("transversal_seeded")
                 break
 
@@ -412,7 +410,7 @@ def certificate_to_json(c: LemmaCertificate) -> str:
         "image_order": c.image_order,
         "table": {
             "n": c.table.n,
-            "action": [list(p.images) for p in c.table.action],
+            "action": [list(p.images) for p in c.table.gen_images],
         },
         "transversal": [str(w) for w in c.transversal.reps],
         "basis": {
@@ -462,7 +460,7 @@ def certificate_from_json(text: str) -> LemmaCertificate:
     table the verifier can build."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # includes JSONDecodeError
         raise CertificateFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise CertificateFormatError("certificate must be a JSON object")

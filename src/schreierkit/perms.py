@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .errors import AlphabetMismatch, ImageTooLarge, InvalidHom, InvalidPermutation
 from .words import Alphabet, FreeWord
@@ -59,19 +59,22 @@ class Perm:
 @dataclass(frozen=True)
 class FiniteQuotientHom:
     """A homomorphism from the free group on ``alphabet`` into S_degree,
-    given by one permutation per generator."""
+    given by one permutation per generator; the inverse columns are stored
+    alongside.  Count and degree errors raise :attr:`invalid`."""
 
     alphabet: Alphabet
     gen_images: tuple[Perm, ...]
 
+    invalid: ClassVar[type[Exception]] = InvalidHom
+
     def __post_init__(self) -> None:
         if len(self.gen_images) != self.alphabet.size:
-            raise InvalidHom(
+            raise self.invalid(
                 f"{self.alphabet.size} generators but {len(self.gen_images)} images"
             )
         degrees = {p.degree for p in self.gen_images}
         if len(degrees) != 1:
-            raise InvalidHom(f"generator images have mixed degrees: {sorted(degrees)}")
+            raise self.invalid(f"generator images have mixed degrees: {sorted(degrees)}")
         object.__setattr__(
             self, "_inverses", tuple(p.inverse() for p in self.gen_images)
         )
@@ -82,6 +85,11 @@ class FiniteQuotientHom:
 
     def image(self, gen: int, sign: int) -> Perm:
         return self.gen_images[gen] if sign > 0 else self._inverses[gen]
+
+    def step(self, point: int, gen: int, sign: int) -> int:
+        """Image of ``point`` under one signed generator."""
+        perm = self.gen_images[gen] if sign > 0 else self._inverses[gen]
+        return perm.images[point]
 
 
 def eval_word(h: FiniteQuotientHom, w: FreeWord) -> Perm:

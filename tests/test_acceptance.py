@@ -11,7 +11,6 @@ from pathlib import Path
 from schreierkit import (
     Alphabet,
     CosetTable,
-    FiniteQuotientHom,
     InvalidTable,
     Letter,
     Perm,
@@ -191,8 +190,7 @@ def _random_killed_relator(rng, table):
         u = random_word(rng, alphabet, 3)
         if len(u) == 0:
             continue
-        h = FiniteQuotientHom(alphabet, table.action)
-        k = _perm_order(eval_word(h, u))
+        k = _perm_order(eval_word(table, u))
         relator = u
         for _ in range(k - 1):
             relator = concat_reduce(relator, u)

@@ -1,4 +1,13 @@
+import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schreierkit import FiniteQuotientHom, Perm, lemma
 from schreierkit.perms import DEFAULT_IMAGE_CEILING
@@ -9,6 +18,9 @@ TWO_TABLE = "n=2\na: 1 0\nb: 0 1\n"
 HIGMAN_PRESENTATION = (
     "gens: a b c d\nrel: abABB\nrel: bcBCC\nrel: cdCDD\nrel: daDAA\n"
 )
+AA_CERTIFICATE = (
+    Path(__file__).parent / "data" / "lemma_aa_certificate.json"
+).read_text()
 
 
 def run(capsys, *argv):
@@ -276,3 +288,156 @@ def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "witness", "--presentation", str(tmp_path / "nope"),
                        "--relator", "aa")
     assert code == 2
+
+
+def assert_input_error(code, out, err):
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["table", "basis", "rewrite", "witness", "verify"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad"
+    bad.write_bytes(b"\xff")
+    pres = tmp_path / "aa.pres"
+    pres.write_text(AA_PRESENTATION)
+    argv = {
+        "table": ["table", "--table", bad],
+        "basis": ["basis", "--table", bad],
+        "rewrite": ["rewrite", "--presentation", pres, "--table", bad],
+        "witness": ["witness", "--presentation", bad, "--relator", "aa"],
+        "verify": ["verify", "--certificate", bad],
+    }[command]
+    assert_input_error(*run(capsys, *map(str, argv)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 200000 + "]" * 200000, "9" * 5000],
+    ids=["nesting-beyond-recursion-limit", "integer-over-4300-digits"],
+)
+def test_verify_rejects_json_that_does_not_load(capsys, tmp_path, text):
+    cert = tmp_path / "cert.json"
+    cert.write_text(text)
+    assert_input_error(*run(capsys, "verify", "--certificate", str(cert)))
+
+
+# --- fuzz: malformed file text and argv never end in a traceback -----------
+
+def _splice(seed: str):
+    """``seed`` with one slice replaced by a few random characters."""
+    return st.tuples(
+        st.integers(0, len(seed)), st.integers(0, 6), st.text(max_size=4)
+    ).map(lambda t: seed[: t[0]] + t[2] + seed[t[0] + t[1]:])
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _json_paths(child, path + (key,))
+
+
+_CERT_DOC = json.loads(AA_CERTIFICATE)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 70) | st.text("abAB1", max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text("an", max_size=2), kids, max_size=2),
+    max_leaves=6,
+)
+
+
+def _replace_at(path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(_CERT_DOC)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_CERT_EDITS = st.builds(
+    _replace_at, st.sampled_from(list(_json_paths(_CERT_DOC))), _JSON_VALUES
+).map(json.dumps)
+
+FILE_CONTENTS = st.one_of(
+    st.binary(max_size=24),
+    _splice(TWO_TABLE).map(str.encode),
+    _splice(AA_PRESENTATION).map(str.encode),
+    _splice(AA_CERTIFICATE).map(str.encode),
+    _CERT_EDITS.map(str.encode),
+    st.integers(1, 3000).map(lambda d: ("[" * d + "]" * d).encode()),
+    st.integers(1, 5000).map(lambda k: ("9" * k).encode()),
+)
+
+
+def cli_outcome(argv):
+    """Run the CLI in-process; an exception escaping ``main`` is what the
+    console script would print as a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_exit(code, out, err):
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == ""
+    assert "Traceback" not in err
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["table", "basis", "rewrite-pres", "rewrite-table", "verify"]),
+    FILE_CONTENTS,
+    st.none() | st.text("abAB1$", max_size=6),
+)
+@example("table", b"\xff", None)
+@example("verify", ("[" * 200000 + "]" * 200000).encode(), None)
+@example("verify", b"9" * 5000, None)
+def test_cli_fuzz_file_text(command, content, word):
+    with tempfile.TemporaryDirectory() as tmp:
+        fuzzed = Path(tmp, "fuzzed")
+        fuzzed.write_bytes(content)
+        pres, table = Path(tmp, "aa.pres"), Path(tmp, "two.table")
+        pres.write_text(AA_PRESENTATION)
+        table.write_text(TWO_TABLE)
+        argv = {
+            "table": ["table", "--table", fuzzed],
+            "basis": ["basis", "--table", fuzzed],
+            "rewrite-pres": ["rewrite", "--presentation", fuzzed, "--table", table],
+            "rewrite-table": ["rewrite", "--presentation", pres, "--table", fuzzed],
+            "verify": ["verify", "--certificate", fuzzed],
+        }[command]
+        if command == "basis" and word is not None:
+            argv += ["--through", word]
+        assert_clean_exit(*cli_outcome([str(a) for a in argv]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["reduce", "table", "basis", "rewrite", "verify"]),
+    st.lists(
+        st.sampled_from(
+            ["--gens", "--table", "--through", "--presentation", "--certificate",
+             "ab", "abBA", "aa", "a$b", "é", "1", "", "-h", "--", "TABLE", "PRES"]
+        )
+        | st.text(st.characters(exclude_characters="\x00"), max_size=6),  # argv has no NUL
+        max_size=6,
+    ),
+)
+def test_cli_fuzz_argv(command, args):
+    with tempfile.TemporaryDirectory() as tmp:
+        pres, table = Path(tmp, "aa.pres"), Path(tmp, "two.table")
+        pres.write_text(AA_PRESENTATION)
+        table.write_text(TWO_TABLE)
+        files = {"TABLE": str(table), "PRES": str(pres)}
+        argv = [command] + [files.get(a, a) for a in args]
+        assert_clean_exit(*cli_outcome(argv))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schreierkit import (
+    BASE,
     Alphabet,
     BadBound,
     CertificateFormatError,
@@ -27,6 +28,7 @@ from schreierkit import (
     parse_word,
     prefixes,
     run_lemma,
+    trace,
     verify_certificate,
 )
 from schreierkit.lemma import _centraliser, _class_minima, _orbit_minima
@@ -159,7 +161,8 @@ def test_orbit_minima_match_brute_force_orbits():
         assert _centraliser(group, p) == centraliser
         acting = [Perm(s) for s in centraliser]
         orbits = {frozenset(_conjugates(Perm(q), acting)) for q in perms}
-        minima = _orbit_minima(perms, centraliser)
+        inverse = {s: Perm(s).inverse().images for s in centraliser}
+        minima = _orbit_minima(perms, centraliser, inverse)
         assert minima == sorted(min(orbit) for orbit in orbits)
         return centraliser, minima
 
@@ -390,3 +393,33 @@ def test_verify_flags_hom_beyond_closure_ceiling():
     result = verify_certificate(tampered(cert, hom=huge))
     assert "image_order_matches" in result.failures
     assert "table_matches_regular" in result.failures
+
+
+def test_verify_long_relator_failures():
+    # 8,000 letters: the seeded-transversal check walks r once instead of
+    # building its quadratic list of initial segments
+    doc = json.loads(certificate_to_json(run_lemma(AA_PRES, AA_REL, 4)))
+    doc["relator"] = "ab" * 4000
+    result = verify_certificate(certificate_from_json(json.dumps(doc)))
+    assert result.failures == (
+        "prefixes_separated",
+        "transversal_seeded",
+        "r_position_valid",
+        "matched_inverse_consistent",
+        "basis_matches_schreier_method",
+    )
+
+
+def test_transversal_seeded_matches_initial_segment_definition():
+    free = Presentation(AB, ())
+    letters = [Letter(g, s) for g in (0, 1) for s in (1, -1)]
+    words = [
+        free_reduce(AB, raw) for k in range(1, 5) for raw in itertools.product(letters, repeat=k)
+    ]
+    for r in ("abaB", "aabAb"):
+        cert = run_lemma(free, parse_word(r, AB), 5)
+        reps = cert.transversal.reps
+        for w in dict.fromkeys(w for w in words if len(w) > 0):
+            expected = any(reps[trace(cert.table, BASE, p)] != p for p in prefixes(w))
+            failures = verify_certificate(tampered(cert, relator=w)).failures
+            assert ("transversal_seeded" in failures) == expected, (r, str(w))

@@ -64,8 +64,7 @@ def random_killed_relator(rng, table):
         u = free_reduce(alphabet, raw)
         if len(u) == 0:
             continue
-        h = FiniteQuotientHom(alphabet, table.action)
-        k = perm_order(eval_word(h, u))
+        k = perm_order(eval_word(table, u))
         relator = u
         for _ in range(k - 1):
             relator = concat_reduce(relator, u)
