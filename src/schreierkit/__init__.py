@@ -60,7 +60,6 @@ from .rewriting import (
     SurfaceReport,
     rewrite_presentation,
     surface_presentation,
-    surface_report,
     surface_survey,
 )
 from .transversal import (
@@ -71,12 +70,15 @@ from .transversal import (
     basis_to_text,
     check_basis,
     check_transversal,
+    crossings,
+    edge_numbering,
     evaluate_positions,
     fold_verify,
     rewrite_in_basis,
     schreier_basis,
     schreier_transversal,
     transversal_to_text,
+    tree_letters,
 )
 from .words import (
     Alphabet,

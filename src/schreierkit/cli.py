@@ -103,18 +103,20 @@ def cmd_surface(args: argparse.Namespace) -> int:
         args.genus, args.index, max_genus=args.max_genus, max_index=args.max_index
     )
     all_pass = True
-    for i, (report, table, _) in enumerate(survey):
+    count = 0
+    for report, table, _ in survey:
         checks = "pass" if report.checks_pass else "fail"
         all_pass = all_pass and report.checks_pass
         print(
-            f"subgroup={i} genus={report.genus} index={report.index}"
+            f"subgroup={count} genus={report.genus} index={report.index}"
             f" rho_G={report.rho_G} rho_G1_formula={report.rho_G1_formula}"
             f" rho_G1_counts={report.rho_G1_counts} euler_G={report.euler_G}"
             f" euler_G1={report.euler_G1} checks={checks}"
         )
         sys.stdout.write(table_to_text(table))
         print()
-    print(f"subgroups={len(survey)} all_checks={'pass' if all_pass else 'fail'}")
+        count += 1
+    print(f"subgroups={count} all_checks={'pass' if all_pass else 'fail'}")
     return 0 if all_pass else 1
 
 

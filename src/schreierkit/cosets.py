@@ -21,7 +21,7 @@ from .errors import (
     InvalidTable,
     ParseError,
 )
-from .perms import FiniteQuotientHom, Perm, image_closure, kills_relators
+from .perms import FiniteQuotientHom, Perm, image_closure
 from .words import Alphabet, FreeWord, parse_word
 
 BASE = 0
@@ -208,6 +208,12 @@ def low_index_tables(
     After each definition all relator traces are closed up: a trace that
     completes inconsistently prunes the branch, a trace with a single gap
     forces the missing edge.  Output is sorted by serialized canonical form.
+
+    A complete table needs no further check that the relators act
+    trivially.  It is reached only through a closure that succeeded, and
+    that closure's last pass deduced nothing, so it scanned the complete
+    table itself: it traced every relator from every coset through to the
+    end, and each trace came back to its start.
     """
     if not 1 <= n <= max_index:
         raise BadBound(f"index {n} outside 1..{max_index}")
@@ -250,11 +256,7 @@ def low_index_tables(
         slot = first_undefined()
         if slot is None:
             if used == n:
-                table = CosetTable(
-                    p.alphabet, tuple(Perm(tuple(col)) for col in fwd)
-                )
-                if kills_relators(table, p.relators):
-                    found.append(table)
+                found.append(CosetTable(p.alphabet, tuple(Perm(tuple(col)) for col in fwd)))
             return
         c, g, s = slot
         column_taken = bwd[g] if s > 0 else fwd[g]

@@ -237,7 +237,12 @@ def find_separating_quotient(
 
     for degree in range(1, max_degree + 1):
         perms = list(itertools.permutations(range(degree)))
-        inverse = {q: Perm(q).inverse().images for q in perms}
+        inverse = {}
+        for q in perms:
+            inv = [0] * degree
+            for i, j in enumerate(q):
+                inv[j] = i
+            inverse[q] = tuple(inv)
         identity = tuple(range(degree))
         imgs: list[tuple[int, ...]] = []
         invs: list[tuple[int, ...]] = []

@@ -7,6 +7,8 @@ each source relator ``rho`` contribute one rewritten relator: the word
 read off by tracing ``rho`` from coset ``c`` and recording the non-tree
 edges it crosses (Reidemeister–Schreier); ``rep(c)`` runs along the
 spanning tree and contributes nothing, so the conjugate is never built.
+Only the spanning tree's numbering of the non-tree edges is needed, so no
+word is spelled: the basis elements are spelled on demand, when printed.
 Rewritten relators are kept raw (freely reduced over the fresh basis
 symbols, but never simplified further) so the counting identities are exact:
 ``generators = n·(m-1) + 1`` and ``relators = n·k`` make the presentation
@@ -16,14 +18,20 @@ Euler characteristic multiply by the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from typing import Iterator
 
 from .cosets import CosetTable, Presentation, low_index_tables, trace
 from .errors import BadBound, BadGenus, RelatorNotKilled
 from .transversal import (
-    SchreierTransversal,
+    AlphabetOrientation,
     SubgroupBasis,
+    crossings,
+    edge_numbering,
     schreier_basis,
     schreier_transversal,
+    tree_letters,
 )
 from .words import Alphabet, Letter, free_reduce
 
@@ -44,10 +52,26 @@ class SubgroupPresentation:
     ``basis.elements[i]``.
     """
 
+    table: CosetTable
     generator_count: int
     relators: tuple[SymbolWord, ...]
-    source: tuple[Presentation, CosetTable, SchreierTransversal]
-    basis: SubgroupBasis
+
+    @cached_property
+    def basis(self) -> SubgroupBasis:
+        """The Schreier basis the symbols stand for, spelled on first use."""
+        return schreier_basis(schreier_transversal(self.table))
+
+    def symbols_paired(self) -> bool:
+        """True iff every symbol occurs exactly once with sign +1 and once
+        with sign -1 across the relators.  For a surface group this is the
+        lifted surface closing up: the cover of the one-vertex genus-``g``
+        complex is a closed orientable surface, so each of its edges off the
+        spanning tree borders exactly two faces, in opposite directions
+        (Stillwell, *Classical Topology and Combinatorial Group Theory*,
+        §§3–4)."""
+        return sorted(chain.from_iterable(self.relators)) == [
+            (i, s) for i in range(self.generator_count) for s in (-1, 1)
+        ]
 
     def symbol_name(self, position: int) -> str:
         return f"x{position}"
@@ -73,6 +97,7 @@ class SurfaceReport:
     rho_G1_counts: int
     euler_G: int
     euler_G1: int
+    symbols_paired: bool
 
     @property
     def checks_pass(self) -> bool:
@@ -80,6 +105,7 @@ class SurfaceReport:
             self.rho_G1_formula == self.index * self.rho_G + (1 - self.index)
             and self.euler_G1 == self.index * self.euler_G
             and self.rho_G1_counts == self.rho_G1_formula
+            and self.symbols_paired
         )
 
 
@@ -109,17 +135,14 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
         for c in range(t.n):
             if trace(t, c, rel) != c:
                 raise RelatorNotKilled(rel, c)
-    tr = schreier_transversal(t)
-    basis = schreier_basis(tr)
-    rewritten = [
-        tuple(basis.crossings(c, rel)) for c in range(t.n) for rel in p.relators
-    ]
-    return SubgroupPresentation(
-        generator_count=len(basis.elements),
-        relators=tuple(rewritten),
-        source=(p, t, tr),
-        basis=basis,
+    orientation = AlphabetOrientation.empty()
+    edge_index = edge_numbering(t, tree_letters(t), orientation)
+    rewritten = tuple(
+        tuple(crossings(t, orientation, edge_index, c, rel))
+        for c in range(t.n)
+        for rel in p.relators
     )
+    return SubgroupPresentation(t, len(edge_index), rewritten)
 
 
 def surface_survey(
@@ -127,9 +150,11 @@ def surface_survey(
     n: int,
     max_genus: int = DEFAULT_REPORT_MAX_GENUS,
     max_index: int = DEFAULT_REPORT_MAX_INDEX,
-) -> list[tuple[SurfaceReport, CosetTable, SubgroupPresentation]]:
+) -> Iterator[tuple[SurfaceReport, CosetTable, SubgroupPresentation]]:
     """One (report, table, rewritten presentation) triple per index-``n``
-    subgroup of the genus-``g`` surface group, in canonical table order."""
+    subgroup of the genus-``g`` surface group, in canonical table order.
+    A generator: each triple is built when it is asked for, so only the
+    tables stay in memory."""
     if not 1 <= g <= max_genus:
         raise BadBound(f"genus {g} outside 1..{max_genus}")
     if not 1 <= n <= max_index:
@@ -137,7 +162,6 @@ def surface_survey(
     presentation = surface_presentation(g)
     rho_g = 2 * g - 1
     euler_g = 2 - 2 * g
-    out = []
     for table in low_index_tables(presentation, n, max_index=max(n, 8)):
         sp = rewrite_presentation(presentation, table)
         euler_g1 = 1 - sp.generator_count + len(sp.relators)
@@ -149,17 +173,6 @@ def surface_survey(
             rho_G1_counts=1 - euler_g1,
             euler_G=euler_g,
             euler_G1=euler_g1,
+            symbols_paired=sp.symbols_paired(),
         )
-        out.append((report, table, sp))
-    return out
-
-
-def surface_report(
-    g: int,
-    n: int,
-    max_genus: int = DEFAULT_REPORT_MAX_GENUS,
-    max_index: int = DEFAULT_REPORT_MAX_INDEX,
-) -> list[SurfaceReport]:
-    """Rank-deficiency reports for every index-``n`` subgroup of the
-    genus-``g`` surface group."""
-    return [report for report, _, _ in surface_survey(g, n, max_genus, max_index)]
+        yield report, table, sp

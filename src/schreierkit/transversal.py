@@ -8,6 +8,12 @@ remaining (non-tree) edge contributes one basis element
 subgroup, with exactly ``n·(m-1) + 1`` elements for index ``n`` over
 ``m`` generators.
 
+The spanning tree needs no words: :func:`tree_letters` gives each
+coset's last tree letter and :func:`edge_numbering` numbers the non-tree
+edges, which is all that :func:`crossings` (and so rewriting) reads.  The
+representative and element words are spelled from the same tree only when
+they are asked for.
+
 An :class:`AlphabetOrientation` supports the last-letter swap: generators
 in its ``flipped`` set are replaced by their inverses before the basis is
 read off.
@@ -30,6 +36,7 @@ from .errors import (
 )
 from .words import (
     FreeWord,
+    Letter,
     concat_reduce,
     empty_word,
     invert,
@@ -81,33 +88,14 @@ class SubgroupBasis:
     elements: tuple[FreeWord, ...]
     edge_index: dict[tuple[int, int], int]
 
-    def crossings(self, start: int, w: FreeWord) -> list[tuple[int, int]]:
-        """Walk ``w`` from coset ``start`` and emit ``(element position,
-        sign)`` whenever a non-tree edge is crossed; tree edges contribute
-        nothing.  The caller checks that ``start`` is a coset of the table
-        and ``w`` is over its alphabet.  For reduced ``w`` the result is
-        freely reduced: between two crossings of one edge in opposite
-        directions the walk would be a closed non-backtracking path in the
-        spanning tree, which is empty, and then ``w`` itself would cancel."""
-        out: list[tuple[int, int]] = []
-        c = start
-        for g, s in w.letters:
-            d = self.table.step(c, g, s)
-            if s * self.orientation.sign(g) > 0:
-                key, sign = (c, g), 1
-            else:
-                key, sign = (d, g), -1
-            position = self.edge_index.get(key)
-            if position is not None:
-                out.append((position, sign))
-            c = d
-        return out
 
-
-def schreier_transversal(
+def tree_letters(
     t: CosetTable, seed: Sequence[FreeWord] | None = None
-) -> SchreierTransversal:
-    """Build a Schreier transversal, optionally around a seeded prefix path.
+) -> tuple[Letter | None, ...]:
+    """The breadth-first search of a Schreier transversal, without words:
+    the last letter of each coset's representative, ``None`` at the base.
+    The letter ``(g, s)`` of coset ``c`` is its spanning-tree edge from its
+    parent ``c · g^-s``, whose representative is one letter shorter.
 
     Every seed word becomes the representative of its coset; the seed must
     be prefix-closed and its words must trace to pairwise distinct cosets.
@@ -118,7 +106,8 @@ def schreier_transversal(
     therefore of minimal length among the words reaching their coset.
     """
     n = t.n
-    reps: list[FreeWord | None] = [None] * n
+    last: list[Letter | None] = [None] * n
+    reached = [False] * n
     queue: deque[int] = deque()
     if seed:
         words = list(seed)
@@ -128,44 +117,108 @@ def schreier_transversal(
                 raise AlphabetMismatch("seed word alphabet differs from table alphabet")
             if len(w) > 0 and FreeWord(w.alphabet, w.letters[:-1]) not in pool:
                 raise BadSeed(f"seed is not prefix-closed: missing prefix of {w}")
+        seeded: dict[int, FreeWord] = {}
         for w in words:
             c = trace(t, BASE, w)
-            if reps[c] is not None:
-                raise SeedCollision(f"seed words {reps[c]} and {w} both trace to coset {c}")
-            reps[c] = w
+            if c in seeded:
+                raise SeedCollision(f"seed words {seeded[c]} and {w} both trace to coset {c}")
+            seeded[c] = w
+            reached[c] = True
+            last[c] = w.letters[-1] if w.letters else None
             queue.append(c)
     else:
-        reps[BASE] = empty_word(t.alphabet)
+        reached[BASE] = True
         queue.append(BASE)
+    steps = [
+        (Letter(g, s), t.image(g, s).images) for g in range(t.alphabet.size) for s in (1, -1)
+    ]
     while queue:
         c = queue.popleft()
-        rep = reps[c]
-        assert rep is not None
-        for g in range(t.alphabet.size):
-            for s in (1, -1):
-                d = t.step(c, g, s)
-                if reps[d] is None:
-                    reps[d] = concat_reduce(rep, letter_word(t.alphabet, g, s))
-                    queue.append(d)
-    return SchreierTransversal(t, tuple(reps))  # type: ignore[arg-type]
+        for letter, column in steps:
+            d = column[c]
+            if not reached[d]:
+                reached[d] = True
+                last[d] = letter
+                queue.append(d)
+    return tuple(last)
 
 
-def _tree_edges(tr: SchreierTransversal, orientation: AlphabetOrientation) -> set[tuple[int, int]]:
-    """Edges consumed by the representatives' final letters, keyed by
-    (source coset, generator) in the oriented forward direction."""
-    t = tr.table
+def edge_numbering(
+    t: CosetTable, last: Sequence[Letter | None], orientation: AlphabetOrientation
+) -> dict[tuple[int, int], int]:
+    """Number the edges of the coset graph that the spanning tree given by
+    ``last`` (as from :func:`tree_letters`) leaves out.  Edges are keyed by
+    ``(coset, generator)`` in the oriented forward direction and numbered
+    coset ascending, then generator ascending; there are exactly
+    ``n·(m-1) + 1`` of them."""
     tree: set[tuple[int, int]] = set()
-    for c in range(t.n):
-        w = tr.reps[c]
-        if len(w) == 0:
+    for c, letter in enumerate(last):
+        if letter is None:
             continue
-        g, s = w.letters[-1]
-        parent = t.step(c, g, -s)
+        g, s = letter
         if s * orientation.sign(g) > 0:
-            tree.add((parent, g))
+            tree.add((t.step(c, g, -s), g))
         else:
             tree.add((c, g))
-    return tree
+    edge_index: dict[tuple[int, int], int] = {}
+    for c in range(t.n):
+        for g in range(t.alphabet.size):
+            if (c, g) not in tree:
+                edge_index[(c, g)] = len(edge_index)
+    return edge_index
+
+
+def crossings(
+    t: CosetTable,
+    orientation: AlphabetOrientation,
+    edge_index: dict[tuple[int, int], int],
+    start: int,
+    w: FreeWord,
+) -> list[tuple[int, int]]:
+    """Walk ``w`` from coset ``start`` and emit ``(edge number, sign)``
+    whenever a numbered (non-tree) edge is crossed; tree edges contribute
+    nothing.  The caller checks that ``start`` is a coset of the table and
+    ``w`` is over its alphabet.  For reduced ``w`` the result is freely
+    reduced: between two crossings of one edge in opposite directions the
+    walk would be a closed non-backtracking path in the spanning tree,
+    which is empty, and then ``w`` itself would cancel."""
+    out: list[tuple[int, int]] = []
+    c = start
+    for g, s in w.letters:
+        d = t.step(c, g, s)
+        if s * orientation.sign(g) > 0:
+            key, sign = (c, g), 1
+        else:
+            key, sign = (d, g), -1
+        position = edge_index.get(key)
+        if position is not None:
+            out.append((position, sign))
+        c = d
+    return out
+
+
+def schreier_transversal(
+    t: CosetTable, seed: Sequence[FreeWord] | None = None
+) -> SchreierTransversal:
+    """Build a Schreier transversal, optionally around a seeded prefix path:
+    the representatives are spelled along the spanning tree of
+    :func:`tree_letters`, which states the seed rules and the visiting
+    order."""
+    last = tree_letters(t, seed)
+    spelled: list[tuple[Letter, ...] | None] = [None] * t.n
+    spelled[BASE] = ()
+    for c in range(t.n):
+        # climb to the nearest spelled ancestor, then spell back down
+        chain = []
+        d = c
+        while spelled[d] is None:
+            chain.append(d)
+            g, s = last[d]  # type: ignore[misc]
+            d = t.step(d, g, -s)
+        for e in reversed(chain):
+            spelled[e] = spelled[d] + (last[e],)  # type: ignore[operator]
+            d = e
+    return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))  # type: ignore[arg-type]
 
 
 def schreier_basis(
@@ -173,30 +226,27 @@ def schreier_basis(
 ) -> SubgroupBasis:
     """Read off the subgroup basis from a transversal.
 
-    Over the oriented alphabet, each non-tree edge ``(c, g)`` contributes
-    the element ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the
-    orientation sign of ``g``; enumeration order is coset ascending, then
-    generator ascending.  All such elements are nonempty and pairwise
-    distinct, and there are exactly ``n·(m-1) + 1`` of them.
+    The representatives' last letters give the spanning tree.  Over the
+    oriented alphabet, each edge ``(c, g)`` numbered by
+    :func:`edge_numbering` contributes the element
+    ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the orientation sign of
+    ``g``, in the order of its number.  All such elements are nonempty and
+    pairwise distinct, and there are exactly ``n·(m-1) + 1`` of them.
     """
     if orientation is None:
         orientation = AlphabetOrientation.empty()
     t = tr.table
-    tree = _tree_edges(tr, orientation)
-    elements: list[FreeWord] = []
-    edge_index: dict[tuple[int, int], int] = {}
-    for c in range(t.n):
-        for g in range(t.alphabet.size):
-            if (c, g) in tree:
-                continue
-            e = orientation.sign(g)
-            d = t.step(c, g, e)
-            u = concat_reduce(
+    last = [w.letters[-1] if w.letters else None for w in tr.reps]
+    edge_index = edge_numbering(t, last, orientation)
+    elements = []
+    for c, g in edge_index:
+        e = orientation.sign(g)
+        elements.append(
+            concat_reduce(
                 concat_reduce(tr.reps[c], letter_word(t.alphabet, g, e)),
-                invert(tr.reps[d]),
+                invert(tr.reps[t.step(c, g, e)]),
             )
-            edge_index[(c, g)] = len(elements)
-            elements.append(u)
+        )
     return SubgroupBasis(t, tr, orientation, tuple(elements), edge_index)
 
 
@@ -206,7 +256,7 @@ def rewrite_in_basis(b: SubgroupBasis, w: FreeWord) -> list[tuple[int, int]]:
     reduces back to ``w`` exactly."""
     if not contains(b.table, w):
         raise NotInSubgroup(f"{w} does not fix the base coset")
-    return b.crossings(BASE, w)
+    return crossings(b.table, b.orientation, b.edge_index, BASE, w)
 
 
 def evaluate_positions(b: SubgroupBasis, positions: Sequence[tuple[int, int]]) -> FreeWord:

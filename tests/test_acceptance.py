@@ -155,7 +155,7 @@ def test_criterion_5_surface_formula(capsys):
     start = time.perf_counter()
     counts = {}
     for g, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
-        survey = surface_survey(g, n)
+        survey = list(surface_survey(g, n))
         counts[(g, n)] = len(survey)
         rho_g = 2 * g - 1
         for report, _, _ in survey:
@@ -231,7 +231,7 @@ def test_criterion_7_rewriting_soundness():
     for g, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
         pres = surface_presentation(g)
         for _, table, sp in surface_survey(g, n):
-            _, _, tr = sp.source
+            tr = sp.basis.transversal
             i = 0
             for c in range(table.n):
                 for rel in pres.relators:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import tempfile
@@ -253,6 +254,68 @@ def test_surface_genus1(capsys):
 def test_surface_bounds(capsys):
     code, _, err = run(capsys, "surface", "--genus", "5", "--index", "2")
     assert code == 2
+
+
+GENUS2_PRESENTATION = "gens: a b c d\nrel: abABcdCD\n"
+
+# SHA-256 of stdout, computed with the word-building rewriting this output
+# must keep: (presentation, table, rewrite digest, basis digest)
+PINNED_REWRITES = [
+    (
+        GENUS2_PRESENTATION,
+        "n=3\na: 0 1 2\nb: 0 1 2\nc: 0 1 2\nd: 1 2 0\n",
+        "35e095259ba676e8fe50b7e5c976773e50cdce854b1196488a9adb9fdb528a5d",
+        "54ab261628b35b390c4f137b58969a905a562ea665909c3d6ed1621052654418",
+    ),
+    (
+        GENUS2_PRESENTATION,
+        "n=3\na: 1 0 2\nb: 1 0 2\nc: 2 0 1\nd: 0 1 2\n",
+        "a43d7e7703798d589a536db2eba5a77967d81fc78d28815e933fc8129aa72bae",
+        "869e143de217820c811167fd1d83e8d6b2bfb95b56536a3ae5c3c7ebf3393e73",
+    ),
+    (
+        GENUS2_PRESENTATION,
+        "n=3\na: 1 2 0\nb: 2 1 0\nc: 2 1 0\nd: 1 2 0\n",
+        "fe238d3c96ce6a75fb297502deb6586d97bfd2f2d5638a153b71265a73e96983",
+        "06838c19316c75548805d71bbfa1e4560eb0b6d28f9fcb6abbe9e9707a17d10c",
+    ),
+    (
+        "gens: a b c\nrel: aa\nrel: bbb\nrel: c\nrel: abab\n",
+        "n=6\na: 1 0 5 4 3 2\nb: 2 4 3 0 5 1\nc: 0 1 2 3 4 5\n",
+        "b40fb877f0a85b30e81a077e459e3f78facc15030b1152c83de2f7356fd73f96",
+        "5fcc73fa4178fa9aafd8221622d432a2024160bd71ce1f5e3299f50176718b9d",
+    ),
+]
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_surface_stdout_pinned(capsys):
+    code, out, _ = run(capsys, "surface", "--genus", "2", "--index", "3")
+    assert code == 0
+    assert sha256(out) == "69874e48a383fc2d35a829476029ef31169ffb785781334f6e121efb343ae8f2"
+
+
+@pytest.mark.parametrize(
+    "presentation, table, rewrite_digest, basis_digest",
+    PINNED_REWRITES,
+    ids=["genus2-first", "genus2-middle", "genus2-last", "abc-s3"],
+)
+def test_rewrite_and_basis_stdout_pinned(
+    capsys, tmp_path, presentation, table, rewrite_digest, basis_digest
+):
+    pres_path = tmp_path / "p.pres"
+    pres_path.write_text(presentation)
+    table_path = tmp_path / "t.table"
+    table_path.write_text(table)
+    code, out, _ = run(
+        capsys, "rewrite", "--presentation", str(pres_path), "--table", str(table_path)
+    )
+    assert (code, sha256(out)) == (0, rewrite_digest)
+    code, out, _ = run(capsys, "basis", "--table", str(table_path))
+    assert (code, sha256(out)) == (0, basis_digest)
 
 
 def test_rewrite(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +26,6 @@ from schreierkit import (
     rewrite_in_basis,
     rewrite_presentation,
     surface_presentation,
-    surface_report,
     surface_survey,
 )
 
@@ -145,7 +145,7 @@ def test_rewrite_counts_genus2_index2():
 def assert_relators_are_conjugates(pres, table, sp):
     """Each traced relator equals the old conjugate-based rewrite, is freely
     reduced over the basis symbols, and multiplies out to the conjugate."""
-    _, _, tr = sp.source
+    tr = sp.basis.transversal
     i = 0
     for c in range(table.n):
         for rel in pres.relators:
@@ -180,8 +180,12 @@ def test_euler_characteristic_multiplies_randomized():
         assert_relators_are_conjugates(pres, table, sp)
 
 
+def surface_reports(*args, **kwargs):
+    return [report for report, _, _ in surface_survey(*args, **kwargs)]
+
+
 def test_surface_report_genus2_index2():
-    reports = surface_report(2, 2)
+    reports = surface_reports(2, 2)
     assert len(reports) == 15
     for report in reports:
         assert report.rho_G1_formula == 2 * 3 + (1 - 2) == 5
@@ -193,7 +197,7 @@ def test_surface_report_genus2_index2():
 
 def test_surface_report_torus_constant_rank_deficiency():
     for n in (1, 2, 3):
-        for report in surface_report(1, n):
+        for report in surface_reports(1, n):
             assert report.rho_G1_formula == 1
             assert report.rho_G1_counts == 1
             assert report.checks_pass
@@ -201,17 +205,42 @@ def test_surface_report_torus_constant_rank_deficiency():
 
 def test_surface_report_bounds():
     with pytest.raises(BadBound):
-        surface_report(5, 2)
+        surface_reports(5, 2)
     with pytest.raises(BadBound):
-        surface_report(2, 7)
+        surface_reports(2, 7)
     # bounds are overridable; torus subgroups stay cheap at higher genus cap
-    assert len(surface_report(1, 2, max_genus=1)) == 3
+    assert len(surface_reports(1, 2, max_genus=1)) == 3
 
 
 def test_surface_survey_shapes():
     survey = surface_survey(2, 2)
+    assert iter(survey) is survey  # streamed, not collected
+    survey = list(survey)
     assert len(survey) == 15
     for report, table, sp in survey:
         assert table.n == 2
+        assert sp.table == table
         assert sp.generator_count == 7
+        assert report.symbols_paired
         assert report.checks_pass
+
+
+def test_corrupted_crossings_fail_the_pairing_check():
+    rng = random.Random(7117)
+    for report, _, sp in surface_survey(2, 3):
+        relators = [list(rel) for rel in sp.relators]
+        i = rng.randrange(len(relators))
+        while not relators[i]:
+            i = rng.randrange(len(relators))
+        j = rng.randrange(len(relators[i]))
+        position, sign = relators[i][j]
+        dropped = [list(rel) for rel in relators]
+        del dropped[i][j]
+        duplicated = [list(rel) for rel in relators]
+        duplicated[i].insert(j, (position, sign))
+        flipped = [list(rel) for rel in relators]
+        flipped[i][j] = (position, -sign)
+        for corrupted in (dropped, duplicated, flipped):
+            bad = replace(sp, relators=tuple(map(tuple, corrupted)))
+            assert not bad.symbols_paired()
+            assert not replace(report, symbols_paired=bad.symbols_paired()).checks_pass

@@ -1,20 +1,25 @@
 import random
 from collections import deque
+from typing import Sequence
 
 import pytest
 
 from schreierkit import (
     BASE,
     Alphabet,
+    AlphabetMismatch,
+    AlphabetOrientation,
     BadSeed,
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
+    FreeWord,
     InvalidTable,
     Letter,
     NotInSubgroup,
     Perm,
     PrefixesNotSeparated,
+    SchreierTransversal,
     SeedCollision,
     SubgroupBasis,
     basis_through_word,
@@ -23,11 +28,13 @@ from schreierkit import (
     check_transversal,
     concat_reduce,
     contains,
+    edge_numbering,
     empty_word,
     evaluate_positions,
     fold_verify,
     free_reduce,
     invert,
+    letter_word,
     parse_word,
     prefixes,
     regular_table,
@@ -37,6 +44,7 @@ from schreierkit import (
     separates_prefixes,
     trace,
     transversal_to_text,
+    tree_letters,
 )
 
 AB = Alphabet.of("ab")
@@ -161,8 +169,6 @@ def test_seeded_reps_are_minimal_extensions():
                     if d not in dist:
                         dist[d] = dist[c] + 1
                         queue.append(d)
-        from schreierkit import FreeWord
-
         for c in range(table.n):
             if c in seeded:
                 assert len(tr.reps[c]) == seeded[c]
@@ -303,8 +309,6 @@ def test_basis_through_word_randomized():
         assert not check_basis(basis)
         assert fold_verify(basis)
         # the through-word sits on its final edge
-        from schreierkit import FreeWord
-
         final = trace(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
         assert basis.edge_index[(final, w.letters[-1].gen)] == position
 
@@ -506,3 +510,143 @@ def test_serialization_formats():
     assert transversal_to_text(tr) == "1\na\n"
     basis = schreier_basis(tr)
     assert basis_to_text(basis) == "index=2 rank=3\nb\naa\nabA\n"
+
+
+# ---------------------------------------------------------------------------
+# the eager word-building transversal and basis, kept as the oracle
+# ---------------------------------------------------------------------------
+
+
+def reference_schreier_transversal(
+    t: CosetTable, seed: Sequence[FreeWord] | None = None
+) -> SchreierTransversal:
+    """Oracle: the transversal as built before the word-free spanning tree,
+    one representative word per coset extended letter by letter.
+
+    Build a Schreier transversal, optionally around a seeded prefix path.
+
+    Every seed word becomes the representative of its coset; the seed must
+    be prefix-closed and its words must trace to pairwise distinct cosets.
+    Remaining cosets are filled breadth-first from the seeded cosets (in
+    seed order), extending existing representatives by one letter and
+    visiting letters by generator index ascending, sign +1 before -1; the
+    first arrival fixes the representative.  Unseeded representatives are
+    therefore of minimal length among the words reaching their coset.
+    """
+    n = t.n
+    reps: list[FreeWord | None] = [None] * n
+    queue: deque[int] = deque()
+    if seed:
+        words = list(seed)
+        pool = set(words)
+        for w in words:
+            if w.alphabet != t.alphabet:
+                raise AlphabetMismatch("seed word alphabet differs from table alphabet")
+            if len(w) > 0 and FreeWord(w.alphabet, w.letters[:-1]) not in pool:
+                raise BadSeed(f"seed is not prefix-closed: missing prefix of {w}")
+        for w in words:
+            c = trace(t, BASE, w)
+            if reps[c] is not None:
+                raise SeedCollision(f"seed words {reps[c]} and {w} both trace to coset {c}")
+            reps[c] = w
+            queue.append(c)
+    else:
+        reps[BASE] = empty_word(t.alphabet)
+        queue.append(BASE)
+    while queue:
+        c = queue.popleft()
+        rep = reps[c]
+        assert rep is not None
+        for g in range(t.alphabet.size):
+            for s in (1, -1):
+                d = t.step(c, g, s)
+                if reps[d] is None:
+                    reps[d] = concat_reduce(rep, letter_word(t.alphabet, g, s))
+                    queue.append(d)
+    return SchreierTransversal(t, tuple(reps))  # type: ignore[arg-type]
+
+
+def reference_tree_edges(tr: SchreierTransversal, orientation: AlphabetOrientation) -> set[tuple[int, int]]:
+    """Edges consumed by the representatives' final letters, keyed by
+    (source coset, generator) in the oriented forward direction."""
+    t = tr.table
+    tree: set[tuple[int, int]] = set()
+    for c in range(t.n):
+        w = tr.reps[c]
+        if len(w) == 0:
+            continue
+        g, s = w.letters[-1]
+        parent = t.step(c, g, -s)
+        if s * orientation.sign(g) > 0:
+            tree.add((parent, g))
+        else:
+            tree.add((c, g))
+    return tree
+
+
+def reference_schreier_basis(
+    tr: SchreierTransversal, orientation: AlphabetOrientation | None = None
+) -> SubgroupBasis:
+    """Oracle: the basis as read off before the shared edge numbering.
+
+    Read off the subgroup basis from a transversal.
+
+    Over the oriented alphabet, each non-tree edge ``(c, g)`` contributes
+    the element ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the
+    orientation sign of ``g``; enumeration order is coset ascending, then
+    generator ascending.  All such elements are nonempty and pairwise
+    distinct, and there are exactly ``n·(m-1) + 1`` of them.
+    """
+    if orientation is None:
+        orientation = AlphabetOrientation.empty()
+    t = tr.table
+    tree = reference_tree_edges(tr, orientation)
+    elements: list[FreeWord] = []
+    edge_index: dict[tuple[int, int], int] = {}
+    for c in range(t.n):
+        for g in range(t.alphabet.size):
+            if (c, g) in tree:
+                continue
+            e = orientation.sign(g)
+            d = t.step(c, g, e)
+            u = concat_reduce(
+                concat_reduce(tr.reps[c], letter_word(t.alphabet, g, e)),
+                invert(tr.reps[d]),
+            )
+            edge_index[(c, g)] = len(elements)
+            elements.append(u)
+    return SubgroupBasis(t, tr, orientation, tuple(elements), edge_index)
+
+
+def test_words_match_eager_reference():
+    """Representatives, elements and edge numbering agree with the eager
+    construction on random tables, seeded and unseeded, in both
+    orientations; ``tree_letters`` gives the representatives' last
+    letters."""
+    rng = random.Random(6161)
+    seeded = 0
+    for _ in range(150):
+        m = rng.randrange(1, 4)
+        table = random_table(rng, Alphabet.first(m), rng.randrange(1, 31))
+        seeds = [None]
+        w = random_subgroup_word(rng, table, max_tries=200)
+        if w is not None:
+            seeds.append(prefixes(w))
+            seeded += 1
+        for seed in seeds:
+            tr = schreier_transversal(table, seed)
+            expected = reference_schreier_transversal(table, seed)
+            assert tr.reps == expected.reps
+            assert tree_letters(table, seed) == tuple(
+                u.letters[-1] if u.letters else None for u in expected.reps
+            )
+            flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
+            for orientation in (AlphabetOrientation.empty(), AlphabetOrientation(flipped)):
+                basis = schreier_basis(tr, orientation)
+                oracle = reference_schreier_basis(expected, orientation)
+                assert basis.elements == oracle.elements
+                assert basis.edge_index == oracle.edge_index
+                assert list(basis.edge_index) == list(oracle.edge_index)
+                last = tree_letters(table, seed)
+                assert edge_numbering(table, last, orientation) == oracle.edge_index
+    assert seeded > 50
