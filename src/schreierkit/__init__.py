@@ -89,7 +89,6 @@ from .words import (
     free_reduce,
     invert,
     is_reduced,
-    letter_word,
     parse_word,
     prefixes,
 )

@@ -7,6 +7,8 @@ each source relator ``rho`` contribute one rewritten relator: the word
 read off by tracing ``rho`` from coset ``c`` and recording the non-tree
 edges it crosses (Reidemeister–Schreier); ``rep(c)`` runs along the
 spanning tree and contributes nothing, so the conjugate is never built.
+The same walk ends at the coset that shows whether ``rho`` fixes ``c``,
+so each relator is walked once from each coset.
 Only the spanning tree's numbering of the non-tree edges is needed, so no
 word is spelled: the basis elements are spelled on demand, when printed.
 Rewritten relators are kept raw (freely reduced over the fresh basis
@@ -22,8 +24,8 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
-from .cosets import CosetTable, Presentation, low_index_tables, trace
-from .errors import BadBound, BadGenus, RelatorNotKilled
+from .cosets import CosetTable, Presentation, low_index_tables
+from .errors import AlphabetMismatch, BadBound, BadGenus, RelatorNotKilled
 from .transversal import (
     AlphabetOrientation,
     SubgroupBasis,
@@ -129,20 +131,24 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
 
     Requires each relator to act trivially on every coset (so that all its
     conjugates lie in the subgroup); otherwise :class:`RelatorNotKilled`
-    names the offending relator and coset.
+    names the first offending pair, relator by relator and coset by coset
+    within each.  The rewritten relators are listed coset by coset.
     """
-    for rel in p.relators:
-        for c in range(t.n):
-            if trace(t, c, rel) != c:
-                raise RelatorNotKilled(rel, c)
+    if p.alphabet != t.alphabet:
+        raise AlphabetMismatch("presentation and table use different alphabets")
     orientation = AlphabetOrientation.empty()
     edge_index = edge_numbering(t, tree_letters(t), orientation)
-    rewritten = tuple(
-        tuple(crossings(t, orientation, edge_index, c, rel))
-        for c in range(t.n)
-        for rel in p.relators
-    )
-    return SubgroupPresentation(t, len(edge_index), rewritten)
+    walks = []
+    for rel in p.relators:
+        row = []
+        for c in range(t.n):
+            positions, end = crossings(t, orientation, edge_index, c, rel)
+            if end != c:
+                raise RelatorNotKilled(rel, c)
+            row.append(tuple(positions))
+        walks.append(row)
+    # zip regroups the walks coset by coset
+    return SubgroupPresentation(t, len(edge_index), tuple(chain.from_iterable(zip(*walks))))
 
 
 def surface_survey(

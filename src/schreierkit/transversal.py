@@ -34,15 +34,7 @@ from .errors import (
     PrefixesNotSeparated,
     SeedCollision,
 )
-from .words import (
-    FreeWord,
-    Letter,
-    concat_reduce,
-    empty_word,
-    invert,
-    letter_word,
-    prefixes,
-)
+from .words import FreeWord, Letter, concat_reduce, empty_word, invert, prefixes
 
 
 @dataclass(frozen=True)
@@ -111,11 +103,11 @@ def tree_letters(
     queue: deque[int] = deque()
     if seed:
         words = list(seed)
-        pool = set(words)
+        pool = {w.letters for w in words if w.alphabet == t.alphabet}
         for w in words:
             if w.alphabet != t.alphabet:
                 raise AlphabetMismatch("seed word alphabet differs from table alphabet")
-            if len(w) > 0 and FreeWord(w.alphabet, w.letters[:-1]) not in pool:
+            if len(w) > 0 and w.letters[:-1] not in pool:
                 raise BadSeed(f"seed is not prefix-closed: missing prefix of {w}")
         seeded: dict[int, FreeWord] = {}
         for w in words:
@@ -174,14 +166,15 @@ def crossings(
     edge_index: dict[tuple[int, int], int],
     start: int,
     w: FreeWord,
-) -> list[tuple[int, int]]:
-    """Walk ``w`` from coset ``start`` and emit ``(edge number, sign)``
-    whenever a numbered (non-tree) edge is crossed; tree edges contribute
-    nothing.  The caller checks that ``start`` is a coset of the table and
-    ``w`` is over its alphabet.  For reduced ``w`` the result is freely
-    reduced: between two crossings of one edge in opposite directions the
-    walk would be a closed non-backtracking path in the spanning tree,
-    which is empty, and then ``w`` itself would cancel."""
+) -> tuple[list[tuple[int, int]], int]:
+    """Walk ``w`` once from coset ``start``: the ``(edge number, sign)``
+    of each numbered (non-tree) edge crossed, tree edges contributing
+    nothing, and the coset where the walk ends, so that membership is read
+    off the same walk.  The caller checks that ``start`` is a coset of the
+    table and ``w`` is over its alphabet.  For reduced ``w`` the crossings
+    are freely reduced: between two crossings of one edge in opposite
+    directions the walk would be a closed non-backtracking path in the
+    spanning tree, which is empty, and then ``w`` itself would cancel."""
     out: list[tuple[int, int]] = []
     c = start
     for g, s in w.letters:
@@ -194,7 +187,7 @@ def crossings(
         if position is not None:
             out.append((position, sign))
         c = d
-    return out
+    return out, c
 
 
 def schreier_transversal(
@@ -232,21 +225,24 @@ def schreier_basis(
     ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the orientation sign of
     ``g``, in the order of its number.  All such elements are nonempty and
     pairwise distinct, and there are exactly ``n·(m-1) + 1`` of them.
+
+    Each element is a plain concatenation, as nothing cancels: if ``rep(c)``
+    ended in ``g^-e``, or ``rep(c · g^e)`` in ``g^e``, then ``(c, g)`` would
+    be the tree edge, which :func:`edge_numbering` leaves out.  Should that
+    fail, the :class:`FreeWord` check raises :class:`UnreducedWord`.
     """
     if orientation is None:
         orientation = AlphabetOrientation.empty()
     t = tr.table
+    if any(w.alphabet != t.alphabet for w in tr.reps):
+        raise AlphabetMismatch("representative alphabet differs from table alphabet")
     last = [w.letters[-1] if w.letters else None for w in tr.reps]
     edge_index = edge_numbering(t, last, orientation)
     elements = []
     for c, g in edge_index:
         e = orientation.sign(g)
-        elements.append(
-            concat_reduce(
-                concat_reduce(tr.reps[c], letter_word(t.alphabet, g, e)),
-                invert(tr.reps[t.step(c, g, e)]),
-            )
-        )
+        back = tuple(Letter(h, -s) for h, s in reversed(tr.reps[t.step(c, g, e)].letters))
+        elements.append(FreeWord(t.alphabet, tr.reps[c].letters + (Letter(g, e),) + back))
     return SubgroupBasis(t, tr, orientation, tuple(elements), edge_index)
 
 
@@ -254,9 +250,12 @@ def rewrite_in_basis(b: SubgroupBasis, w: FreeWord) -> list[tuple[int, int]]:
     """Express a subgroup element in the basis: its crossings from the
     base.  The signed product of the corresponding basis elements freely
     reduces back to ``w`` exactly."""
-    if not contains(b.table, w):
+    if w.alphabet != b.table.alphabet:
+        raise AlphabetMismatch("word and table use different alphabets")
+    positions, end = crossings(b.table, b.orientation, b.edge_index, BASE, w)
+    if end != BASE:
         raise NotInSubgroup(f"{w} does not fix the base coset")
-    return crossings(b.table, b.orientation, b.edge_index, BASE, w)
+    return positions
 
 
 def evaluate_positions(b: SubgroupBasis, positions: Sequence[tuple[int, int]]) -> FreeWord:
@@ -279,7 +278,8 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
     final edge, read along the last letter ``y`` from the coset ``c`` of
     ``w`` less ``y``, emits ``rep(c) · y · rep(BASE)^-1``; the seed makes
     ``rep(c)`` that prefix and ``rep(BASE)`` is empty, so the element is
-    ``w`` itself, never its inverse.
+    ``w`` itself, never its inverse.  As ``w`` fixes the base, that
+    coset ``c`` is the base stepped back along ``y``.
     """
     if len(w) == 0:
         raise EmptyWord("cannot build a basis through the empty word")
@@ -295,8 +295,7 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
         AlphabetOrientation.empty() if s_last > 0 else AlphabetOrientation.of(g_last)
     )
     basis = schreier_basis(tr, orientation)
-    final_coset = trace(t, BASE, FreeWord(w.alphabet, w.letters[:-1]))
-    return basis, basis.edge_index[(final_coset, g_last)]
+    return basis, basis.edge_index[(t.step(BASE, g_last, -s_last), g_last)]
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +412,14 @@ def check_transversal(tr: SchreierTransversal) -> list[str]:
         return [f"expected {t.n} representatives, found {len(tr.reps)}"]
     if len(tr.reps[BASE]) != 0:
         failures.append("base representative is not the empty word")
-    pool = set(tr.reps)
+    pool = {w.letters for w in tr.reps if w.alphabet == t.alphabet}
     for c, w in enumerate(tr.reps):
         if w.alphabet != t.alphabet:
             failures.append(f"representative {c} uses a different alphabet")
             continue
         if trace(t, BASE, w) != c:
             failures.append(f"representative {w} does not trace to coset {c}")
-        if len(w) > 0 and FreeWord(w.alphabet, w.letters[:-1]) not in pool:
+        if len(w) > 0 and w.letters[:-1] not in pool:
             failures.append(f"representative set is not prefix-closed at {w}")
     return failures
 

@@ -2,8 +2,10 @@
 
 A word is a sequence of letters, each a generator together with a sign.
 Every :class:`FreeWord` is stored fully reduced: no letter is adjacent to
-its own inverse.  Raw letter sequences exist only transiently inside
-:func:`free_reduce`; all other constructors preserve reducedness.
+its own inverse.  Every word is built by the one validating constructor,
+which checks the letters against the alphabet and raises
+:class:`UnreducedWord` on an unreduced sequence; :func:`free_reduce`
+(behind :func:`parse_word` and :func:`concat_reduce`) cancels first.
 
 Text syntax: a generator prints as its lowercase name, its inverse as the
 same letter uppercased, juxtaposition is concatenation, and ``"1"`` is the
@@ -94,8 +96,9 @@ def is_reduced(letters: Iterable[Letter]) -> bool:
 
 @dataclass(frozen=True)
 class FreeWord:
-    """An immutable freely reduced word.  Construct via :func:`free_reduce`,
-    :func:`parse_word`, or the arithmetic on existing words."""
+    """An immutable freely reduced word.  The constructor validates the
+    letters and their reducedness, so a caller that concatenates parts it
+    has argued cannot cancel (as the Schreier basis does) is still checked."""
 
     alphabet: Alphabet
     letters: tuple[Letter, ...] = ()
@@ -131,11 +134,6 @@ def empty_word(alphabet: Alphabet) -> FreeWord:
     return FreeWord(alphabet, ())
 
 
-def letter_word(alphabet: Alphabet, gen: int, sign: int) -> FreeWord:
-    """Single-letter word ``gen^sign``."""
-    return FreeWord(alphabet, (Letter(gen, sign),))
-
-
 def free_reduce(alphabet: Alphabet, raw: Iterable[Letter]) -> FreeWord:
     """Reduce a raw letter sequence to the unique reduced word for the same
     group element.  Idempotent; a stack pass cancels all adjacent inverse
@@ -162,13 +160,7 @@ def concat_reduce(u: FreeWord, v: FreeWord) -> FreeWord:
         raise AlphabetMismatch(
             f"cannot concatenate words over {u.alphabet.names} and {v.alphabet.names}"
         )
-    out = list(u.letters)
-    for ell in v.letters:
-        if out and out[-1].gen == ell.gen and out[-1].sign == -ell.sign:
-            out.pop()
-        else:
-            out.append(ell)
-    return FreeWord(u.alphabet, tuple(out))
+    return free_reduce(u.alphabet, u.letters + v.letters)
 
 
 def prefixes(w: FreeWord) -> list[FreeWord]:

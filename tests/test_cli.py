@@ -347,6 +347,30 @@ def test_rewrite_rejects_unkilled_relator(capsys, tmp_path):
     assert out.startswith("REJECTED")
 
 
+def test_rewrite_names_first_unkilled_relator(capsys, tmp_path):
+    # relator by relator the first failure is (a, 2); coset by coset it
+    # would be (baB, 1)
+    pres = tmp_path / "p.pres"
+    pres.write_text("gens: a b\nrel: a\nrel: baB\n")
+    table = tmp_path / "t.table"
+    table.write_text("n=4\na: 0 1 3 2\nb: 1 2 0 3\n")
+    code, out, _ = run(
+        capsys, "rewrite", "--presentation", str(pres), "--table", str(table)
+    )
+    assert (code, out) == (1, "REJECTED: relator a does not fix coset 2\n")
+
+
+def test_rewrite_rejects_other_alphabet(capsys, tmp_path):
+    pres = tmp_path / "p.pres"
+    pres.write_text("gens: a b c\nrel: abAB\n")
+    table = tmp_path / "t.table"
+    table.write_text("n=2\na: 1 0\nb: 0 1\n")
+    code, out, err = run(
+        capsys, "rewrite", "--presentation", str(pres), "--table", str(table)
+    )
+    assert_input_error(code, out, err)
+
+
 def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "witness", "--presentation", str(tmp_path / "nope"),
                        "--relator", "aa")

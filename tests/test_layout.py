@@ -17,3 +17,20 @@ def test_no_private_names_imported_across_modules():
                     if alias.name.startswith("_")
                 )
     assert offenders == []
+
+
+def test_sibling_imports_are_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                unused.extend(
+                    f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name) not in used
+                )
+    assert unused == []

@@ -5,6 +5,7 @@ import pytest
 
 from schreierkit import (
     Alphabet,
+    AlphabetMismatch,
     BadBound,
     BadGenus,
     CosetTable,
@@ -27,6 +28,7 @@ from schreierkit import (
     rewrite_presentation,
     surface_presentation,
     surface_survey,
+    table_from_text,
 )
 
 AB = Alphabet.of("ab")
@@ -119,6 +121,24 @@ def test_rewrite_requires_relators_killed_everywhere():
     with pytest.raises(RelatorNotKilled) as info:
         rewrite_presentation(pres, table)
     assert info.value.coset in (1, 2)
+
+
+def test_rewrite_names_first_unkilled_relator_relator_by_relator():
+    # ``a`` first moves coset 2 and ``baB`` first moves coset 1, so relator
+    # by relator the first failure is (a, 2), coset by coset (baB, 1)
+    table = table_from_text("n=4\na: 0 1 3 2\nb: 1 2 0 3\n")
+    pres = Presentation(AB, (parse_word("a", AB), parse_word("baB", AB)))
+    with pytest.raises(RelatorNotKilled) as info:
+        rewrite_presentation(pres, table)
+    assert (str(info.value.relator), info.value.coset) == ("a", 2)
+
+
+def test_rewrite_rejects_other_alphabet():
+    abc = Alphabet.of("abc")
+    pres = Presentation(abc, (parse_word("abAB", abc),))
+    table = table_from_text("n=2\na: 1 0\nb: 0 1\n")
+    with pytest.raises(AlphabetMismatch):
+        rewrite_presentation(pres, table)
 
 
 def test_rewrite_counts_genus1_index2():

@@ -34,7 +34,6 @@ from schreierkit import (
     fold_verify,
     free_reduce,
     invert,
-    letter_word,
     parse_word,
     prefixes,
     regular_table,
@@ -219,6 +218,19 @@ def test_rewrite_in_basis_examples():
     assert rewrite_in_basis(basis, w) == [(1, 1), (2, -1)]
     with pytest.raises(NotInSubgroup):
         rewrite_in_basis(basis, parse_word("a", AB))
+
+
+def test_rewrite_in_basis_rejects_other_alphabet():
+    basis = schreier_basis(schreier_transversal(TWO))
+    with pytest.raises(AlphabetMismatch):
+        rewrite_in_basis(basis, parse_word("aa", Alphabet.of("abc")))
+
+
+def test_schreier_basis_rejects_representatives_over_other_alphabet():
+    abc = Alphabet.of("abc")
+    tr = SchreierTransversal(TWO, (empty_word(abc), parse_word("a", abc)))
+    with pytest.raises(AlphabetMismatch):
+        schreier_basis(tr)
 
 
 def test_rewrite_roundtrip_randomized():
@@ -561,7 +573,7 @@ def reference_schreier_transversal(
             for s in (1, -1):
                 d = t.step(c, g, s)
                 if reps[d] is None:
-                    reps[d] = concat_reduce(rep, letter_word(t.alphabet, g, s))
+                    reps[d] = concat_reduce(rep, FreeWord(t.alphabet, (Letter(g, s),)))
                     queue.append(d)
     return SchreierTransversal(t, tuple(reps))  # type: ignore[arg-type]
 
@@ -610,7 +622,7 @@ def reference_schreier_basis(
             e = orientation.sign(g)
             d = t.step(c, g, e)
             u = concat_reduce(
-                concat_reduce(tr.reps[c], letter_word(t.alphabet, g, e)),
+                concat_reduce(tr.reps[c], FreeWord(t.alphabet, (Letter(g, e),))),
                 invert(tr.reps[d]),
             )
             edge_index[(c, g)] = len(elements)
