@@ -22,7 +22,6 @@ from .errors import (
     BadBound,
     BadCoset,
     BadGenus,
-    BadSeed,
     CertificateFormatError,
     EmptyWord,
     ImageTooLarge,
@@ -36,7 +35,6 @@ from .errors import (
     PrefixesNotSeparated,
     RelatorNotKilled,
     SchreierKitError,
-    SeedCollision,
     UnreducedWord,
 )
 from .lemma import (

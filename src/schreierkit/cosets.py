@@ -70,12 +70,12 @@ class Presentation:
                 raise EmptyWord("relators must be nonempty")
 
 
-def regular_table(h: FiniteQuotientHom, ceiling: int | None = None) -> CosetTable:
+def regular_table(h: FiniteQuotientHom) -> CosetTable:
     """Coset table of the full preimage of the trivial subgroup of the image
     group: cosets are the image elements in :func:`image_closure` order, the
     identity is the base, and each generator acts by right multiplication.
     The result is regular, so it is the table of a normal subgroup."""
-    elements = image_closure(h) if ceiling is None else image_closure(h, ceiling)
+    elements = image_closure(h)
     position = {p: i for i, p in enumerate(elements)}
     columns = []
     for g in range(h.alphabet.size):

@@ -57,14 +57,6 @@ class InvalidTable(SchreierKitError):
     """Coset table data is incomplete, non-bijective, or not transitive."""
 
 
-class BadSeed(SchreierKitError):
-    """Transversal seed is not prefix-closed."""
-
-
-class SeedCollision(SchreierKitError):
-    """Two transversal seed words trace to the same coset."""
-
-
 class PrefixesNotSeparated(SchreierKitError):
     """The word's initial segments do not reach pairwise distinct cosets."""
 

@@ -25,16 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cosets import BASE, CosetTable, contains, separates_prefixes, trace
-from .errors import (
-    AlphabetMismatch,
-    BadSeed,
-    EmptyWord,
-    NotInSubgroup,
-    PrefixesNotSeparated,
-    SeedCollision,
-)
-from .words import FreeWord, Letter, concat_reduce, empty_word, invert, prefixes
+from .cosets import BASE, CosetTable, contains, trace
+from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
+from .words import FreeWord, Letter, concat_reduce, empty_word, invert
 
 
 @dataclass(frozen=True)
@@ -82,45 +75,42 @@ class SubgroupBasis:
 
 
 def tree_letters(
-    t: CosetTable, seed: Sequence[FreeWord] | None = None
+    t: CosetTable, through: FreeWord | None = None
 ) -> tuple[Letter | None, ...]:
     """The breadth-first search of a Schreier transversal, without words:
     the last letter of each coset's representative, ``None`` at the base.
     The letter ``(g, s)`` of coset ``c`` is its spanning-tree edge from its
     parent ``c · g^-s``, whose representative is one letter shorter.
 
-    Every seed word becomes the representative of its coset; the seed must
-    be prefix-closed and its words must trace to pairwise distinct cosets.
-    Remaining cosets are filled breadth-first from the seeded cosets (in
-    seed order), extending existing representatives by one letter and
-    visiting letters by generator index ascending, sign +1 before -1; the
-    first arrival fixes the representative.  Unseeded representatives are
+    The transversal is seeded by the path of ``through``: its initial
+    segments (the empty word up to all but its last letter, as
+    :func:`~schreierkit.words.prefixes` lists them) become the
+    representatives of the cosets they reach, found in one walk from the
+    base; they must reach pairwise distinct cosets.  Remaining cosets are
+    filled breadth-first from the base and then the path's cosets in path
+    order, extending existing representatives by one letter and visiting
+    letters by generator index ascending, sign +1 before -1; the first
+    arrival fixes the representative.  Unseeded representatives are
     therefore of minimal length among the words reaching their coset.
     """
     n = t.n
     last: list[Letter | None] = [None] * n
     reached = [False] * n
-    queue: deque[int] = deque()
-    if seed:
-        words = list(seed)
-        pool = {w.letters for w in words if w.alphabet == t.alphabet}
-        for w in words:
-            if w.alphabet != t.alphabet:
-                raise AlphabetMismatch("seed word alphabet differs from table alphabet")
-            if len(w) > 0 and w.letters[:-1] not in pool:
-                raise BadSeed(f"seed is not prefix-closed: missing prefix of {w}")
-        seeded: dict[int, FreeWord] = {}
-        for w in words:
-            c = trace(t, BASE, w)
-            if c in seeded:
-                raise SeedCollision(f"seed words {seeded[c]} and {w} both trace to coset {c}")
-            seeded[c] = w
+    reached[BASE] = True
+    queue: deque[int] = deque([BASE])
+    if through is not None:
+        if through.alphabet != t.alphabet:
+            raise AlphabetMismatch("word and table use different alphabets")
+        c = BASE
+        for letter in through.letters[:-1]:
+            c = t.step(c, letter.gen, letter.sign)
+            if reached[c]:
+                raise PrefixesNotSeparated(
+                    f"the initial segments of {through} do not reach distinct cosets"
+                )
             reached[c] = True
-            last[c] = w.letters[-1] if w.letters else None
+            last[c] = letter
             queue.append(c)
-    else:
-        reached[BASE] = True
-        queue.append(BASE)
     steps = [
         (Letter(g, s), t.image(g, s).images) for g in range(t.alphabet.size) for s in (1, -1)
     ]
@@ -191,13 +181,13 @@ def crossings(
 
 
 def schreier_transversal(
-    t: CosetTable, seed: Sequence[FreeWord] | None = None
+    t: CosetTable, through: FreeWord | None = None
 ) -> SchreierTransversal:
-    """Build a Schreier transversal, optionally around a seeded prefix path:
-    the representatives are spelled along the spanning tree of
-    :func:`tree_letters`, which states the seed rules and the visiting
-    order."""
-    last = tree_letters(t, seed)
+    """Build a Schreier transversal, optionally seeded by the path of the
+    word ``through``: the representatives are spelled along the spanning
+    tree of :func:`tree_letters`, which states the seed rules and the
+    visiting order."""
+    last = tree_letters(t, through)
     spelled: list[tuple[Letter, ...] | None] = [None] * t.n
     spelled[BASE] = ()
     for c in range(t.n):
@@ -271,25 +261,22 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
     """A basis of the table's subgroup containing ``w`` verbatim, with the
     position of ``w`` in it.
 
-    Seeds the transversal with the initial segments of ``w`` (which must
-    reach pairwise distinct cosets).  When the last letter of ``w`` is
-    positive the plain Schreier basis already contains ``w``; when it is
-    negative the alphabet is reoriented at that generator.  Either way the
-    final edge, read along the last letter ``y`` from the coset ``c`` of
-    ``w`` less ``y``, emits ``rep(c) · y · rep(BASE)^-1``; the seed makes
-    ``rep(c)`` that prefix and ``rep(BASE)`` is empty, so the element is
-    ``w`` itself, never its inverse.  As ``w`` fixes the base, that
-    coset ``c`` is the base stepped back along ``y``.
+    Seeds the transversal with the path of ``w``, so its initial segments,
+    which must reach pairwise distinct cosets, are representatives.  When
+    the last letter of ``w`` is positive the plain Schreier basis already
+    contains ``w``; when it is negative the alphabet is reoriented at that
+    generator.  Either way the final edge, read along the last letter ``y``
+    from the coset ``c`` of ``w`` less ``y``, emits
+    ``rep(c) · y · rep(BASE)^-1``; the seed makes ``rep(c)`` that prefix
+    and ``rep(BASE)`` is empty, so the element is ``w`` itself, never its
+    inverse.  As ``w`` fixes the base, that coset ``c`` is the base stepped
+    back along ``y``.
     """
     if len(w) == 0:
         raise EmptyWord("cannot build a basis through the empty word")
     if not contains(t, w):
         raise NotInSubgroup(f"{w} does not fix the base coset")
-    if not separates_prefixes(t, w):
-        raise PrefixesNotSeparated(
-            f"the initial segments of {w} do not reach distinct cosets"
-        )
-    tr = schreier_transversal(t, prefixes(w))
+    tr = schreier_transversal(t, w)
     g_last, s_last = w.letters[-1]
     orientation = (
         AlphabetOrientation.empty() if s_last > 0 else AlphabetOrientation.of(g_last)

@@ -75,11 +75,10 @@ class Letter(NamedTuple):
 
 
 def _check_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> None:
+    size = alphabet.size
     for ell in letters:
-        if not 0 <= ell.gen < alphabet.size:
-            raise InvalidLetter(
-                f"generator index {ell.gen} outside alphabet of size {alphabet.size}"
-            )
+        if not 0 <= ell.gen < size:
+            raise InvalidLetter(f"generator index {ell.gen} outside alphabet of size {size}")
         if ell.sign not in (1, -1):
             raise InvalidLetter(f"letter sign must be +1 or -1, got {ell.sign}")
 

@@ -208,11 +208,11 @@ def test_basis_through_precondition_failures(capsys, tmp_path):
     table = tmp_path / "two.table"
     table.write_text(TWO_TABLE)
     code, out, _ = run(capsys, "basis", "--table", str(table), "--through", "a")
-    assert code == 1
-    assert out.startswith("REJECTED")
+    assert (code, out) == (1, "REJECTED: a does not fix the base coset\n")
     code, out, _ = run(capsys, "basis", "--table", str(table), "--through", "aaaa")
-    assert code == 1
-    assert out.startswith("REJECTED")
+    assert (code, out) == (
+        1, "REJECTED: the initial segments of aaaa do not reach distinct cosets\n"
+    )
 
 
 def test_basis_rejects_bad_table(capsys, tmp_path):

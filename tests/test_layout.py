@@ -34,3 +34,22 @@ def test_sibling_imports_are_used():
                     if (alias.asname or alias.name) not in used
                 )
     assert unused == []
+
+
+def test_every_error_class_is_used():
+    errors = ast.parse((SRC / "errors.py").read_text())
+    defined = {
+        node.name
+        for node in errors.body
+        if isinstance(node, ast.ClassDef) and node.name != "SchreierKitError"
+    }
+    named = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("__init__.py", "errors.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    assert sorted(defined - named) == []

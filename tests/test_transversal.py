@@ -9,7 +9,6 @@ from schreierkit import (
     Alphabet,
     AlphabetMismatch,
     AlphabetOrientation,
-    BadSeed,
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
@@ -20,7 +19,6 @@ from schreierkit import (
     Perm,
     PrefixesNotSeparated,
     SchreierTransversal,
-    SeedCollision,
     SubgroupBasis,
     basis_through_word,
     basis_to_text,
@@ -117,19 +115,17 @@ def test_unseeded_reps_have_minimal_length():
 
 
 def test_seeded_transversal():
-    seed = prefixes(parse_word("aa", AB))
-    tr = schreier_transversal(TWO, seed)
+    tr = schreier_transversal(TWO, parse_word("aa", AB))
     assert [str(w) for w in tr.reps] == ["1", "a"]
     assert not check_transversal(tr)
 
 
 def test_seed_errors():
-    with pytest.raises(BadSeed):
-        schreier_transversal(TWO, [parse_word("a", AB)])  # empty word missing
-    with pytest.raises(SeedCollision):
-        schreier_transversal(
-            TWO, [empty_word(AB), parse_word("a", AB), parse_word("A", AB)]
-        )
+    # the initial segments 1, a, aa of aaa reach the base twice
+    with pytest.raises(PrefixesNotSeparated):
+        schreier_transversal(TWO, parse_word("aaa", AB))
+    with pytest.raises(AlphabetMismatch):
+        schreier_transversal(TWO, parse_word("aa", Alphabet.of("abc")))
 
 
 def test_seeded_transversal_random():
@@ -139,10 +135,9 @@ def test_seeded_transversal_random():
         w = random_subgroup_word(rng, table)
         if w is None:
             continue
-        seed = prefixes(w)
-        tr = schreier_transversal(table, seed)
+        tr = schreier_transversal(table, w)
         assert not check_transversal(tr)
-        for p in seed:
+        for p in prefixes(w):
             assert tr.reps[trace(table, 0, p)] == p
 
 
@@ -155,9 +150,8 @@ def test_seeded_reps_are_minimal_extensions():
         w = random_subgroup_word(rng, table)
         if w is None:
             continue
-        seed = prefixes(w)
-        tr = schreier_transversal(table, seed)
-        seeded = {trace(table, 0, p): len(p) for p in seed}
+        tr = schreier_transversal(table, w)
+        seeded = {trace(table, 0, p): len(p) for p in prefixes(w)}
         dist = {c: 0 for c in seeded}
         queue = deque(seeded)
         while queue:
@@ -323,6 +317,52 @@ def test_basis_through_word_randomized():
         # the through-word sits on its final edge
         final = trace(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
         assert basis.edge_index[(final, w.letters[-1].gen)] == position
+
+
+def test_basis_through_word_checks_membership_first():
+    # aaa neither fixes the base nor separates its prefixes 1, a, aa
+    with pytest.raises(NotInSubgroup):
+        basis_through_word(TWO, parse_word("aaa", AB))
+
+
+def closed_path_table(rng, alphabet, n):
+    """A table of index ``n`` and a word whose path from the base visits
+    every coset once and returns: coset ``i`` steps to ``i+1`` (mod ``n``)
+    along the word's ``i``-th letter, and the columns are completed at
+    random.  The word is cyclically reduced, so the path's edges never
+    give one coset two images under a generator."""
+    letters = [Letter(rng.randrange(alphabet.size), rng.choice((1, -1)))]
+    while len(letters) < n:
+        ell = Letter(rng.randrange(alphabet.size), rng.choice((1, -1)))
+        closing = len(letters) == n - 1
+        if ell != letters[-1].inverse() and not (closing and ell == letters[0].inverse()):
+            letters.append(ell)
+    w = FreeWord(alphabet, tuple(letters))
+    images: list[dict[int, int]] = [{} for _ in range(alphabet.size)]
+    for i, (g, s) in enumerate(w.letters):
+        src, dst = (i, (i + 1) % n) if s > 0 else ((i + 1) % n, i)
+        images[g][src] = dst
+    columns = []
+    for column in images:
+        free = [d for d in range(n) if d not in column.values()]
+        rng.shuffle(free)
+        columns.append(Perm(tuple(column[c] if c in column else free.pop() for c in range(n))))
+    return CosetTable(alphabet, tuple(columns)), w
+
+
+def test_long_through_word():
+    """Paths through every coset of a large table: the reps match the
+    prefix-list oracle and the word is its own basis element."""
+    n = 2000
+    cyclic = CosetTable(Alphabet.of("a"), (Perm(tuple((c + 1) % n for c in range(n))),))
+    cases = [(cyclic, parse_word("a" * n, cyclic.alphabet))]
+    cases.append(closed_path_table(random.Random(4242), AB, 300))
+    for table, w in cases:
+        assert contains(table, w) and separates_prefixes(table, w)
+        tr = schreier_transversal(table, w)
+        assert tr.reps == reference_schreier_transversal(table, prefixes(w)).reps
+        basis, position = basis_through_word(table, w)
+        assert basis.elements[position] == w
 
 
 def test_fold_verify_rejects_tampered_lists():
@@ -554,12 +594,12 @@ def reference_schreier_transversal(
         for w in words:
             if w.alphabet != t.alphabet:
                 raise AlphabetMismatch("seed word alphabet differs from table alphabet")
-            if len(w) > 0 and FreeWord(w.alphabet, w.letters[:-1]) not in pool:
-                raise BadSeed(f"seed is not prefix-closed: missing prefix of {w}")
+            assert len(w) == 0 or FreeWord(w.alphabet, w.letters[:-1]) in pool, (
+                f"seed is not prefix-closed: missing prefix of {w}"
+            )
         for w in words:
             c = trace(t, BASE, w)
-            if reps[c] is not None:
-                raise SeedCollision(f"seed words {reps[c]} and {w} both trace to coset {c}")
+            assert reps[c] is None, f"seed words {reps[c]} and {w} both trace to coset {c}"
             reps[c] = w
             queue.append(c)
     else:
@@ -640,16 +680,17 @@ def test_words_match_eager_reference():
     for _ in range(150):
         m = rng.randrange(1, 4)
         table = random_table(rng, Alphabet.first(m), rng.randrange(1, 31))
-        seeds = [None]
+        throughs = [None]
         w = random_subgroup_word(rng, table, max_tries=200)
         if w is not None:
-            seeds.append(prefixes(w))
+            throughs.append(w)
             seeded += 1
-        for seed in seeds:
-            tr = schreier_transversal(table, seed)
+        for through in throughs:
+            tr = schreier_transversal(table, through)
+            seed = None if through is None else prefixes(through)
             expected = reference_schreier_transversal(table, seed)
             assert tr.reps == expected.reps
-            assert tree_letters(table, seed) == tuple(
+            assert tree_letters(table, through) == tuple(
                 u.letters[-1] if u.letters else None for u in expected.reps
             )
             flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
@@ -659,6 +700,6 @@ def test_words_match_eager_reference():
                 assert basis.elements == oracle.elements
                 assert basis.edge_index == oracle.edge_index
                 assert list(basis.edge_index) == list(oracle.edge_index)
-                last = tree_letters(table, seed)
+                last = tree_letters(table, through)
                 assert edge_numbering(table, last, orientation) == oracle.edge_index
     assert seeded > 50
