@@ -48,9 +48,10 @@ from .lemma import (
 )
 from .perms import (
     FiniteQuotientHom,
-    Perm,
+    compose,
     eval_word,
     image_closure,
+    inverse,
     kills_relators,
 )
 from .rewriting import (

@@ -104,7 +104,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     )
     all_pass = True
     count = 0
-    for report, table, _ in survey:
+    for report, sp in survey:
         checks = "pass" if report.checks_pass else "fail"
         all_pass = all_pass and report.checks_pass
         print(
@@ -113,7 +113,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
             f" rho_G1_counts={report.rho_G1_counts} euler_G={report.euler_G}"
             f" euler_G1={report.euler_G1} checks={checks}"
         )
-        sys.stdout.write(table_to_text(table))
+        sys.stdout.write(table_to_text(sp.table))
         print()
         count += 1
     print(f"subgroups={count} all_checks={'pass' if all_pass else 'fail'}")

@@ -21,7 +21,7 @@ from .errors import (
     InvalidTable,
     ParseError,
 )
-from .perms import FiniteQuotientHom, Perm, image_closure
+from .perms import FiniteQuotientHom, compose, image_closure
 from .words import Alphabet, FreeWord, parse_word
 
 BASE = 0
@@ -37,7 +37,7 @@ class CosetTable(FiniteQuotientHom):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        columns = [self.image(g, s).images for g in range(self.alphabet.size) for s in (1, -1)]
+        columns = [self.image(g, s) for g in range(self.alphabet.size) for s in (1, -1)]
         reached = {BASE}
         frontier = deque([BASE])
         while frontier:
@@ -77,11 +77,10 @@ def regular_table(h: FiniteQuotientHom) -> CosetTable:
     The result is regular, so it is the table of a normal subgroup."""
     elements = image_closure(h)
     position = {p: i for i, p in enumerate(elements)}
-    columns = []
-    for g in range(h.alphabet.size):
-        img = h.gen_images[g]
-        columns.append(Perm(tuple(position[e * img] for e in elements)))
-    return CosetTable(h.alphabet, tuple(columns))
+    columns = tuple(
+        tuple(position[compose(e, img)] for e in elements) for img in h.gen_images
+    )
+    return CosetTable(h.alphabet, columns)
 
 
 def trace(t: CosetTable, start: int, w: FreeWord) -> int:
@@ -146,7 +145,7 @@ def canonical_form(t: CosetTable) -> CosetTable:
         images = [0] * t.n
         for old, new in new_id.items():
             images[new] = new_id[t.step(old, g, 1)]
-        columns.append(Perm(tuple(images)))
+        columns.append(tuple(images))
     return CosetTable(t.alphabet, tuple(columns))
 
 
@@ -256,7 +255,7 @@ def low_index_tables(
         slot = first_undefined()
         if slot is None:
             if used == n:
-                found.append(CosetTable(p.alphabet, tuple(Perm(tuple(col)) for col in fwd)))
+                found.append(CosetTable(p.alphabet, tuple(map(tuple, fwd))))
             return
         c, g, s = slot
         column_taken = bwd[g] if s > 0 else fwd[g]
@@ -292,7 +291,7 @@ def table_to_text(t: CosetTable) -> str:
     ``<name>: i0 i1 ... i(n-1)``."""
     lines = [f"n={t.n}"]
     for g, name in enumerate(t.alphabet.names):
-        lines.append(f"{name}: " + " ".join(str(i) for i in t.gen_images[g].images))
+        lines.append(f"{name}: " + " ".join(str(i) for i in t.gen_images[g]))
     return "\n".join(lines) + "\n"
 
 
@@ -307,7 +306,7 @@ def table_from_text(text: str) -> CosetTable:
     if n < 1:
         raise InvalidTable(f"index must be positive, got {n}")
     names: list[str] = []
-    columns: list[Perm] = []
+    columns: list[tuple[int, ...]] = []
     for line in lines[1:]:
         if ":" not in line:
             raise InvalidTable(f"bad generator line {line!r}")
@@ -319,7 +318,7 @@ def table_from_text(text: str) -> CosetTable:
             raise InvalidTable(f"bad coset ids in {line!r}") from exc
         if len(images) != n or sorted(images) != list(range(n)):
             raise InvalidTable(f"generator line is not a permutation of 0..{n - 1}: {line!r}")
-        columns.append(Perm(images))
+        columns.append(images)
     try:
         alphabet = Alphabet(tuple(names))
     except ValueError as exc:

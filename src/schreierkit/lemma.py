@@ -32,7 +32,7 @@ from .errors import (
     EmptyWord,
     ImageTooLarge,
 )
-from .perms import DEFAULT_IMAGE_CEILING, FiniteQuotientHom, Perm, kills_relators
+from .perms import DEFAULT_IMAGE_CEILING, FiniteQuotientHom, compose, inverse, kills_relators
 from .transversal import (
     AlphabetOrientation,
     SchreierTransversal,
@@ -86,10 +86,6 @@ class VerificationResult:
         return self.ok
 
 
-def _compose(acc: tuple[int, ...], step: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(step[i] for i in acc)
-
-
 def _distinct_walk(
     letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
     identity: tuple[int, ...],
@@ -100,7 +96,7 @@ def _distinct_walk(
     acc = identity
     seen = {acc}
     for g, s in letters:
-        acc = _compose(acc, imgs[g] if s > 0 else invs[g])
+        acc = compose(acc, imgs[g] if s > 0 else invs[g])
         if acc in seen:
             return None
         seen.add(acc)
@@ -118,7 +114,7 @@ def _separates_and_kills(
     if acc is None:
         return False
     g, s = r_letters[-1]
-    return _compose(acc, imgs[g] if s > 0 else invs[g]) == identity
+    return compose(acc, imgs[g] if s > 0 else invs[g]) == identity
 
 
 def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -162,15 +158,15 @@ def _centraliser(
 
 
 def _orbit_minima(
-    perms: list[tuple[int, ...]], group: list[tuple[int, ...]], inverse: dict
+    perms: list[tuple[int, ...]], group: list[tuple[int, ...]], inverses: dict
 ) -> list[tuple[int, ...]]:
     """The least element of each orbit of ``group`` acting on ``perms`` by
     conjugation, in the order of ``perms``, which must be lexicographic and
-    closed under that action.  ``inverse`` maps each element of ``group``
+    closed under that action.  ``inverses`` maps each element of ``group``
     to its inverse."""
     if len(group) == 1:
         return perms
-    pairs = [(s, inverse[s]) for s in group]
+    pairs = [(s, inverses[s]) for s in group]
     marked: set[tuple[int, ...]] = set()
     minima = []
     for q in perms:
@@ -237,12 +233,7 @@ def find_separating_quotient(
 
     for degree in range(1, max_degree + 1):
         perms = list(itertools.permutations(range(degree)))
-        inverse = {}
-        for q in perms:
-            inv = [0] * degree
-            for i, j in enumerate(q):
-                inv[j] = i
-            inverse[q] = tuple(inv)
+        inverses = {q: inverse(q) for q in perms}
         identity = tuple(range(degree))
         imgs: list[tuple[int, ...]] = []
         invs: list[tuple[int, ...]] = []
@@ -255,15 +246,15 @@ def find_separating_quotient(
                 candidates = _class_minima(perms)
             else:
                 group = _centraliser(group, imgs[-1])
-                candidates = _orbit_minima(perms, group, inverse)
+                candidates = _orbit_minima(perms, group, inverses)
             for cand in candidates:
                 imgs.append(cand)
-                invs.append(inverse[cand])
+                invs.append(inverses[cand])
                 ok = True
                 for rel in by_level[k + 1]:
                     acc = identity
                     for g, s in rel:
-                        acc = _compose(acc, imgs[g] if s > 0 else invs[g])
+                        acc = compose(acc, imgs[g] if s > 0 else invs[g])
                     if acc != identity:
                         ok = False
                         break
@@ -276,7 +267,7 @@ def find_separating_quotient(
             return False
 
         if assign(0, perms):
-            return FiniteQuotientHom(p.alphabet, tuple(Perm(t) for t in imgs))
+            return FiniteQuotientHom(p.alphabet, tuple(imgs))
     return None
 
 
@@ -410,12 +401,12 @@ def certificate_to_json(c: LemmaCertificate) -> str:
         "relator": str(c.relator),
         "hom": {
             "degree": c.hom.degree,
-            "gen_images": [list(p.images) for p in c.hom.gen_images],
+            "gen_images": [list(p) for p in c.hom.gen_images],
         },
         "image_order": c.image_order,
         "table": {
             "n": c.table.n,
-            "action": [list(p.images) for p in c.table.gen_images],
+            "action": [list(p) for p in c.table.gen_images],
         },
         "transversal": [str(w) for w in c.transversal.reps],
         "basis": {
@@ -453,6 +444,13 @@ def _bounded(doc: dict, key: str, limit: int, what: str) -> int:
     return value
 
 
+def _int_rows(doc: dict, key: str, what: str) -> tuple[tuple[int, ...], ...]:
+    rows = _require(doc, key, list)
+    if not all(isinstance(row, list) and all(map(_is_int, row)) for row in rows):
+        raise CertificateFormatError(f"{what} rows must be lists of integers")
+    return tuple(map(tuple, rows))
+
+
 def certificate_from_json(text: str) -> LemmaCertificate:
     """Parse a certificate document.  Structural problems (bad JSON, missing
     fields, malformed words or permutations) raise
@@ -485,16 +483,10 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         degree = _bounded(hom_doc, "degree", MAX_CERTIFICATE_DEGREE, "hom.degree")
         table_doc = _require(doc, "table", dict)
         n = _bounded(table_doc, "n", DEFAULT_IMAGE_CEILING, "table.n")
-        gen_images = tuple(
-            Perm(tuple(images)) for images in _require(hom_doc, "gen_images", list)
-        )
-        hom = FiniteQuotientHom(alphabet, gen_images)
+        hom = FiniteQuotientHom(alphabet, _int_rows(hom_doc, "gen_images", "hom.gen_images"))
         if hom.degree != degree:
             raise CertificateFormatError("hom degree does not match its images")
-        action = tuple(
-            Perm(tuple(images)) for images in _require(table_doc, "action", list)
-        )
-        table = CosetTable(alphabet, action)
+        table = CosetTable(alphabet, _int_rows(table_doc, "action", "table.action"))
         if table.n != n:
             raise CertificateFormatError("table n does not match its action")
         reps = tuple(

@@ -1,9 +1,10 @@
 """Finite permutations and homomorphisms from a free group into a symmetric
 group.
 
-Permutations act on the right: ``i`` under ``p * q`` is ``q[p[i]]``, i.e.
-apply ``p`` first.  This matches the coset-table convention (coset times
-generator) used throughout the package.
+A permutation of ``[0, n)`` is its image tuple ``p``: ``i`` goes to
+``p[i]``.  Permutations act on the right: ``compose(p, q)`` sends ``i`` to
+``q[p[i]]``, i.e. applies ``p`` first.  This matches the coset-table
+convention (coset times generator) used throughout the package.
 """
 
 from __future__ import annotations
@@ -18,100 +19,79 @@ from .words import Alphabet, FreeWord
 DEFAULT_IMAGE_CEILING = 10000
 
 
-@dataclass(frozen=True)
-class Perm:
-    """A permutation of ``[0, n)`` stored as its image list."""
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The product ``p`` then ``q``: ``i`` goes to ``q[p[i]]``."""
+    # a list comprehension builds the tuple faster than a generator
+    return tuple([q[i] for i in p])
 
-    images: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise InvalidPermutation(
-                f"not a bijection on [0, {len(self.images)}): {self.images!r}"
-            )
-
-    @classmethod
-    def identity(cls, degree: int) -> "Perm":
-        return cls(tuple(range(degree)))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __getitem__(self, point: int) -> int:
-        return self.images[point]
-
-    def __mul__(self, other: "Perm") -> "Perm":
-        # apply self first, then other
-        return Perm(tuple(other.images[i] for i in self.images))
-
-    def inverse(self) -> "Perm":
-        out = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            out[j] = i
-        return Perm(tuple(out))
-
-    @property
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    """The permutation sending ``p[i]`` back to ``i``."""
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class FiniteQuotientHom:
     """A homomorphism from the free group on ``alphabet`` into S_degree,
-    given by one permutation per generator; the inverse columns are stored
-    alongside.  Count and degree errors raise :attr:`invalid`."""
+    given by one image tuple per generator; the inverse columns are stored
+    alongside.  A column that is not a bijection raises
+    :class:`InvalidPermutation`; count and degree errors raise
+    :attr:`invalid`."""
 
     alphabet: Alphabet
-    gen_images: tuple[Perm, ...]
+    gen_images: tuple[tuple[int, ...], ...]
 
     invalid: ClassVar[type[Exception]] = InvalidHom
 
     def __post_init__(self) -> None:
+        for p in self.gen_images:
+            if sorted(p) != list(range(len(p))):
+                raise InvalidPermutation(f"not a bijection on [0, {len(p)}): {p!r}")
         if len(self.gen_images) != self.alphabet.size:
             raise self.invalid(
                 f"{self.alphabet.size} generators but {len(self.gen_images)} images"
             )
-        degrees = {p.degree for p in self.gen_images}
+        degrees = {len(p) for p in self.gen_images}
         if len(degrees) != 1:
             raise self.invalid(f"generator images have mixed degrees: {sorted(degrees)}")
-        object.__setattr__(
-            self, "_inverses", tuple(p.inverse() for p in self.gen_images)
-        )
+        object.__setattr__(self, "_inverses", tuple(map(inverse, self.gen_images)))
 
     @property
     def degree(self) -> int:
-        return self.gen_images[0].degree
+        return len(self.gen_images[0])
 
-    def image(self, gen: int, sign: int) -> Perm:
+    def image(self, gen: int, sign: int) -> tuple[int, ...]:
         return self.gen_images[gen] if sign > 0 else self._inverses[gen]
 
     def step(self, point: int, gen: int, sign: int) -> int:
         """Image of ``point`` under one signed generator."""
         perm = self.gen_images[gen] if sign > 0 else self._inverses[gen]
-        return perm.images[point]
+        return perm[point]
 
 
-def eval_word(h: FiniteQuotientHom, w: FreeWord) -> Perm:
+def eval_word(h: FiniteQuotientHom, w: FreeWord) -> tuple[int, ...]:
     """Image of a word: the right-action product of its letters' images."""
     if w.alphabet != h.alphabet:
         raise AlphabetMismatch("word and homomorphism use different alphabets")
-    acc = list(range(h.degree))
+    acc = tuple(range(h.degree))
     for gen, sign in w.letters:
-        img = h.image(gen, sign).images
-        acc = [img[i] for i in acc]
-    return Perm(tuple(acc))
+        acc = compose(acc, h.image(gen, sign))
+    return acc
 
 
 def kills_relators(h: FiniteQuotientHom, relators: Sequence[FreeWord]) -> bool:
     """True iff every relator maps to the identity permutation, so that the
     homomorphism factors through the presented group."""
-    return all(eval_word(h, rel).is_identity for rel in relators)
+    identity = tuple(range(h.degree))
+    return all(eval_word(h, rel) == identity for rel in relators)
 
 
 def image_closure(
     h: FiniteQuotientHom, ceiling: int = DEFAULT_IMAGE_CEILING
-) -> list[Perm]:
+) -> list[tuple[int, ...]]:
     """All elements of the image group in deterministic BFS order.
 
     The first element is the identity; discovery multiplies each known
@@ -120,17 +100,17 @@ def image_closure(
     certificates index cosets by it.  Raises :class:`ImageTooLarge` when
     the group has more than ``ceiling`` elements.
     """
-    steps = [h.image(g, s).images for s in (1, -1) for g in range(h.alphabet.size)]
+    steps = [h.image(g, s) for s in (1, -1) for g in range(h.alphabet.size)]
     identity = tuple(range(h.degree))
     seen: dict[tuple[int, ...], None] = {identity: None}
     queue: deque[tuple[int, ...]] = deque([identity])
     while queue:
         current = queue.popleft()
         for step in steps:
-            nxt = tuple(step[i] for i in current)
+            nxt = compose(current, step)
             if nxt not in seen:
                 if len(seen) >= ceiling:
                     raise ImageTooLarge(ceiling)
                 seen[nxt] = None
                 queue.append(nxt)
-    return [Perm(t) for t in seen]
+    return list(seen)

@@ -156,11 +156,11 @@ def surface_survey(
     n: int,
     max_genus: int = DEFAULT_REPORT_MAX_GENUS,
     max_index: int = DEFAULT_REPORT_MAX_INDEX,
-) -> Iterator[tuple[SurfaceReport, CosetTable, SubgroupPresentation]]:
-    """One (report, table, rewritten presentation) triple per index-``n``
-    subgroup of the genus-``g`` surface group, in canonical table order.
-    A generator: each triple is built when it is asked for, so only the
-    tables stay in memory."""
+) -> Iterator[tuple[SurfaceReport, SubgroupPresentation]]:
+    """One (report, rewritten presentation) pair per index-``n`` subgroup of
+    the genus-``g`` surface group, in canonical table order; the table is
+    the presentation's ``table``.  A generator: each pair is built when it
+    is asked for, so only the tables stay in memory."""
     if not 1 <= g <= max_genus:
         raise BadBound(f"genus {g} outside 1..{max_genus}")
     if not 1 <= n <= max_index:
@@ -181,4 +181,4 @@ def surface_survey(
             euler_G1=euler_g1,
             symbols_paired=sp.symbols_paired(),
         )
-        yield report, table, sp
+        yield report, sp

@@ -111,9 +111,7 @@ def tree_letters(
             reached[c] = True
             last[c] = letter
             queue.append(c)
-    steps = [
-        (Letter(g, s), t.image(g, s).images) for g in range(t.alphabet.size) for s in (1, -1)
-    ]
+    steps = [(Letter(g, s), t.image(g, s)) for g in range(t.alphabet.size) for s in (1, -1)]
     while queue:
         c = queue.popleft()
         for letter, column in steps:

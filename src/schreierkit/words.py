@@ -60,9 +60,6 @@ class Alphabet:
     def size(self) -> int:
         return len(self.names)
 
-    def index(self, name: str) -> int:
-        return self.names.index(name)
-
 
 class Letter(NamedTuple):
     """One generator occurrence: generator index plus sign (+1 or -1)."""
@@ -123,10 +120,6 @@ class FreeWord:
 
     def __invert__(self) -> "FreeWord":
         return invert(self)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
 
 
 def empty_word(alphabet: Alphabet) -> FreeWord:

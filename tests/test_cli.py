@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schreierkit import FiniteQuotientHom, Perm, lemma
+from schreierkit import FiniteQuotientHom, lemma
 from schreierkit.perms import DEFAULT_IMAGE_CEILING
 from schreierkit.cli import main
 
@@ -116,7 +116,7 @@ def test_witness_image_beyond_ceiling_is_input_error(capsys, tmp_path, monkeypat
     # within the closure ceiling
     def huge_witness(p, r, max_degree):
         return FiniteQuotientHom(
-            p.alphabet, (Perm((1, 0, 2, 3, 4, 5, 6, 7)), Perm((1, 2, 3, 4, 5, 6, 7, 0)))
+            p.alphabet, ((1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0))
         )
 
     monkeypatch.setattr(lemma, "find_separating_quotient", huge_witness)
@@ -186,6 +186,48 @@ def test_verify_rejects_table_beyond_ceiling(capsys, tmp_path):
         f"error: table.n {DEFAULT_IMAGE_CEILING + 1}"
         f" exceeds the limit of {DEFAULT_IMAGE_CEILING}\n"
     )
+
+
+def verify_golden_edited(capsys, tmp_path, field, key, value):
+    doc = json.loads(AA_CERTIFICATE)
+    doc[field][key] = value
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(doc))
+    return run(capsys, "verify", "--certificate", str(cert))
+
+
+@pytest.mark.parametrize("field, key", [("hom", "gen_images"), ("table", "action")])
+def test_verify_rejects_bool_permutation_rows(capsys, tmp_path, field, key):
+    rows = json.loads(AA_CERTIFICATE)[field][key]
+    rows[0] = [True, False]
+    code, out, err = verify_golden_edited(capsys, tmp_path, field, key, rows)
+    assert_input_error(code, out, err)
+    assert err == f"error: {field}.{key} rows must be lists of integers\n"
+
+
+NOT_A_BIJECTION = "error: malformed certificate: not a bijection on [0, 2): (0, 0)\n"
+
+
+@pytest.mark.parametrize(
+    "field, key, edit, expected",
+    [
+        ("hom", "gen_images", lambda rows: [[0, 0]] + rows[1:], NOT_A_BIJECTION),
+        ("table", "action", lambda rows: rows[:1] + [[0, 0]], NOT_A_BIJECTION),
+        # the wrong count is reported after the column that is not a bijection
+        ("hom", "gen_images", lambda rows: [[0, 0]], NOT_A_BIJECTION),
+        (
+            "table",
+            "action",
+            lambda rows: [[1, 0], [0, 1, 2]],
+            "error: malformed certificate: generator images have mixed degrees: [2, 3]\n",
+        ),
+    ],
+    ids=["hom-column", "table-column", "hom-column-and-count", "table-mixed-degrees"],
+)
+def test_verify_permutation_parse_errors_pinned(capsys, tmp_path, field, key, edit, expected):
+    rows = json.loads(AA_CERTIFICATE)[field][key]
+    code, out, err = verify_golden_edited(capsys, tmp_path, field, key, edit(rows))
+    assert (code, out, err) == (2, "", expected)
 
 
 def test_basis_plain(capsys, tmp_path):
