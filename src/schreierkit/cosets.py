@@ -149,48 +149,44 @@ def canonical_form(t: CosetTable) -> CosetTable:
     return CosetTable(t.alphabet, tuple(columns))
 
 
-def _scan_relator(
-    fwd: list[list[int]],
-    bwd: list[list[int]],
+def _scan_rotation(
+    fc: list[list[int]],
+    bc: list[list[int]],
+    letters: tuple[int, ...],
     alpha: int,
-    rel: tuple,
     trail: list[tuple[int, int, int]],
-) -> tuple[bool, bool]:
-    """Trace one relator at one coset through a partial table.
+) -> bool:
+    """Trace one compiled relator rotation at one coset through a partial
+    table; return False iff the trace contradicts the table.
 
-    Returns ``(consistent, deduced)``.  A scan that completes must return to
-    its start; a scan with exactly one undefined edge forces that edge (the
-    deduction is appended to ``trail`` so it can be undone on backtrack).
+    ``fc[i]`` is the column that letter ``i`` is read forward by and
+    ``bc[i]`` the column it is read backward by, both live table columns.
+    A trace that completes must return to its start.  A trace with exactly
+    one undefined letter forces that edge: it is written into both columns
+    and appended to ``trail`` as ``(letters[i], src, dst)``, so it is both
+    undone on backtrack and queued for its own scans.
     """
-    f, i = alpha, 0
-    b, j = alpha, len(rel) - 1
+    f = b = alpha
+    i, j = 0, len(fc) - 1
     while i <= j:
-        g, s = rel[i]
-        nxt = fwd[g][f] if s > 0 else bwd[g][f]
+        nxt = fc[i][f]
         if nxt < 0:
             break
         f, i = nxt, i + 1
-    if i > j:
-        return f == b, False
-    while j >= i:
-        g, s = rel[j]
-        prev = bwd[g][b] if s > 0 else fwd[g][b]
+    else:
+        return f == alpha
+    while j > i:
+        prev = bc[j][b]
         if prev < 0:
-            break
+            return True
         b, j = prev, j - 1
-    if j < i:
-        # both scans crossed the same edge with different endpoints
-        return False, False
-    if j == i:
-        g, s = rel[i]
-        src, dst = (f, b) if s > 0 else (b, f)
-        if fwd[g][src] >= 0 or bwd[g][dst] >= 0:
-            return False, False
-        fwd[g][src] = dst
-        bwd[g][dst] = src
-        trail.append((g, src, dst))
-        return True, True
-    return True, False
+    if bc[i][b] >= 0:
+        # the backward trace crosses the gap and lands away from ``f``
+        return False
+    fc[i][f] = b
+    bc[i][b] = f
+    trail.append((letters[i], f, b))
+    return True
 
 
 def low_index_tables(
@@ -199,85 +195,113 @@ def low_index_tables(
     """All coset tables with exactly ``n`` cosets on which every relator acts
     trivially, one representative per renumbering class with the base fixed.
 
-    The search is plain backtracking over partial tables.  Undefined slots
-    are filled in (coset, generator, sign) order; candidate targets are the
-    already-introduced cosets in ascending order, then one fresh coset.
-    That discipline makes every completed table its own canonical BFS
-    renumbering, so distinct outputs are distinct subgroups of index ``n``.
-    After each definition all relator traces are closed up: a trace that
-    completes inconsistently prunes the branch, a trace with a single gap
-    forces the missing edge.  Output is sorted by serialized canonical form.
+    The search is plain backtracking over partial tables.  A signed letter
+    is numbered ``k = 2*g`` (``g``) or ``2*g + 1`` (``g``⁻¹), so ``k ^ 1`` is
+    its inverse and column ``k`` holds its partial action.  Undefined slots
+    are filled in (coset, generator, sign) order, i.e. (coset, ``k``) order;
+    candidate targets are the already-introduced cosets in ascending order,
+    then one fresh coset.  That discipline makes every completed table its
+    own canonical BFS renumbering, so distinct outputs are distinct
+    subgroups of index ``n``.  Output is sorted by serialized canonical form.
+
+    Closure is driven by deductions (Sims, *Computation with Finitely
+    Presented Groups*, ch. 5).  Each distinct cyclic rotation of each
+    relator is compiled once and filed under its first letter.  Every edge
+    ``(k, src, dst)`` that goes into the table, chosen or deduced, is
+    queued on the branch's trail; for it, the rotations that start with
+    ``k`` are scanned from ``src`` and those that start with ``k ^ 1`` from
+    ``dst``.  A scan that completes away from its start prunes the branch;
+    a scan with a single gap defines that edge and queues it.
+
+    Rotations of the relators alone find every deduction that needs
+    finding.  A relator's trace from a coset walks a closed cycle of edges.
+    If the cycle has one gap and some defined edge, take its edge defined
+    last: it is read by the letter at some position ``p``, as ``k`` from
+    its source or as ``k ^ 1`` from its target, so when it was queued the
+    rotation starting at ``p`` was scanned from that end, met the same
+    single gap and deduced it.  (The cycle of a one-letter relator has no
+    other edge; its slot is filled by branching, and every wrong candidate
+    fails its scan at once.)  The inverse relator's trace is the same cycle
+    read backwards, and a scan already reads from both ends, so rotations
+    of the inverse would find nothing more.  Deductions are forced, so
+    whichever are found, the output is the set of complete canonical
+    tables that kill the relators.
 
     A complete table needs no further check that the relators act
-    trivially.  It is reached only through a closure that succeeded, and
-    that closure's last pass deduced nothing, so it scanned the complete
-    table itself: it traced every relator from every coset through to the
-    end, and each trace came back to its start.
+    trivially.  Take a relator's trace from any coset and the edge on it
+    that was defined last.  When that edge went in, it was queued, and the
+    rotation starting with it was scanned from its end with every other
+    edge of the cycle already present, so the scan was complete: had the
+    relator not fixed the coset, the branch would have been pruned there.
+
+    The canonical-form argument is unchanged: deductions only define edges
+    between cosets already introduced, fresh cosets still come one at a
+    time in slot order, and the slot cursor moves only forward along a
+    branch, because every slot before it is defined and stays so until the
+    branch backtracks.
     """
     if not 1 <= n <= max_index:
         raise BadBound(f"index {n} outside 1..{max_index}")
-    m = p.alphabet.size
-    rels = [w.letters for w in p.relators]
-    fwd = [[-1] * n for _ in range(m)]
-    bwd = [[-1] * n for _ in range(m)]
+    width = 2 * p.alphabet.size
+    cols = [[-1] * n for _ in range(width)]
+    starting: list[list[tuple[list, list, tuple[int, ...]]]] = [[] for _ in range(width)]
+    rotations: dict[tuple[int, ...], None] = {}
+    for rel in p.relators:
+        letters = tuple(2 * g + (s < 0) for g, s in rel.letters)
+        for i in range(len(letters)):
+            rotations[letters[i:] + letters[:i]] = None
+    for rot in rotations:
+        fc = [cols[k] for k in rot]
+        bc = [cols[k ^ 1] for k in rot]
+        starting[rot[0]].append((fc, bc, rot))
+    scan = _scan_rotation
     found: list[CosetTable] = []
     used = 1
 
-    def first_undefined() -> tuple[int, int, int] | None:
-        for c in range(used):
-            for g in range(m):
-                if fwd[g][c] < 0:
-                    return c, g, 1
-                if bwd[g][c] < 0:
-                    return c, g, -1
-        return None
-
-    def close_relators(trail: list[tuple[int, int, int]]) -> bool:
-        progress = True
-        while progress:
-            progress = False
-            for c in range(used):
-                for rel in rels:
-                    ok, deduced = _scan_relator(fwd, bwd, c, rel, trail)
-                    if not ok:
-                        return False
-                    progress = progress or deduced
+    def close(trail: list[tuple[int, int, int]]) -> bool:
+        # the loop also reaches the deductions that scans append to the trail
+        for k, src, dst in trail:
+            for fc, bc, rot in starting[k]:
+                if not scan(fc, bc, rot, src, trail):
+                    return False
+            for fc, bc, rot in starting[k ^ 1]:
+                if not scan(fc, bc, rot, dst, trail):
+                    return False
         return True
 
     def undo(trail: list[tuple[int, int, int]]) -> None:
-        while trail:
-            g, src, dst = trail.pop()
-            fwd[g][src] = -1
-            bwd[g][dst] = -1
+        for k, src, dst in trail:
+            cols[k][src] = -1
+            cols[k ^ 1][dst] = -1
 
-    def descend() -> None:
+    def descend(c: int, k: int) -> None:
         nonlocal used
-        slot = first_undefined()
-        if slot is None:
-            if used == n:
-                found.append(CosetTable(p.alphabet, tuple(map(tuple, fwd))))
-            return
-        c, g, s = slot
-        column_taken = bwd[g] if s > 0 else fwd[g]
+        while cols[k][c] >= 0:
+            k += 1
+            if k == width:
+                c, k = c + 1, 0
+                if c == used:
+                    if used == n:
+                        found.append(CosetTable(p.alphabet, cols[::2]))
+                    return
+        column_taken = cols[k ^ 1]
         candidates = [d for d in range(used) if column_taken[d] < 0]
         if used < n:
             candidates.append(used)
         for d in candidates:
-            trail: list[tuple[int, int, int]] = []
             fresh = d == used
             if fresh:
                 used += 1
-            src, dst = (c, d) if s > 0 else (d, c)
-            fwd[g][src] = dst
-            bwd[g][dst] = src
-            trail.append((g, src, dst))
-            if close_relators(trail):
-                descend()
+            cols[k][c] = d
+            column_taken[d] = c
+            trail = [(k, c, d)]
+            if close(trail):
+                descend(c, k)
             undo(trail)
             if fresh:
                 used -= 1
 
-    descend()
+    descend(BASE, 0)
     return sorted(found, key=table_to_text)
 
 

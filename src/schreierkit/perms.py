@@ -37,9 +37,10 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 class FiniteQuotientHom:
     """A homomorphism from the free group on ``alphabet`` into S_degree,
     given by one image tuple per generator; the inverse columns are stored
-    alongside.  A column that is not a bijection raises
-    :class:`InvalidPermutation`; count and degree errors raise
-    :attr:`invalid`."""
+    alongside.  Columns given as other sequences are stored as tuples, so
+    equal homomorphisms compare equal and hash alike.  A column that is not
+    a bijection raises :class:`InvalidPermutation`; count and degree errors
+    raise :attr:`invalid`."""
 
     alphabet: Alphabet
     gen_images: tuple[tuple[int, ...], ...]
@@ -47,6 +48,8 @@ class FiniteQuotientHom:
     invalid: ClassVar[type[Exception]] = InvalidHom
 
     def __post_init__(self) -> None:
+        # tuple() returns a tuple argument itself, so tuple input costs nothing
+        object.__setattr__(self, "gen_images", tuple(map(tuple, self.gen_images)))
         for p in self.gen_images:
             if sorted(p) != list(range(len(p))):
                 raise InvalidPermutation(f"not a bijection on [0, {len(p)}): {p!r}")

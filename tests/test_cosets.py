@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schreierkit import (
     Alphabet,
@@ -17,6 +20,7 @@ from schreierkit import (
     contains,
     eval_word,
     free_reduce,
+    invert,
     is_regular,
     kills_relators,
     low_index_tables,
@@ -26,6 +30,7 @@ from schreierkit import (
     presentation_to_text,
     regular_table,
     separates_prefixes,
+    surface_presentation,
     table_from_text,
     table_to_text,
     trace,
@@ -244,14 +249,86 @@ def test_low_index_torus_against_brute_force():
 
 
 def test_low_index_surface_genus2_index2():
-    from schreierkit import surface_presentation
-
     pres = surface_presentation(2)
     tables = low_index_tables(pres, 2)
     assert len(tables) == 15
     # oracle: 4 generators into S2, at least one nontrivial, relator is a
     # product of commutators so it dies automatically
     assert [table_to_text(t) for t in tables] == brute_force_low_index(pres, 2)
+
+
+@st.composite
+def _reduced_words(draw, alphabet, max_len=8):
+    """A freely reduced word of 1..max_len letters: a drawn letter that
+    would cancel the one before is flipped to repeat it."""
+    letters = []
+    for _ in range(draw(st.integers(1, max_len))):
+        g = draw(st.integers(0, alphabet.size - 1))
+        s = draw(st.sampled_from((1, -1)))
+        if letters and (g, s) == (letters[-1].gen, -letters[-1].sign):
+            s = -s
+        letters.append(Letter(g, s))
+    return free_reduce(alphabet, letters)
+
+
+@st.composite
+def _low_index_cases(draw):
+    """``ab`` up to index 4 or ``abc`` up to index 3, with 0-3 relators; a
+    later relator may be a rotation, the inverse or a power of an earlier
+    one."""
+    names = draw(st.sampled_from(("ab", "abc")))
+    alphabet = Alphabet.of(names)
+    n = draw(st.integers(1, 4 if names == "ab" else 3))
+    relators = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("new", "rotation", "inverse", "power")))
+        if not relators or kind == "new":
+            relators.append(draw(_reduced_words(alphabet)))
+            continue
+        base = draw(st.sampled_from(relators))
+        if kind == "rotation":
+            i = draw(st.integers(0, len(base) - 1))
+            relators.append(free_reduce(alphabet, base.letters[i:] + base.letters[:i]))
+        elif kind == "inverse":
+            relators.append(invert(base))
+        else:
+            relators.append(base * base)
+    return Presentation(alphabet, tuple(relators)), n
+
+
+def _case(names, n, *relators):
+    alphabet = Alphabet.of(names)
+    return Presentation(alphabet, tuple(parse_word(r, alphabet) for r in relators)), n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_low_index_cases())
+@example(_case("ab", 4, "abA"))  # not cyclically reduced
+@example(_case("ab", 4, "abA", "Bab"))  # and a rotation of it
+@example(_case("ab", 4, "abab"))  # proper power
+@example(_case("abc", 3, "aaa", "cbcbcb"))  # proper powers
+@example(_case("ab", 4, "aab", "aba"))  # a relator and its rotation
+@example(_case("abc", 3, "abC", "cBA"))  # a relator and its inverse
+@example(_case("ab", 4, "a", "bAB"))  # length 1
+def test_low_index_matches_brute_force_hypothesis(case):
+    pres, n = case
+    tables = low_index_tables(pres, n)
+    assert [table_to_text(t) for t in tables] == brute_force_low_index(pres, n)
+
+
+@pytest.mark.parametrize(
+    "genus, n, count, digest",
+    [
+        (2, 4, 5275, "d09e3e7ae10dd705dee5e15faba4d40b506b16d26877d70fa747e85f423066b7"),
+        (3, 3, 7924, "30e682ec4b62ff28a8139c4f77a3c47412d3a858130ef21ca22d452a8bea0801"),
+    ],
+)
+def test_low_index_surface_grid_pinned(genus, n, count, digest):
+    # count is the Mednykh/Hall number; the digest pins the sorted output
+    tables = low_index_tables(surface_presentation(genus), n)
+    assert len(tables) == count
+    text = "".join(table_to_text(t) for t in tables)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_low_index_higman_empty():

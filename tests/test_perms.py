@@ -57,6 +57,17 @@ def test_perm_composition_is_right_action():
     assert inverse((1, 2, 0)) == (2, 0, 1)
 
 
+def test_hom_columns_stored_as_tuples():
+    from_lists = FiniteQuotientHom(AB, [[1, 0, 2], [0, 2, 1]])
+    from_tuples = hom((1, 0, 2), (0, 2, 1))
+    assert from_lists.gen_images == ((1, 0, 2), (0, 2, 1))
+    assert from_lists == from_tuples
+    assert hash(from_lists) == hash(from_tuples)
+    table = CosetTable(AB, ([1, 0], (0, 1)))
+    assert table == CosetTable(AB, ((1, 0), (0, 1)))
+    assert hash(table) == hash(CosetTable(AB, ((1, 0), (0, 1))))
+
+
 def test_hom_shape_validation():
     with pytest.raises(ValueError):
         FiniteQuotientHom(AB, ((0, 1),))
