@@ -27,7 +27,12 @@ from .lemma import (
     verify_certificate,
 )
 from .perms import DEFAULT_IMAGE_CEILING
-from .rewriting import rewrite_presentation, surface_survey
+from .rewriting import (
+    DEFAULT_REPORT_MAX_GENUS,
+    DEFAULT_REPORT_MAX_INDEX,
+    rewrite_presentation,
+    surface_survey,
+)
 from .transversal import (
     basis_through_word,
     basis_to_text,
@@ -181,8 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     surface_p.add_argument("--genus", type=int, required=True)
     surface_p.add_argument("--index", type=int, required=True)
-    surface_p.add_argument("--max-genus", type=int, default=4)
-    surface_p.add_argument("--max-index", type=int, default=6)
+    surface_p.add_argument("--max-genus", type=int, default=DEFAULT_REPORT_MAX_GENUS)
+    surface_p.add_argument("--max-index", type=int, default=DEFAULT_REPORT_MAX_INDEX)
     surface_p.set_defaults(func=cmd_surface)
 
     rewrite_p = sub.add_parser(

@@ -4,13 +4,16 @@ A :class:`CosetTable` is a :class:`~schreierkit.perms.FiniteQuotientHom`
 acting on coset identifiers ``0 .. n-1``; coset ``0`` is the base coset of
 the subgroup itself.  Tables are validated on construction: every
 generator's column must be a bijection and the action must be transitive
-from the base.
+from the base.  The one exception is the leaf of :func:`low_index_tables`,
+whose complete columns are permutations, hold their own inverses and act
+transitively by construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .errors import (
     AlphabetMismatch,
@@ -202,7 +205,19 @@ def low_index_tables(
     candidate targets are the already-introduced cosets in ascending order,
     then one fresh coset.  That discipline makes every completed table its
     own canonical BFS renumbering, so distinct outputs are distinct
-    subgroups of index ``n``.  Output is sorted by serialized canonical form.
+    subgroups of index ``n``.
+
+    Output is sorted by serialized canonical form, :func:`table_to_text`.
+    While ``n <= 10`` every coset id is one digit, so every generator line
+    has the same layout and text order is tuple order on ``gen_images``,
+    which is the key used.  Above that the text itself is the key: as text,
+    ``10`` sorts before ``2``.
+
+    A completed table is not re-validated.  Every edge is written into
+    column ``k`` and its inverse into column ``k ^ 1`` together, and only
+    where both slots are free, so complete columns are bijections held
+    with their inverses; every coset past the base came in as the image of
+    an earlier one, so the action is transitive from the base.
 
     Closure is driven by deductions (Sims, *Computation with Finitely
     Presented Groups*, ch. 5).  Each distinct cyclic rotation of each
@@ -282,7 +297,13 @@ def low_index_tables(
                 c, k = c + 1, 0
                 if c == used:
                     if used == n:
-                        found.append(CosetTable(p.alphabet, cols[::2]))
+                        found.append(
+                            CosetTable._trusted(
+                                p.alphabet,
+                                tuple(map(tuple, cols[::2])),
+                                tuple(map(tuple, cols[1::2])),
+                            )
+                        )
                     return
         column_taken = cols[k ^ 1]
         candidates = [d for d in range(used) if column_taken[d] < 0]
@@ -302,7 +323,8 @@ def low_index_tables(
                 used -= 1
 
     descend(BASE, 0)
-    return sorted(found, key=table_to_text)
+    found.sort(key=attrgetter("gen_images") if n <= 10 else table_to_text)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +337,7 @@ def table_to_text(t: CosetTable) -> str:
     ``<name>: i0 i1 ... i(n-1)``."""
     lines = [f"n={t.n}"]
     for g, name in enumerate(t.alphabet.names):
-        lines.append(f"{name}: " + " ".join(str(i) for i in t.gen_images[g]))
+        lines.append(f"{name}: " + " ".join(map(str, t.gen_images[g])))
     return "\n".join(lines) + "\n"
 
 

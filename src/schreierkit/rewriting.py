@@ -137,18 +137,19 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
     if p.alphabet != t.alphabet:
         raise AlphabetMismatch("presentation and table use different alphabets")
     orientation = AlphabetOrientation.empty()
-    edge_index = edge_numbering(t, tree_letters(t), orientation)
+    numbering = edge_numbering(t, tree_letters(t), orientation)
     walks = []
     for rel in p.relators:
         row = []
         for c in range(t.n):
-            positions, end = crossings(t, orientation, edge_index, c, rel)
+            positions, end = crossings(t, orientation, numbering, c, rel)
             if end != c:
                 raise RelatorNotKilled(rel, c)
             row.append(tuple(positions))
         walks.append(row)
+    generator_count = len(numbering) - numbering.count(None)
     # zip regroups the walks coset by coset
-    return SubgroupPresentation(t, len(edge_index), tuple(chain.from_iterable(zip(*walks))))
+    return SubgroupPresentation(t, generator_count, tuple(chain.from_iterable(zip(*walks))))
 
 
 def surface_survey(
@@ -168,7 +169,7 @@ def surface_survey(
     presentation = surface_presentation(g)
     rho_g = 2 * g - 1
     euler_g = 2 - 2 * g
-    for table in low_index_tables(presentation, n, max_index=max(n, 8)):
+    for table in low_index_tables(presentation, n, max_index=n):
         sp = rewrite_presentation(presentation, table)
         euler_g1 = 1 - sp.generator_count + len(sp.relators)
         report = SurfaceReport(

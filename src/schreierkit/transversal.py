@@ -76,11 +76,12 @@ class SubgroupBasis:
 
 def tree_letters(
     t: CosetTable, through: FreeWord | None = None
-) -> tuple[Letter | None, ...]:
+) -> tuple[tuple[int, int] | None, ...]:
     """The breadth-first search of a Schreier transversal, without words:
-    the last letter of each coset's representative, ``None`` at the base.
-    The letter ``(g, s)`` of coset ``c`` is its spanning-tree edge from its
-    parent ``c · g^-s``, whose representative is one letter shorter.
+    the last letter of each coset's representative as a ``(generator,
+    sign)`` pair, ``None`` at the base.  The letter ``(g, s)`` of coset
+    ``c`` is its spanning-tree edge from its parent ``c · g^-s``, whose
+    representative is one letter shorter.
 
     The transversal is seeded by the path of ``through``: its initial
     segments (the empty word up to all but its last letter, as
@@ -94,10 +95,10 @@ def tree_letters(
     therefore of minimal length among the words reaching their coset.
     """
     n = t.n
-    last: list[Letter | None] = [None] * n
+    last: list[tuple[int, int] | None] = [None] * n
     reached = [False] * n
     reached[BASE] = True
-    queue: deque[int] = deque([BASE])
+    queue = [BASE]
     if through is not None:
         if through.alphabet != t.alphabet:
             raise AlphabetMismatch("word and table use different alphabets")
@@ -111,9 +112,9 @@ def tree_letters(
             reached[c] = True
             last[c] = letter
             queue.append(c)
-    steps = [(Letter(g, s), t.image(g, s)) for g in range(t.alphabet.size) for s in (1, -1)]
-    while queue:
-        c = queue.popleft()
+    steps = [((g, s), t.image(g, s)) for g in range(t.alphabet.size) for s in (1, -1)]
+    # the loop also visits the cosets it appends, in order
+    for c in queue:
         for letter, column in steps:
             d = column[c]
             if not reached[d]:
@@ -124,56 +125,75 @@ def tree_letters(
 
 
 def edge_numbering(
-    t: CosetTable, last: Sequence[Letter | None], orientation: AlphabetOrientation
-) -> dict[tuple[int, int], int]:
+    t: CosetTable,
+    last: Sequence[tuple[int, int] | None],
+    orientation: AlphabetOrientation,
+) -> list[int | None]:
     """Number the edges of the coset graph that the spanning tree given by
-    ``last`` (as from :func:`tree_letters`) leaves out.  Edges are keyed by
-    ``(coset, generator)`` in the oriented forward direction and numbered
-    coset ascending, then generator ascending; there are exactly
+    ``last`` (as from :func:`tree_letters`) leaves out.  The edge leaving
+    coset ``c`` along generator ``g`` in the oriented forward direction
+    has slot ``c·m + g`` (``m`` generators); the result holds, slot by
+    slot, its number or ``None`` for a tree edge.  Numbers therefore run
+    coset ascending, then generator ascending, and there are exactly
     ``n·(m-1) + 1`` of them."""
-    tree: set[tuple[int, int]] = set()
+    m = t.alphabet.size
+    flipped = orientation.flipped
+    numbering: list[int | None] = [0] * (t.n * m)
     for c, letter in enumerate(last):
         if letter is None:
             continue
         g, s = letter
-        if s * orientation.sign(g) > 0:
-            tree.add((t.step(c, g, -s), g))
-        else:
-            tree.add((c, g))
-    edge_index: dict[tuple[int, int], int] = {}
-    for c in range(t.n):
-        for g in range(t.alphabet.size):
-            if (c, g) not in tree:
-                edge_index[(c, g)] = len(edge_index)
-    return edge_index
+        if (s > 0) != (g in flipped):
+            # the tree edge runs forward from the parent
+            c = t.step(c, g, -s)
+        numbering[c * m + g] = None
+    position = 0
+    for slot, mark in enumerate(numbering):
+        if mark is not None:
+            numbering[slot] = position
+            position += 1
+    return numbering
 
 
 def crossings(
     t: CosetTable,
     orientation: AlphabetOrientation,
-    edge_index: dict[tuple[int, int], int],
+    numbering: Sequence[int | None],
     start: int,
     w: FreeWord,
 ) -> tuple[list[tuple[int, int]], int]:
     """Walk ``w`` once from coset ``start``: the ``(edge number, sign)``
-    of each numbered (non-tree) edge crossed, tree edges contributing
-    nothing, and the coset where the walk ends, so that membership is read
-    off the same walk.  The caller checks that ``start`` is a coset of the
-    table and ``w`` is over its alphabet.  For reduced ``w`` the crossings
-    are freely reduced: between two crossings of one edge in opposite
-    directions the walk would be a closed non-backtracking path in the
-    spanning tree, which is empty, and then ``w`` itself would cancel."""
+    of each numbered (non-tree) edge crossed, as ``numbering`` (from
+    :func:`edge_numbering`) gives it, tree edges contributing nothing, and
+    the coset where the walk ends, so that membership is read off the same
+    walk.  The caller checks that ``start`` is a coset of the table and
+    ``w`` is over its alphabet.  For reduced ``w`` the crossings are freely
+    reduced: between two crossings of one edge in opposite directions the
+    walk would be a closed non-backtracking path in the spanning tree,
+    which is empty, and then ``w`` itself would cancel."""
+    m = t.alphabet.size
+    flipped = orientation.flipped
+    images = t.gen_images
+    inverses = [t.image(g, -1) for g in range(m)]
     out: list[tuple[int, int]] = []
     c = start
     for g, s in w.letters:
-        d = t.step(c, g, s)
-        if s * orientation.sign(g) > 0:
-            key, sign = (c, g), 1
+        # forward: the letter crosses its edge in the oriented forward
+        # direction, so the edge is keyed at the coset it leaves
+        if s > 0:
+            d = images[g][c]
+            forward = g not in flipped
         else:
-            key, sign = (d, g), -1
-        position = edge_index.get(key)
-        if position is not None:
-            out.append((position, sign))
+            d = inverses[g][c]
+            forward = g in flipped
+        if forward:
+            position = numbering[c * m + g]
+            if position is not None:
+                out.append((position, 1))
+        else:
+            position = numbering[d * m + g]
+            if position is not None:
+                out.append((position, -1))
         c = d
     return out, c
 
@@ -197,7 +217,7 @@ def schreier_transversal(
             g, s = last[d]  # type: ignore[misc]
             d = t.step(d, g, -s)
         for e in reversed(chain):
-            spelled[e] = spelled[d] + (last[e],)  # type: ignore[operator]
+            spelled[e] = spelled[d] + (Letter(*last[e]),)  # type: ignore[operator,misc]
             d = e
     return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))  # type: ignore[arg-type]
 
@@ -225,7 +245,12 @@ def schreier_basis(
     if any(w.alphabet != t.alphabet for w in tr.reps):
         raise AlphabetMismatch("representative alphabet differs from table alphabet")
     last = [w.letters[-1] if w.letters else None for w in tr.reps]
-    edge_index = edge_numbering(t, last, orientation)
+    m = t.alphabet.size
+    edge_index = {
+        divmod(slot, m): position
+        for slot, position in enumerate(edge_numbering(t, last, orientation))
+        if position is not None
+    }
     elements = []
     for c, g in edge_index:
         e = orientation.sign(g)
@@ -238,9 +263,16 @@ def rewrite_in_basis(b: SubgroupBasis, w: FreeWord) -> list[tuple[int, int]]:
     """Express a subgroup element in the basis: its crossings from the
     base.  The signed product of the corresponding basis elements freely
     reduces back to ``w`` exactly."""
-    if w.alphabet != b.table.alphabet:
+    t = b.table
+    if w.alphabet != t.alphabet:
         raise AlphabetMismatch("word and table use different alphabets")
-    positions, end = crossings(b.table, b.orientation, b.edge_index, BASE, w)
+    m = t.alphabet.size
+    numbering: list[int | None] = [None] * (t.n * m)
+    for (c, g), position in b.edge_index.items():
+        # a basis read from a certificate may carry keys off the table
+        if 0 <= c < t.n and 0 <= g < m:
+            numbering[c * m + g] = position
+    positions, end = crossings(t, b.orientation, numbering, BASE, w)
     if end != BASE:
         raise NotInSubgroup(f"{w} does not fix the base coset")
     return positions

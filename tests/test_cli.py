@@ -334,10 +334,32 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_surface_stdout_pinned(capsys):
-    code, out, _ = run(capsys, "surface", "--genus", "2", "--index", "3")
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (("2", "3"), "69874e48a383fc2d35a829476029ef31169ffb785781334f6e121efb343ae8f2"),
+        (("3", "2"), "8d57d4de98f986cf081e13dc9fd26796053d65676741145789891f2635f6c6fc"),
+        (
+            ("1", "8", "--max-index", "8"),
+            "51f1d60eac53bce7db81ea127f5d6af5489d291bc186c03e5e9a737f5c0bb78b",
+        ),
+        # two-digit coset ids: the order is the text order, not tuple order
+        (
+            ("1", "11", "--max-index", "11"),
+            "3ecbee43e24e59ac29aa43fa53e8595a8c2cdb776ddb1656f86e38d7f9090552",
+        ),
+        (
+            ("1", "12", "--max-index", "12"),
+            "264d55f45900eb80e3458090d475ffc5bdc2ee87b86b10577eae25d121c01eb0",
+        ),
+    ],
+    ids=["g2-n3", "g3-n2", "g1-n8", "g1-n11", "g1-n12"],
+)
+def test_surface_stdout_pinned(capsys, args, digest):
+    genus, index, *rest = args
+    code, out, _ = run(capsys, "surface", "--genus", genus, "--index", index, *rest)
     assert code == 0
-    assert sha256(out) == "69874e48a383fc2d35a829476029ef31169ffb785781334f6e121efb343ae8f2"
+    assert sha256(out) == digest
 
 
 @pytest.mark.parametrize(

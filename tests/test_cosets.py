@@ -20,6 +20,7 @@ from schreierkit import (
     contains,
     eval_word,
     free_reduce,
+    inverse,
     invert,
     is_regular,
     kills_relators,
@@ -314,6 +315,17 @@ def test_low_index_matches_brute_force_hypothesis(case):
     pres, n = case
     tables = low_index_tables(pres, n)
     assert [table_to_text(t) for t in tables] == brute_force_low_index(pres, n)
+    assert_leaf_tables_validate(tables)
+
+
+def assert_leaf_tables_validate(tables):
+    """Tables built from the enumerator's leaf columns, without validation,
+    equal the validated construction and carry the right inverses."""
+    for t in tables:
+        checked = CosetTable(t.alphabet, t.gen_images)
+        assert t == checked and hash(t) == hash(checked)
+        for g in range(t.alphabet.size):
+            assert t.image(g, -1) == inverse(t.gen_images[g])
 
 
 @pytest.mark.parametrize(
@@ -329,6 +341,17 @@ def test_low_index_surface_grid_pinned(genus, n, count, digest):
     assert len(tables) == count
     text = "".join(table_to_text(t) for t in tables)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert_leaf_tables_validate(tables)
+
+
+@pytest.mark.parametrize("n, count", [(11, 11), (12, 13)])
+def test_low_index_order_is_text_order_past_one_digit(n, count):
+    # two-digit coset ids: as text 10 sorts before 2, so tuple order differs
+    pres = Presentation(AB, (parse_word("aa", AB), parse_word("bb", AB)))
+    tables = low_index_tables(pres, n, max_index=n)
+    assert len(tables) == count
+    assert tables == sorted(tables, key=table_to_text)
+    assert tables != sorted(tables, key=lambda t: t.gen_images)
 
 
 def test_low_index_higman_empty():

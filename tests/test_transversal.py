@@ -25,6 +25,7 @@ from schreierkit import (
     check_transversal,
     concat_reduce,
     contains,
+    crossings,
     edge_numbering,
     empty_word,
     evaluate_positions,
@@ -699,6 +700,74 @@ def test_words_match_eager_reference():
                 assert basis.elements == oracle.elements
                 assert basis.edge_index == oracle.edge_index
                 assert list(basis.edge_index) == list(oracle.edge_index)
-                last = tree_letters(table, through)
-                assert edge_numbering(table, last, orientation) == oracle.edge_index
+                numbering = edge_numbering(table, tree_letters(table, through), orientation)
+                assert len(numbering) == table.n * m
+                assert {
+                    divmod(slot, m): position
+                    for slot, position in enumerate(numbering)
+                    if position is not None
+                } == oracle.edge_index
+                assert [x for x in numbering if x is not None] == list(
+                    range(len(oracle.edge_index))
+                )
     assert seeded > 50
+
+
+def reference_crossings(
+    t: CosetTable,
+    orientation: AlphabetOrientation,
+    edge_index: dict[tuple[int, int], int],
+    start: int,
+    w: FreeWord,
+) -> tuple[list[tuple[int, int]], int]:
+    """Oracle: the walker as it read the ``(coset, generator)`` keyed
+    ``SubgroupBasis.edge_index``, testing the orientation letter by letter."""
+    out: list[tuple[int, int]] = []
+    c = start
+    for g, s in w.letters:
+        d = t.step(c, g, s)
+        if s * orientation.sign(g) > 0:
+            key, sign = (c, g), 1
+        else:
+            key, sign = (d, g), -1
+        position = edge_index.get(key)
+        if position is not None:
+            out.append((position, sign))
+        c = d
+    return out, c
+
+
+def test_crossings_match_reference_walker():
+    """The walker over the flat numbering gives the reference's positions
+    and end coset for random reduced words from every coset, under the
+    empty orientation, random flips, and the flipped bases that
+    ``basis_through_word`` builds for a negative last letter."""
+    rng = random.Random(4242)
+    through_flipped = 0
+    for _ in range(120):
+        m = rng.randrange(1, 4)
+        alphabet = Alphabet.first(m)
+        table = random_table(rng, alphabet, rng.randrange(1, 13))
+        tr = schreier_transversal(table)
+        flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
+        bases = [schreier_basis(tr), schreier_basis(tr, AlphabetOrientation(flipped))]
+        w = random_subgroup_word(rng, table, max_tries=200)
+        if w is not None and w.letters[-1].sign < 0:
+            bases.append(basis_through_word(table, w)[0])
+            through_flipped += 1
+        for basis in bases:
+            last = [u.letters[-1] if u.letters else None for u in basis.transversal.reps]
+            numbering = edge_numbering(table, last, basis.orientation)
+            for start in range(table.n):
+                for _ in range(4):
+                    raw = [
+                        Letter(rng.randrange(m), rng.choice((1, -1)))
+                        for _ in range(rng.randrange(16))
+                    ]
+                    word = free_reduce(alphabet, raw)
+                    assert crossings(
+                        table, basis.orientation, numbering, start, word
+                    ) == reference_crossings(
+                        table, basis.orientation, basis.edge_index, start, word
+                    )
+    assert through_flipped > 20
