@@ -8,14 +8,18 @@ lexicographic permutation order.  The first homomorphism that kills all
 relators and separates the relator's initial segments wins, which makes
 the whole pipeline deterministic: equal inputs give byte-identical
 certificates, and raising the degree bound never changes a successful
-result.
+result.  Because the degrees ascend, a degree-``d`` tuple whose images
+all fix one point is skipped: its faithful restriction to the other
+points is a degree ``d - 1`` tuple, already searched.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cosets import (
     BASE,
@@ -86,60 +90,71 @@ class VerificationResult:
         return self.ok
 
 
-def _distinct_walk(
+def _separated(
     letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
     identity: tuple[int, ...],
-) -> tuple[int, ...] | None:
-    """Image of the word spelled by ``letters`` when all its initial
-    segments, the empty one and the whole word included, have pairwise
-    distinct images; ``None`` otherwise."""
+) -> bool:
+    """True iff all initial segments of the word spelled by ``letters``,
+    the empty one and the whole word included, have pairwise distinct
+    images."""
     acc = identity
     seen = {acc}
     for g, s in letters:
         acc = compose(acc, imgs[g] if s > 0 else invs[g])
         if acc in seen:
-            return None
+            return False
         seen.add(acc)
-    return acc
+    return True
 
 
-def _separates_and_kills(
-    r_letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
-    identity: tuple[int, ...],
+def _kills(
+    letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
+    degree: int,
 ) -> bool:
-    # images of the |r| initial segments must be pairwise distinct, and the
-    # full word must die (automatic when r lies in the relators' normal
-    # closure, but enforced so the subgroup always contains r)
-    acc = _distinct_walk(r_letters[:-1], imgs, invs, identity)
-    if acc is None:
-        return False
-    g, s = r_letters[-1]
-    return compose(acc, imgs[g] if s > 0 else invs[g]) == identity
+    """True iff the word spelled by ``letters`` maps to the identity.  Each
+    point is traced through the letters' columns, integer lookups only; a
+    word that does not die usually moves point 0 already."""
+    columns = [imgs[g] if s > 0 else invs[g] for g, s in letters]
+    for x in range(degree):
+        y = x
+        for column in columns:
+            y = column[y]
+        if y != x:
+            return False
+    return True
 
 
-def _cycle_type(p: tuple[int, ...]) -> tuple[int, ...]:
-    seen = [False] * len(p)
-    lengths = []
-    for start in range(len(p)):
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length:
-            lengths.append(length)
-    return tuple(sorted(lengths))
+def _partitions(n: int, least: int = 1) -> Iterator[tuple[int, ...]]:
+    """The partitions of ``n`` into parts of at least ``least``, each as a
+    tuple of ascending parts."""
+    if n == 0:
+        yield ()
+    for part in range(least, n + 1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
 
 
-def _class_minima(perms: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The least permutation of each cycle type, in lexicographic order.
-    ``perms`` must be all of S_d in lexicographic order; cycle types are
-    the conjugacy classes of S_d, so these are the class minima."""
-    first: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for p in perms:
-        first.setdefault(_cycle_type(p), p)
-    return list(first.values())
+def _class_minima(degree: int) -> list[tuple[int, ...]]:
+    """The least permutation of each cycle type of S_degree, in
+    lexicographic order; cycle types are the conjugacy classes of S_d.
+
+    The least permutation of a type puts its cycles on consecutive points,
+    shortest first, each sending a point to the next and its last point
+    back to its first.  Fill the images point by point: every image below
+    the current point is taken.  At the first point of a cycle the least
+    image left is the point itself, a 1-cycle, and otherwise the next
+    point; inside a cycle it is the cycle's first point, which closes it,
+    and otherwise the next point.  So each cycle is closed as early as the
+    type allows, which puts the shortest cycles first."""
+    minima = []
+    for lengths in _partitions(degree):
+        p: list[int] = []
+        for length in lengths:
+            start = len(p)
+            p.extend(range(start + 1, start + length))
+            p.append(start)
+        minima.append(tuple(p))
+    return sorted(minima)
 
 
 def _centraliser(
@@ -166,14 +181,16 @@ def _orbit_minima(
     to its inverse."""
     if len(group) == 1:
         return perms
-    pairs = [(s, inverses[s]) for s in group]
+    # itemgetter(*p)(x) is compose(p, x); the conjugate sending s[i] to
+    # s[q[i]] is compose(s^-1, compose(q, s)), two lookups in C
+    pairs = [(s, itemgetter(*inverses[s])) for s in group]
     marked: set[tuple[int, ...]] = set()
     minima = []
     for q in perms:
         if q not in marked:
             minima.append(q)
-            # the conjugate sending s[i] to s[q[i]]
-            marked.update(tuple(s[q[i]] for i in s_inv) for s, s_inv in pairs)
+            then_q = itemgetter(*q)
+            marked.update([then_s_inv(then_q(s)) for s, then_s_inv in pairs])
     return minima
 
 
@@ -197,15 +214,34 @@ def find_separating_quotient(
     first hit.  The three conditions are invariant under conjugating all
     generator images by one permutation ``s``.  So if ``T`` is the
     lexicographically least solution, every conjugate ``s T s^-1`` is a
-    solution too, and ``T <= s T s^-1`` for every ``s``.  Hence ``T[0]``
-    is the least permutation of its conjugacy class, that is of its cycle
-    type.  And ``T[k] <= s T[k] s^-1`` for every ``s`` that commutes with
-    ``T[0], ..., T[k-1]``, so ``T[k]`` is the least of its orbit under the
-    joint centraliser of the earlier images.  Generator ``k`` therefore ranges
-    only over those minima.  They are taken from the lexicographic list in
-    order, so the search order of the remaining tuples is unchanged and
-    the first tuple found is the same as in the plain search (McKay,
-    "Isomorph-free exhaustive generation", J. Algorithms 1998).
+    solution too, and ``T <= s T s^-1`` for every ``s``.  Hence ``T[k]`` is
+    the least of its orbit under the joint centraliser of ``T[0], ...,
+    T[k-1]``, and generator ``k`` ranges only over those orbit minima.
+    They are taken from the lexicographic list in order, so the search
+    order of the remaining tuples is unchanged and the first tuple found is
+    the same as in the plain search (McKay, "Isomorph-free exhaustive
+    generation", J. Algorithms 1998).  Where the joint centraliser is all
+    of S_d, as for generator 0, its orbits are the conjugacy classes of
+    S_d, that is the cycle types, so the orbit minima are the cycle-type
+    minima, read off with no conjugation.
+
+    At degree ``d >= 2`` the search also skips every tuple whose images
+    all fix one point: the last generator ranges only over permutations
+    that move every point the earlier images all fix.  Such a tuple
+    generates a group fixing that point, and the group acts faithfully on
+    the other ``d - 1`` points.  Relabelling them ``0 .. d-2`` in order
+    gives a degree ``d - 1`` tuple that kills the same words and maps the
+    initial segments of ``r`` to distinct permutations exactly when the
+    original does.  Degree ``d - 1`` was searched in full without a hit, so
+    no skipped tuple is a solution.  At ``d = 1`` nothing is skipped: the
+    trivial homomorphism is a real witness for a one-letter ``r``.  An
+    element of the joint centraliser of the earlier images permutes their
+    common fixed points, so the permutations left form whole orbits, and
+    the orbit minima among them are those of the plain rule less the
+    skipped ones.  Where that centraliser is all of S_d, the common fixed
+    points are no point or every point (for ``d >= 3`` the earlier images
+    are then all the identity), and the candidates left are the cycle-type
+    minima of the derangements.
     """
     if max_degree < 1:
         raise BadBound(f"max_degree must be at least 1, got {max_degree}")
@@ -235,38 +271,45 @@ def find_separating_quotient(
         perms = list(itertools.permutations(range(degree)))
         inverses = {q: inverse(q) for q in perms}
         identity = tuple(range(degree))
+        class_minima = _class_minima(degree)
         imgs: list[tuple[int, ...]] = []
         invs: list[tuple[int, ...]] = []
 
-        def assign(k: int, group: list[tuple[int, ...]]) -> bool:
-            # group: the joint centraliser of the images fixed so far
-            if k == m:
-                return _separates_and_kills(r.letters, imgs, invs, identity)
-            if k == 0:
-                candidates = _class_minima(perms)
-            else:
-                group = _centraliser(group, imgs[-1])
-                candidates = _orbit_minima(perms, group, inverses)
+        def assign(k: int, group: list[tuple[int, ...]], fixed: tuple[int, ...]) -> bool:
+            # group: the joint centraliser of the images fixed so far;
+            # fixed: the points they all fix
+            last = k == m - 1
+            whole = len(group) == len(perms)
+            candidates = class_minima if whole else perms
+            if last and degree > 1:
+                # the last image must move every point the earlier ones all fix
+                for x in fixed:
+                    candidates = [q for q in candidates if q[x] != x]
+            if not whole:
+                candidates = _orbit_minima(candidates, group, inverses)
+            relators = by_level[k + 1]
             for cand in candidates:
                 imgs.append(cand)
                 invs.append(inverses[cand])
-                ok = True
-                for rel in by_level[k + 1]:
-                    acc = identity
-                    for g, s in rel:
-                        acc = compose(acc, imgs[g] if s > 0 else invs[g])
-                    if acc != identity:
-                        ok = False
-                        break
-                if ok and early[k]:
-                    ok = _distinct_walk(early[k], imgs, invs, identity) is not None
-                if ok and assign(k + 1, group):
-                    return True
+                if not relators or all(_kills(rel, imgs, invs, degree) for rel in relators):
+                    if last:
+                        if _kills(r.letters, imgs, invs, degree) and _separated(
+                            r.letters[:-1], imgs, invs, identity
+                        ):
+                            return True
+                    elif (
+                        not early[k] or _separated(early[k], imgs, invs, identity)
+                    ) and assign(
+                        k + 1,
+                        _centraliser(group, cand),
+                        tuple(x for x in fixed if cand[x] == x),
+                    ):
+                        return True
                 imgs.pop()
                 invs.pop()
             return False
 
-        if assign(0, perms):
+        if assign(0, perms, identity):
             return FiniteQuotientHom(p.alphabet, tuple(imgs))
     return None
 

@@ -10,7 +10,7 @@ convention (coset times generator) used throughout the package.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Sequence, TypeVar
 
 from .errors import AlphabetMismatch, ImageTooLarge, InvalidHom, InvalidPermutation
@@ -38,14 +38,19 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FiniteQuotientHom:
     """A homomorphism from the free group on ``alphabet`` into S_degree,
-    given by one image tuple per generator; the inverse columns are stored
-    alongside.  Columns given as other sequences are stored as tuples, so
-    equal homomorphisms compare equal and hash alike.  A column that is not
-    a bijection raises :class:`InvalidPermutation`; count and degree errors
+    given by one image tuple per generator.  ``inverse_images`` holds the
+    inverse columns, computed on construction and read-only like the rest;
+    equality and hashing ignore it, since ``gen_images`` determines it.
+    Columns given as other sequences are stored as tuples, so equal
+    homomorphisms compare equal and hash alike.  A column that is not a
+    bijection raises :class:`InvalidPermutation`; count and degree errors
     raise :attr:`invalid`."""
 
     alphabet: Alphabet
     gen_images: tuple[tuple[int, ...], ...]
+    inverse_images: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     invalid: ClassVar[type[Exception]] = InvalidHom
 
@@ -62,7 +67,7 @@ class FiniteQuotientHom:
         degrees = {len(p) for p in self.gen_images}
         if len(degrees) != 1:
             raise self.invalid(f"generator images have mixed degrees: {sorted(degrees)}")
-        object.__setattr__(self, "_inverses", tuple(map(inverse, self.gen_images)))
+        object.__setattr__(self, "inverse_images", tuple(map(inverse, self.gen_images)))
 
     @classmethod
     def _trusted(
@@ -77,7 +82,7 @@ class FiniteQuotientHom:
         h = object.__new__(cls)
         object.__setattr__(h, "alphabet", alphabet)
         object.__setattr__(h, "gen_images", gen_images)
-        object.__setattr__(h, "_inverses", inverses)
+        object.__setattr__(h, "inverse_images", inverses)
         return h
 
     @property
@@ -85,11 +90,11 @@ class FiniteQuotientHom:
         return len(self.gen_images[0])
 
     def image(self, gen: int, sign: int) -> tuple[int, ...]:
-        return self.gen_images[gen] if sign > 0 else self._inverses[gen]
+        return self.gen_images[gen] if sign > 0 else self.inverse_images[gen]
 
     def step(self, point: int, gen: int, sign: int) -> int:
         """Image of ``point`` under one signed generator."""
-        perm = self.gen_images[gen] if sign > 0 else self._inverses[gen]
+        perm = self.gen_images[gen] if sign > 0 else self.inverse_images[gen]
         return perm[point]
 
 
@@ -121,7 +126,7 @@ def image_closure(
     certificates index cosets by it.  Raises :class:`ImageTooLarge` when
     the group has more than ``ceiling`` elements.
     """
-    steps = [h.image(g, s) for s in (1, -1) for g in range(h.alphabet.size)]
+    steps = h.gen_images + h.inverse_images
     identity = tuple(range(h.degree))
     seen: dict[tuple[int, ...], None] = {identity: None}
     queue: deque[tuple[int, ...]] = deque([identity])

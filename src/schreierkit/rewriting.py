@@ -70,10 +70,19 @@ class SubgroupPresentation:
         complex is a closed orientable surface, so each of its edges off the
         spanning tree borders exactly two faces, in opposite directions
         (Stillwell, *Classical Topology and Combinatorial Group Theory*,
-        §§3–4)."""
-        return sorted(chain.from_iterable(self.relators)) == [
-            (i, s) for i in range(self.generator_count) for s in (-1, 1)
-        ]
+        §§3–4).  A symbol outside ``0 .. generator_count - 1`` gives False."""
+        count = self.generator_count
+        # one slot per signed symbol: 2i for (i, +1), 2i + 1 for (i, -1)
+        unseen = [True] * (2 * count)
+        for relator in self.relators:
+            for position, sign in relator:
+                if not 0 <= position < count or sign not in (1, -1):
+                    return False
+                slot = 2 * position + (sign < 0)
+                if not unseen[slot]:
+                    return False
+                unseen[slot] = False
+        return not any(unseen)
 
     def symbol_name(self, position: int) -> str:
         return f"x{position}"

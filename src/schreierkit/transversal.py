@@ -173,8 +173,7 @@ def crossings(
     which is empty, and then ``w`` itself would cancel."""
     m = t.alphabet.size
     flipped = orientation.flipped
-    images = t.gen_images
-    inverses = [t.image(g, -1) for g in range(m)]
+    images, inverses = t.gen_images, t.inverse_images
     out: list[tuple[int, int]] = []
     c = start
     for g, s in w.letters:

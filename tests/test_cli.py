@@ -111,6 +111,17 @@ def test_witness_higman_notfound(capsys, tmp_path):
     assert (code, out) == (1, "NOTFOUND\n")
 
 
+def test_witness_notfound_past_brute_force_range(capsys, tmp_path):
+    # status pinned from the search before the common-fixed-point skip
+    pres = tmp_path / "free.pres"
+    pres.write_text("gens: a b\n")
+    code, out, _ = run(
+        capsys, "witness", "--presentation", str(pres), "--relator", "baaBAbAB",
+        "--max-degree", "7",
+    )
+    assert (code, out) == (1, "NOTFOUND\n")
+
+
 def test_witness_image_beyond_ceiling_is_input_error(capsys, tmp_path, monkeypatch):
     # a first witness generating S_8 (40320 elements) has no regular table
     # within the closure ceiling

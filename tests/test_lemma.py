@@ -70,42 +70,61 @@ def test_find_separating_quotient_aa():
     assert h == brute_force_first_hom(AA_PRES, AA_REL, 4)
 
 
-def test_find_separating_quotient_matches_brute_force():
-    def pres(alphabet, *relators):
-        return Presentation(alphabet, tuple(parse_word(t, alphabet) for t in relators))
+def _pres(alphabet, *relators):
+    return Presentation(alphabet, tuple(parse_word(t, alphabet) for t in relators))
 
-    cases = [
-        (pres(AB), "ab", 3),
-        (pres(AB), "aB", 3),
-        (pres(AB, "abAB"), "abAB", 3),
-        (pres(AB, "aB"), "aB", 3),
-        (pres(Alphabet.of("a")), "aaa", 3),
-        # found, two generators
-        (pres(AB), "abAB", 4),
-        (pres(AB), "aabb", 4),
-        (pres(AB), "aaab", 4),
-        (pres(AB, "bbb"), "abbaB", 4),
-        (pres(AB, "aaaa"), "aBAbab", 4),
-        # NOTFOUND, two generators
-        (pres(AB), "aBBAAA", 4),
-        (pres(AB), "baaBAbAB", 4),
-        (pres(AB, "abAB"), "abbAAB", 4),
-        (pres(AB, "bbbb", "abab"), "bab", 4),
-        # found, three generators
-        (pres(ABC), "abc", 3),
-        (pres(ABC), "cab", 3),
-        (pres(ABC, "abAB"), "abcabc", 3),
-        # NOTFOUND, three generators
-        (pres(ABC), "aCbbA", 3),
-        (pres(ABC, "aa"), "bcaaB", 3),
-        (pres(ABC, "abAB", "cc"), "acbCAB", 3),
-        (pres(ABC, "cc", "aaa"), "bbcA", 3),
-    ]
-    for p, text, degree in cases:
+
+SEARCH_CASES = [
+    (_pres(AB), "ab", 3),
+    (_pres(AB), "aB", 3),
+    (_pres(AB, "abAB"), "abAB", 3),
+    (_pres(AB, "aB"), "aB", 3),
+    (_pres(Alphabet.of("a")), "aaa", 3),
+    # found, two generators
+    (_pres(AB), "abAB", 4),
+    (_pres(AB), "aabb", 4),
+    (_pres(AB), "aaab", 4),
+    (_pres(AB, "bbb"), "abbaB", 4),
+    (_pres(AB, "aaaa"), "aBAbab", 4),
+    # NOTFOUND, two generators
+    (_pres(AB), "aBBAAA", 4),
+    (_pres(AB), "baaBAbAB", 4),
+    (_pres(AB, "abAB"), "abbAAB", 4),
+    (_pres(AB, "bbbb", "abab"), "bab", 4),
+    # found, three generators
+    (_pres(ABC), "abc", 3),
+    (_pres(ABC), "cab", 3),
+    (_pres(ABC, "abAB"), "abcabc", 3),
+    # NOTFOUND, three generators
+    (_pres(ABC), "aCbbA", 3),
+    (_pres(ABC, "aa"), "bcaaB", 3),
+    (_pres(ABC, "abAB", "cc"), "acbCAB", 3),
+    (_pres(ABC, "cc", "aaa"), "bbcA", 3),
+]
+
+
+def test_find_separating_quotient_matches_brute_force():
+    for p, text, degree in SEARCH_CASES:
         r = parse_word(text, p.alphabet)
         assert find_separating_quotient(p, r, degree) == brute_force_first_hom(
             p, r, degree
         ), (p, text, degree)
+
+
+def _has_common_fixed_point(h):
+    return any(all(q[x] == x for q in h.gen_images) for x in range(h.degree))
+
+
+def test_first_hom_has_no_common_fixed_point():
+    # the first solution above degree 1 never has one: its restriction to
+    # the other points would be a solution of lower degree
+    found = 0
+    for p, text, degree in SEARCH_CASES:
+        h = brute_force_first_hom(p, parse_word(text, p.alphabet), degree)
+        if h is not None and h.degree >= 2:
+            assert not _has_common_fixed_point(h), (p, text, degree)
+            found += 1
+    assert found >= 8
 
 
 def _words(alphabet, min_size, max_size):
@@ -122,7 +141,7 @@ def _words(alphabet, min_size, max_size):
 @st.composite
 def _search_inputs(draw):
     alphabet = Alphabet.first(draw(st.integers(1, 3)))
-    relators = draw(st.lists(_words(alphabet, 1, 6), max_size=2))
+    relators = draw(st.lists(_words(alphabet, 1, 6), max_size=3))
     r = draw(_words(alphabet, 1, 8))
     degree = 4 if alphabet.size <= 2 else 3
     return Presentation(alphabet, tuple(relators)), r, degree
@@ -135,6 +154,15 @@ def test_find_separating_quotient_matches_brute_force_hypothesis(inputs):
     assert find_separating_quotient(p, r, degree) == brute_force_first_hom(p, r, degree)
 
 
+@settings(max_examples=100, deadline=None)
+@given(_search_inputs())
+def test_found_hom_has_no_common_fixed_point_hypothesis(inputs):
+    # one degree past the brute-force range
+    p, r, degree = inputs
+    h = find_separating_quotient(p, r, degree + 1)
+    assert h is None or h.degree == 1 or not _has_common_fixed_point(h)
+
+
 def _conjugates(p, group):
     return {compose(compose(inverse(s), p), s) for s in group}
 
@@ -142,7 +170,7 @@ def _conjugates(p, group):
 def test_class_minima_are_conjugacy_class_minima():
     for degree in range(1, 7):
         perms = list(itertools.permutations(range(degree)))
-        minima = _class_minima(perms)
+        minima = _class_minima(degree)
         assert minima == sorted(minima)
         covered = 0
         for rep in minima:
@@ -165,14 +193,22 @@ def test_orbit_minima_match_brute_force_orbits():
         assert minima == sorted(min(orbit) for orbit in orbits)
         return centraliser, minima
 
+    def moving(perms, images):
+        # the last generator's pool: permutations moving every point that
+        # all earlier images fix, a union of centraliser orbits
+        fixed = [x for x in range(len(perms[0])) if all(q[x] == x for q in images)]
+        return [q for q in perms if all(q[x] != x for x in fixed)]
+
     for degree in range(1, 6):
         perms = list(itertools.permutations(range(degree)))
-        for p0 in _class_minima(perms):
+        for p0 in _class_minima(degree):
             group, minima = check(perms, perms, p0)
+            check(moving(perms, [p0]), perms, p0)
             if degree <= 4:
                 # the joint centraliser of two fixed images
                 for p1 in minima:
                     check(perms, group, p1)
+                    check(moving(perms, [p0, p1]), group, p1)
 
 
 def test_single_letter_relator_uses_trivial_quotient():

@@ -14,6 +14,7 @@ from schreierkit import (
     Letter,
     Presentation,
     RelatorNotKilled,
+    SubgroupPresentation,
     compose,
     concat_reduce,
     eval_word,
@@ -264,3 +265,21 @@ def test_corrupted_crossings_fail_the_pairing_check():
             bad = replace(sp, relators=tuple(map(tuple, corrupted)))
             assert not bad.symbols_paired()
             assert not replace(report, symbols_paired=bad.symbols_paired()).checks_pass
+
+
+def test_symbols_paired_on_hand_built_presentations():
+    table = CosetTable(AB, ((0,), (0,)))
+
+    def paired(count, *relators):
+        return SubgroupPresentation(table, count, relators).symbols_paired()
+
+    assert paired(2, ((0, 1), (1, 1), (0, -1), (1, -1)))
+    assert paired(2, ((0, 1), (1, -1)), ((1, 1),), ((0, -1),))
+    assert paired(0)
+    # (0, +1) twice, so (0, -1) is missing though the length is right
+    assert not paired(2, ((0, 1), (1, 1), (0, 1), (1, -1)))
+    # symbol 1 never appears
+    assert not paired(2, ((0, 1), (0, -1)))
+    # a position outside 0 .. generator_count - 1 gives False, not an error
+    assert not paired(1, ((0, 1), (0, -1), (1, 1)))
+    assert not paired(1, ((0, 1), (-1, -1)))
