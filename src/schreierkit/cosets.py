@@ -40,6 +40,8 @@ class CosetTable(FiniteQuotientHom):
 
     def __post_init__(self) -> None:
         super().__post_init__()
+        if self.n == 0:
+            raise InvalidTable("a coset table needs at least one coset, got index 0")
         columns = [self.image(g, s) for g in range(self.alphabet.size) for s in (1, -1)]
         reached = {BASE}
         frontier = deque([BASE])

@@ -351,11 +351,6 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     from the producer.  Collects all failures instead of stopping early so
     the result names each broken invariant."""
     failures: list[str] = []
-
-    def fail(name: str) -> None:
-        if name not in failures:
-            failures.append(name)
-
     p, r = c.presentation, c.relator
     alphabets = (
         [p.alphabet, r.alphabet, c.hom.alphabet, c.table.alphabet]
@@ -367,27 +362,30 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     n, m = c.table.n, p.alphabet.size
 
     if not kills_relators(c.hom, p.relators):
-        fail("hom_kills_relators")
+        failures.append("hom_kills_relators")
     try:
         regular: CosetTable | None = regular_table(c.hom)
     except ImageTooLarge:
         regular = None
     # the regular table has one coset per image element
     if regular is None or regular.n != c.image_order or c.image_order != n:
-        fail("image_order_matches")
+        failures.append("image_order_matches")
     if c.table != regular:
-        fail("table_matches_regular")
+        failures.append("table_matches_regular")
     if not all(contains(c.table, rel) for rel in p.relators):
-        fail("relators_in_subgroup")
+        failures.append("relators_in_subgroup")
     if len(r) == 0 or not contains(c.table, r):
-        fail("relator_in_subgroup")
+        failures.append("relator_in_subgroup")
     if len(r) == 0 or not separates_prefixes(c.table, r):
-        fail("prefixes_separated")
+        failures.append("prefixes_separated")
 
-    if c.transversal.table != c.table:
-        fail("transversal_over_table")
+    # the Schreier recomputation needs a valid transversal over this table
+    tree_ok = c.transversal.table == c.table
+    if not tree_ok:
+        failures.append("transversal_over_table")
     if check_transversal(c.transversal):
-        fail("transversal_valid")
+        failures.append("transversal_valid")
+        tree_ok = False
     elif len(r) > 0:
         # one walk along r: the representatives are prefix-closed and trace
         # to their cosets, so if rep(d) spells r[:i-1], rep(d·x) spells
@@ -396,35 +394,33 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         for i, letter in enumerate(r.letters[:-1], 1):
             coset = c.table.step(coset, *letter)
             if len(reps[coset]) != i or reps[coset].letters[-1] != letter:
-                fail("transversal_seeded")
+                failures.append("transversal_seeded")
                 break
 
     if check_basis(c.basis):
-        fail("basis_invariants")
-    if not 0 <= c.r_position < len(c.basis.elements):
-        fail("r_position_valid")
-    elif c.basis.elements[c.r_position] != r:
-        fail("r_position_valid")
+        failures.append("basis_invariants")
+    if not (0 <= c.r_position < len(c.basis.elements) and c.basis.elements[c.r_position] == r):
+        failures.append("r_position_valid")
 
-    if "transversal_valid" not in failures and "transversal_over_table" not in failures:
+    if tree_ok:
         recomputed = schreier_basis(c.transversal, c.basis.orientation)
         raw_elements = list(recomputed.elements)
         if 0 <= c.r_position < len(raw_elements):
             raw = raw_elements[c.r_position]
             expected_raw = invert(r) if c.matched_inverse else r
             if raw != expected_raw:
-                fail("matched_inverse_consistent")
+                failures.append("matched_inverse_consistent")
             raw_elements[c.r_position] = r
         if (
             tuple(raw_elements) != c.basis.elements
             or recomputed.edge_index != c.basis.edge_index
         ):
-            fail("basis_matches_schreier_method")
+            failures.append("basis_matches_schreier_method")
 
     if c.generator_bound != (m - 1) * n or c.generator_bound != len(c.basis.elements) - 1:
-        fail("generator_bound_matches")
+        failures.append("generator_bound_matches")
     if not fold_verify(c.basis):
-        fail("fold_verify_passes")
+        failures.append("fold_verify_passes")
 
     return VerificationResult(tuple(failures))
 

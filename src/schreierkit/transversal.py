@@ -21,11 +21,10 @@ read off.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cosets import BASE, CosetTable, contains, trace
+from .cosets import BASE, CosetTable, contains
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
 from .words import FreeWord, Letter, concat_reduce, empty_word, invert
 
@@ -321,8 +320,11 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
 
 def fold_verify(b: SubgroupBasis) -> bool:
     """Check, independently of the transversal, that the elements are a
-    basis of exactly the table's subgroup.  Reads only ``b.elements`` and
-    ``b.table``.
+    basis of exactly the table's subgroup ``H``: there are exactly
+    ``k = n·(m-1) + 1`` of them (index ``n``, ``m`` generators), each
+    fixing the base coset, and their folded graph has ``V = n`` vertices
+    and ``E = n·m`` edges.  Reads only ``b.elements`` and ``b.table``; an
+    element over another alphabet raises :class:`AlphabetMismatch`.
 
     Wedges one loop per element at a base vertex, then folds (Stallings,
     1983): while two equally-labeled edges leave (or enter) the same
@@ -330,24 +332,34 @@ def fold_verify(b: SubgroupBasis) -> bool:
     fold is a worklist over half-edges with union-find on the vertices and
     one neighbour slot per vertex and signed letter; a merge re-files the
     at most ``2m`` slots of the absorbed vertex, so the work is near-linear
-    in the total letter count.  Identifying two vertices removes one vertex
-    and one edge; merging two edges whose far ends already coincide removes
-    only an edge and witnesses a dependent (non-basis) list.  Folding is
-    confluent, so the list is independent exactly when the folded graph has
-    rank ``E - V + 1`` equal to the number of elements.  The folded graph
-    must then be isomorphic, as a based labeled graph, to the coset graph
-    of the table.
+    in the total letter count.
+
+    The folded graph is connected and folded; with ``n`` vertices and
+    ``n·m`` edges it is complete, so it is the coset graph of
+    ``K = <elements>`` and ``K`` has index ``n``.  ``K ≤ H`` as every
+    element fixes the base, and ``[F:H] = n``, so ``K = H``.  Merging two
+    edges whose far ends already coincide lowers the rank by one, and
+    nothing else changes it; folding is confluent, so the list is
+    independent exactly when ``E - V + 1 = n·(m-1) + 1`` equals ``k``, as
+    the counts make it.  An empty element lays out no loop, so with one
+    the rank falls short of ``k`` and the counts cannot both hold.
     """
     t = b.table
-    width = 2 * t.alphabet.size  # slot 2g: out along g; slot 2g+1: in along g
+    if any(w.alphabet != t.alphabet for w in b.elements):
+        raise AlphabetMismatch("basis element and table use different alphabets")
+    n, m = t.n, t.alphabet.size
+    if len(b.elements) != n * (m - 1) + 1:
+        return False
+    images, inverses = t.gen_images, t.inverse_images
+    width = 2 * m  # slot 2g: out along g; slot 2g+1: in along g
     parent = [0]  # union-find over vertices; vertex 0 is the base
     work: list[int] = []  # flat (vertex, slot, far vertex) half-edges
     for w in b.elements:
-        if len(w) == 0:
-            return False
+        coset = BASE
         current = 0
         last = len(w) - 1
         for i, (g, s) in enumerate(w.letters):
+            coset = images[g][coset] if s > 0 else inverses[g][coset]
             if i == last:
                 target = 0
             else:
@@ -356,6 +368,8 @@ def fold_verify(b: SubgroupBasis) -> bool:
             slot = 2 * g + (s < 0)
             work += (current, slot, target, target, slot ^ 1, current)
             current = target
+        if coset != BASE:
+            return False
 
     def find(x: int) -> int:
         root = x
@@ -387,32 +401,7 @@ def fold_verify(b: SubgroupBasis) -> bool:
 
     vertices = sum(1 for v, p in enumerate(parent) if v == p)
     edges = sum(1 for y in nbr if y >= 0) // 2
-    if edges - vertices + 1 != len(b.elements):
-        return False
-    if vertices != t.n:
-        return False
-    # match against the coset graph by following generators from the base
-    base = find(0)
-    mapping = {base: BASE}
-    queue = deque([base])
-    while queue:
-        u = queue.popleft()
-        c = mapping[u]
-        for g in range(t.alphabet.size):
-            v = nbr[u * width + 2 * g]
-            if v < 0:
-                return False  # coset graph is complete; folded graph is not
-            v = find(v)
-            expected = t.step(c, g, 1)
-            if v in mapping:
-                if mapping[v] != expected:
-                    return False
-            else:
-                mapping[v] = expected
-                queue.append(v)
-    if len(mapping) != t.n or len(set(mapping.values())) != t.n:
-        return False
-    return True
+    return vertices == n and edges == n * m
 
 
 # ---------------------------------------------------------------------------
@@ -421,22 +410,30 @@ def fold_verify(b: SubgroupBasis) -> bool:
 
 
 def check_transversal(tr: SchreierTransversal) -> list[str]:
-    """Re-validate the transversal invariants; returns failure descriptions."""
-    failures: list[str] = []
+    """Re-validate the transversal invariants; returns failure descriptions.
+
+    Reads the spanning tree: one representative per coset over the table's
+    alphabet, the empty one at the base only, and every other one its
+    parent's plus one letter, the parent being the coset it steps back to
+    along that last letter.  By induction on length each representative
+    then traces from the base to its own coset (its parent's traces to the
+    parent, and the letter steps on), and the set is prefix-closed."""
     t = tr.table
     if len(tr.reps) != t.n:
         return [f"expected {t.n} representatives, found {len(tr.reps)}"]
-    if len(tr.reps[BASE]) != 0:
-        failures.append("base representative is not the empty word")
-    pool = {w.letters for w in tr.reps if w.alphabet == t.alphabet}
+    failures: list[str] = []
     for c, w in enumerate(tr.reps):
         if w.alphabet != t.alphabet:
             failures.append(f"representative {c} uses a different alphabet")
-            continue
-        if trace(t, BASE, w) != c:
-            failures.append(f"representative {w} does not trace to coset {c}")
-        if len(w) > 0 and w.letters[:-1] not in pool:
-            failures.append(f"representative set is not prefix-closed at {w}")
+        elif c == BASE:
+            if w.letters:
+                failures.append(f"base representative {w} is not the empty word")
+        elif not w.letters:
+            failures.append(f"representative of coset {c} is the empty word")
+        else:
+            g, s = w.letters[-1]
+            if tr.reps[t.step(c, g, -s)].letters != w.letters[:-1]:
+                failures.append(f"representative {w} of coset {c} does not extend its parent's")
     return failures
 
 

@@ -115,12 +115,6 @@ class FreeWord:
             names[g] if s > 0 else names[g].upper() for g, s in self.letters
         )
 
-    def __mul__(self, other: "FreeWord") -> "FreeWord":
-        return concat_reduce(self, other)
-
-    def __invert__(self) -> "FreeWord":
-        return invert(self)
-
 
 def empty_word(alphabet: Alphabet) -> FreeWord:
     return FreeWord(alphabet, ())

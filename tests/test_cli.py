@@ -199,6 +199,18 @@ def test_verify_rejects_table_beyond_ceiling(capsys, tmp_path):
     )
 
 
+def test_verify_rejects_table_without_cosets(capsys, tmp_path):
+    def edit(doc):
+        doc["table"] = {"n": 0, "action": [[], []]}
+
+    code, out, err = oversized_certificate(capsys, tmp_path, edit)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: malformed certificate:"
+        " a coset table needs at least one coset, got index 0\n"
+    )
+
+
 def verify_golden_edited(capsys, tmp_path, field, key, value):
     doc = json.loads(AA_CERTIFICATE)
     doc[field][key] = value

@@ -17,6 +17,7 @@ from schreierkit import (
     Letter,
     Presentation,
     canonical_form,
+    concat_reduce,
     contains,
     eval_word,
     free_reduce,
@@ -94,6 +95,11 @@ def test_table_validation():
         CosetTable(AB, ((1, 0), (0, 1, 2)))  # mixed degrees
 
 
+def test_table_needs_a_coset():
+    with pytest.raises(InvalidTable, match="at least one coset, got index 0"):
+        CosetTable(AB, ((), ()))
+
+
 def test_regular_table_examples():
     trivial = regular_table(hom((0,), (0,)))
     assert trivial.n == 1
@@ -130,7 +136,7 @@ def test_trace_action_law():
         u = random_word(rng, AB, 8)
         v = random_word(rng, AB, 8)
         c = rng.randrange(table.n)
-        assert trace(table, c, u * v) == trace(table, trace(table, c, u), v)
+        assert trace(table, c, concat_reduce(u, v)) == trace(table, trace(table, c, u), v)
 
 
 def test_trace_depends_only_on_group_element():
@@ -161,7 +167,7 @@ def test_contains_subgroup_closure():
         u = random_word(rng, AB, 10)
         v = random_word(rng, AB, 10)
         if contains(TWO, u) and contains(TWO, v):
-            assert contains(TWO, u * v)
+            assert contains(TWO, concat_reduce(u, v))
 
 
 def test_separates_prefixes():
@@ -293,7 +299,7 @@ def _low_index_cases(draw):
         elif kind == "inverse":
             relators.append(invert(base))
         else:
-            relators.append(base * base)
+            relators.append(concat_reduce(base, base))
     return Presentation(alphabet, tuple(relators)), n
 
 

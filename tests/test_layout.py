@@ -53,3 +53,22 @@ def test_every_error_class_is_used():
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
     assert sorted(defined - named) == []
+
+
+def test_every_verifier_failure_name_is_tested():
+    lemma = ast.parse((SRC / "lemma.py").read_text())
+    verify = next(
+        node for node in lemma.body
+        if isinstance(node, ast.FunctionDef) and node.name == "verify_certificate"
+    )
+    # the only identifier-shaped strings in the verifier are its failure names
+    emitted = {
+        node.value
+        for node in ast.walk(verify)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and node.value.isidentifier()
+    }
+    tests = (SRC.parent.parent / "tests" / "test_lemma.py").read_text()
+    assert len(emitted) >= 16
+    assert sorted(name for name in emitted if f'"{name}"' not in tests) == []

@@ -458,3 +458,71 @@ def test_transversal_seeded_matches_initial_segment_definition():
             expected = any(reps[trace(cert.table, BASE, p)] != p for p in prefixes(w))
             failures = verify_certificate(tampered(cert, relator=w)).failures
             assert ("transversal_seeded" in failures) == expected, (r, str(w))
+
+
+# each tampering below reaches a failure name that no other test reaches,
+# and the whole failure tuple is pinned
+
+
+def test_verify_flags_relator_over_other_alphabet():
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    bad = tampered(cert, relator=parse_word("aa", ABC))
+    assert verify_certificate(bad).failures == ("alphabets_consistent",)
+
+
+def test_verify_flags_relator_not_killed_by_hom():
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    extended = Presentation(AB, (AA_REL, parse_word("a", AB)))
+    assert verify_certificate(tampered(cert, presentation=extended)).failures == (
+        "hom_kills_relators",
+        "relators_in_subgroup",
+    )
+
+
+def test_verify_flags_relator_outside_subgroup():
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    assert verify_certificate(tampered(cert, relator=parse_word("a", AB))).failures == (
+        "relator_in_subgroup",
+        "r_position_valid",
+        "matched_inverse_consistent",
+        "basis_matches_schreier_method",
+    )
+
+
+def test_verify_flags_transversal_over_other_table():
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    other = SchreierTransversal(CosetTable(AB, ((1, 0), (1, 0))), cert.transversal.reps)
+    assert verify_certificate(tampered(cert, transversal=other)).failures == (
+        "transversal_over_table",
+    )
+
+
+def test_verify_flags_invalid_transversal():
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    # "b" fixes the base, so it cannot represent coset 1
+    broken = SchreierTransversal(cert.table, (cert.transversal.reps[0], parse_word("b", AB)))
+    assert verify_certificate(tampered(cert, transversal=broken)).failures == (
+        "transversal_valid",
+    )
+
+
+@pytest.mark.parametrize("position", [-1, 3])
+def test_verify_flags_r_position_out_of_range(position):
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    assert verify_certificate(tampered(cert, r_position=position)).failures == (
+        "r_position_valid",
+    )
+
+
+def test_verify_flags_list_that_does_not_fold():
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    basis = cert.basis
+    # bb lies in the subgroup, but {bb, aa, abA} generates a proper subgroup of it
+    edited = SubgroupBasis(
+        basis.table, basis.transversal, basis.orientation,
+        (parse_word("bb", AB),) + basis.elements[1:], basis.edge_index,
+    )
+    assert verify_certificate(tampered(cert, basis=edited)).failures == (
+        "basis_matches_schreier_method",
+        "fold_verify_passes",
+    )

@@ -14,6 +14,7 @@ from schreierkit import (
     Letter,
     Presentation,
     compose,
+    concat_reduce,
     eval_word,
     free_reduce,
     image_closure,
@@ -97,7 +98,7 @@ def test_eval_word_laws():
         u = random_word(rng, AB, 10)
         v = random_word(rng, AB, 10)
         assert eval_word(h, invert(u)) == inverse(eval_word(h, u))
-        assert eval_word(h, u * v) == compose(eval_word(h, u), eval_word(h, v))
+        assert eval_word(h, concat_reduce(u, v)) == compose(eval_word(h, u), eval_word(h, v))
 
 
 def test_kills_relators():

@@ -391,6 +391,22 @@ def test_fold_verify_rejects_tampered_lists():
     )
     assert not fold_verify(squared)
 
+    # in the subgroup and of the right count, but bb folds onto b: the
+    # folded graph has the right vertex count and too few edges
+    assert not fold_verify(with_elements(basis, [parse_word(w, AB) for w in ("b", "aa", "bb")]))
+
+    # over one coset, aB twice folds to two edges joining two vertices: the
+    # right edge count with a vertex too many
+    one = regular_table(FiniteQuotientHom(AB, ((0,), (0,))))
+    rose = schreier_basis(schreier_transversal(one))
+    assert not fold_verify(with_elements(rose, [parse_word("aB", AB)] * 2))
+
+    # a basis of the other index-2 subgroup, whose coset graph has the same
+    # counts: only the membership of its elements tells them apart
+    other = schreier_basis(schreier_transversal(CosetTable(AB, ((0, 1), (1, 0)))))
+    assert fold_verify(other)
+    assert not fold_verify(with_elements(basis, other.elements))
+
 
 class _ReferenceUnionFind:
     def __init__(self) -> None:
@@ -500,10 +516,11 @@ def with_elements(basis, elements):
     )
 
 
-def tampered_lists(rng, elements):
+def tampered_lists(rng, table, elements):
     """The element list itself plus the tampered variants: dropped,
     duplicated, squared, a product substituted, one element inverted,
-    shuffled, and a product appended."""
+    shuffled, a product appended, the empty word substituted and (when the
+    index is above 1) a non-member substituted."""
     elements = list(elements)
     k = len(elements)
     i, j = rng.randrange(k), rng.randrange(k)
@@ -523,6 +540,16 @@ def tampered_lists(rng, elements):
     rng.shuffle(shuffled)
     variants.append(shuffled)
     variants.append(elements + [concat_reduce(elements[i], elements[j])])
+    emptied = list(elements)
+    emptied[i] = empty_word(table.alphabet)
+    variants.append(emptied)
+    # a generator that moves the base exists exactly when the index is above 1
+    movers = [g for g in range(table.alphabet.size) if table.step(BASE, g, 1) != BASE]
+    if movers:
+        outside = list(elements)
+        letter = FreeWord(table.alphabet, (Letter(rng.choice(movers), 1),))
+        outside[j] = concat_reduce(elements[j], letter)
+        variants.append(outside)
     return variants
 
 
@@ -538,13 +565,17 @@ def test_fold_verify_matches_reference_fold():
         if w is not None:
             bases.append(basis_through_word(table, w)[0])
         for basis in bases:
-            for elements in tampered_lists(rng, basis.elements):
+            for elements in tampered_lists(rng, table, basis.elements):
                 candidate = with_elements(basis, elements)
                 verdict = fold_verify(candidate)
                 assert verdict == reference_fold_verify(candidate)
                 verdicts[verdict] += 1
                 if len(elements) > len(basis.elements):
                     assert not verdict  # a dependent list must drop rank
+        # a basis of another subgroup of the same index
+        stranger = schreier_basis(schreier_transversal(random_table(rng, table.alphabet, n)))
+        candidate = with_elements(bases[0], stranger.elements)
+        assert fold_verify(candidate) == reference_fold_verify(candidate)
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
@@ -555,6 +586,138 @@ def test_fold_verify_large_index():
     assert fold_verify(basis)
     extra = concat_reduce(basis.elements[0], basis.elements[1])
     assert not fold_verify(with_elements(basis, basis.elements + (extra,)))
+
+
+def test_fold_verify_rejects_other_alphabet():
+    basis = schreier_basis(schreier_transversal(TWO))
+    abc = Alphabet.of("abc")
+    foreign = [parse_word(text, abc) for text in ("b", "Ca", "abA")]
+    with pytest.raises(AlphabetMismatch):
+        fold_verify(with_elements(basis, foreign))
+
+
+THREE = CosetTable(AB, ((1, 2, 0), (0, 1, 2)))
+
+
+def transversal_of(table, *texts):
+    return SchreierTransversal(table, tuple(parse_word(text, table.alphabet) for text in texts))
+
+
+def test_check_transversal_conditions():
+    assert check_transversal(transversal_of(THREE, "1", "a", "A")) == []
+    assert check_transversal(transversal_of(THREE, "1", "a")) == [
+        "expected 3 representatives, found 2"
+    ]
+    one = regular_table(FiniteQuotientHom(AB, ((0,), (0,))))
+    assert check_transversal(transversal_of(one, "b")) == [
+        "base representative b is not the empty word"
+    ]
+    assert check_transversal(transversal_of(THREE, "1", "a", "1")) == [
+        "representative of coset 2 is the empty word"
+    ]
+    reps = (empty_word(AB), parse_word("a", Alphabet.of("abc")), parse_word("A", AB))
+    foreign = SchreierTransversal(THREE, reps)
+    assert check_transversal(foreign) == ["representative 1 uses a different alphabet"]
+    # bA reaches coset 2, but b represents no coset: the set is not prefix-closed
+    assert check_transversal(transversal_of(THREE, "1", "a", "bA")) == [
+        "representative bA of coset 2 does not extend its parent's"
+    ]
+
+
+def test_check_basis_conditions():
+    basis = schreier_basis(schreier_transversal(TWO))
+    assert check_basis(basis) == []
+
+    def elements(*texts):
+        return with_elements(basis, [parse_word(text, AB) for text in texts])
+
+    assert check_basis(elements("b", "aa")) == [
+        "basis has 2 elements, index-rank formula needs 3",
+        "edge index does not enumerate the element positions",
+    ]
+    assert check_basis(elements("b", "aa", "b")) == ["basis elements are not pairwise distinct"]
+    assert check_basis(elements("b", "aa", "1")) == ["basis contains the empty word"]
+    assert check_basis(elements("b", "aa", "a")) == ["basis element a is not in the subgroup"]
+    renumbered = SubgroupBasis(
+        basis.table, basis.transversal, basis.orientation, basis.elements,
+        {**basis.edge_index, (1, 1): 5},
+    )
+    assert check_basis(renumbered) == ["edge index does not enumerate the element positions"]
+
+
+def reference_check_transversal(tr: SchreierTransversal) -> list[str]:
+    """Oracle: the checker that traces every representative and looks each
+    one's prefix up in the set of representatives."""
+    failures: list[str] = []
+    t = tr.table
+    if len(tr.reps) != t.n:
+        return [f"expected {t.n} representatives, found {len(tr.reps)}"]
+    if len(tr.reps[BASE]) != 0:
+        failures.append("base representative is not the empty word")
+    pool = {w.letters for w in tr.reps if w.alphabet == t.alphabet}
+    for c, w in enumerate(tr.reps):
+        if w.alphabet != t.alphabet:
+            failures.append(f"representative {c} uses a different alphabet")
+            continue
+        if trace(t, BASE, w) != c:
+            failures.append(f"representative {w} does not trace to coset {c}")
+        if len(w) > 0 and w.letters[:-1] not in pool:
+            failures.append(f"representative set is not prefix-closed at {w}")
+    return failures
+
+
+def tampered_transversals(rng, tr):
+    """The transversal itself plus tampered variants: one representative
+    replaced by another's plus a letter (valid when it lands on a leaf's
+    coset) or by a short random word, two swapped, a nonempty base, one
+    dropped, one appended, and one using a generator the table lacks."""
+    t = tr.table
+    alphabet = t.alphabet
+    reps = list(tr.reps)
+    n = len(reps)
+    c, d = rng.randrange(n), rng.randrange(n)
+
+    def random_letter():
+        return Letter(rng.randrange(alphabet.size), rng.choice((1, -1)))
+
+    letter = random_letter()
+    variants = [reps]
+    extended = list(reps)
+    extended[c] = free_reduce(alphabet, reps[d].letters + (letter,))
+    variants.append(extended)
+    scrambled = list(reps)
+    scrambled[c] = free_reduce(alphabet, [random_letter() for _ in range(rng.randrange(4))])
+    variants.append(scrambled)
+    swapped = list(reps)
+    swapped[c], swapped[d] = reps[d], reps[c]
+    variants.append(swapped)
+    based = list(reps)
+    based[BASE] = FreeWord(alphabet, (letter,))
+    variants.append(based)
+    variants.append(reps[:c] + reps[c + 1:])
+    variants.append(reps + [reps[d]])
+    wider = Alphabet.first(alphabet.size + 1)
+    foreign = list(reps)
+    foreign[c] = FreeWord(wider, reps[c].letters + (Letter(alphabet.size, 1),))
+    variants.append(foreign)
+    return [SchreierTransversal(t, tuple(v)) for v in variants]
+
+
+def test_check_transversal_matches_reference():
+    rng = random.Random(3131)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        table = random_table(rng, Alphabet.first(rng.randrange(1, 4)), rng.randrange(1, 13))
+        transversals = [schreier_transversal(table)]
+        w = random_subgroup_word(rng, table, max_tries=200)
+        if w is not None:
+            transversals.append(schreier_transversal(table, w))
+        for tr in transversals:
+            for candidate in tampered_transversals(rng, tr):
+                verdict = not check_transversal(candidate)
+                assert verdict == (not reference_check_transversal(candidate))
+                verdicts[verdict] += 1
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_serialization_formats():
