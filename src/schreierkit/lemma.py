@@ -386,7 +386,7 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     if check_transversal(c.transversal):
         failures.append("transversal_valid")
         tree_ok = False
-    elif len(r) > 0:
+    elif tree_ok and len(r) > 0:
         # one walk along r: the representatives are prefix-closed and trace
         # to their cosets, so if rep(d) spells r[:i-1], rep(d·x) spells
         # r[:i] exactly when it has i letters and ends in x

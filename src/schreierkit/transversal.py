@@ -326,23 +326,29 @@ def fold_verify(b: SubgroupBasis) -> bool:
     and ``E = n·m`` edges.  Reads only ``b.elements`` and ``b.table``; an
     element over another alphabet raises :class:`AlphabetMismatch`.
 
-    Wedges one loop per element at a base vertex, then folds (Stallings,
-    1983): while two equally-labeled edges leave (or enter) the same
-    vertex, their far endpoints are identified and the edges merged.  The
-    fold is a worklist over half-edges with union-find on the vertices and
-    one neighbour slot per vertex and signed letter; a merge re-files the
-    at most ``2m`` slots of the absorbed vertex, so the work is near-linear
-    in the total letter count.
+    Folds as it goes (Stallings, 1983; Kapovich–Myasnikov, 2002), with
+    union-find on the vertices and one neighbour slot per vertex and
+    signed letter.  Each element is read forward from the base along
+    existing edges (all but its last letter), then backward from the base
+    (leaving at least one letter); only the unread middle gets fresh
+    vertices.  The closing edge goes through a worklist over half-edges: a
+    free slot files it, an occupied one merges the two far ends, and a
+    merge re-files the at most ``2m`` slots of the absorbed vertex, which
+    may cascade.  A merge can absorb the base, so each read starts at its
+    root.  The work is near-linear in the total letter count.
 
-    The folded graph is connected and folded; with ``n`` vertices and
-    ``n·m`` edges it is complete, so it is the coset graph of
+    Reading along an existing edge folds the element's loop onto it before
+    it is laid out, so this is the fold of all loops wedged at the base,
+    in another order; folding is confluent, so the final graph is the
+    same.  It is connected and folded; with ``n`` vertices and ``n·m``
+    edges it is complete, so it is the coset graph of
     ``K = <elements>`` and ``K`` has index ``n``.  ``K ≤ H`` as every
     element fixes the base, and ``[F:H] = n``, so ``K = H``.  Merging two
     edges whose far ends already coincide lowers the rank by one, and
-    nothing else changes it; folding is confluent, so the list is
-    independent exactly when ``E - V + 1 = n·(m-1) + 1`` equals ``k``, as
-    the counts make it.  An empty element lays out no loop, so with one
-    the rank falls short of ``k`` and the counts cannot both hold.
+    nothing else changes it, so the list is independent exactly when
+    ``E - V + 1 = n·(m-1) + 1`` equals ``k``, as the counts make it.  An
+    empty element lays out no loop, so with one the rank falls short of
+    ``k`` and the counts cannot both hold.
     """
     t = b.table
     if any(w.alphabet != t.alphabet for w in b.elements):
@@ -352,24 +358,9 @@ def fold_verify(b: SubgroupBasis) -> bool:
         return False
     images, inverses = t.gen_images, t.inverse_images
     width = 2 * m  # slot 2g: out along g; slot 2g+1: in along g
-    parent = [0]  # union-find over vertices; vertex 0 is the base
+    parent = [0]  # union-find over vertices; vertex 0 is the first base
+    nbr = [-1] * width
     work: list[int] = []  # flat (vertex, slot, far vertex) half-edges
-    for w in b.elements:
-        coset = BASE
-        current = 0
-        last = len(w) - 1
-        for i, (g, s) in enumerate(w.letters):
-            coset = images[g][coset] if s > 0 else inverses[g][coset]
-            if i == last:
-                target = 0
-            else:
-                target = len(parent)
-                parent.append(target)
-            slot = 2 * g + (s < 0)
-            work += (current, slot, target, target, slot ^ 1, current)
-            current = target
-        if coset != BASE:
-            return False
 
     def find(x: int) -> int:
         root = x
@@ -379,25 +370,60 @@ def fold_verify(b: SubgroupBasis) -> bool:
             parent[x], x = root, parent[x]
         return root
 
-    nbr = [-1] * (len(parent) * width)
-    while work:
-        far = find(work.pop())
-        slot = work.pop()
-        at = find(work.pop()) * width + slot
-        held = nbr[at]
-        if held < 0:
-            nbr[at] = far
+    for w in b.elements:
+        letters = w.letters
+        coset = BASE
+        for g, s in letters:
+            coset = images[g][coset] if s > 0 else inverses[g][coset]
+        if coset != BASE:
+            return False
+        if not letters:
             continue
-        held = find(held)
-        if held == far:
-            continue  # an equal edge is already filed at this slot
-        parent[far] = held
-        absorbed = far * width
-        for j in range(width):
-            other = nbr[absorbed + j]
-            if other >= 0:
-                work += (held, j, other)
-                nbr[absorbed + j] = -1
+        v = u = find(0)  # a merge may have absorbed vertex 0
+        i, j = 0, len(letters) - 1
+        while i < j:  # forward from the base
+            g, s = letters[i]
+            held = nbr[v * width + 2 * g + (s < 0)]
+            if held < 0:
+                break
+            v = find(held)
+            i += 1
+        while j > i:  # backward from the base
+            g, s = letters[j]
+            held = nbr[u * width + 2 * g + (s > 0)]
+            if held < 0:
+                break
+            u = find(held)
+            j -= 1
+        for g, s in letters[i:j]:  # the unread middle, on fresh vertices
+            x = len(parent)
+            parent.append(x)
+            nbr += [-1] * width
+            slot = 2 * g + (s < 0)
+            nbr[v * width + slot] = x
+            nbr[x * width + (slot ^ 1)] = v
+            v = x
+        g, s = letters[j]
+        slot = 2 * g + (s < 0)
+        work += (v, slot, u, u, slot ^ 1, v)
+        while work:
+            far = find(work.pop())
+            slot = work.pop()
+            at = find(work.pop()) * width + slot
+            held = nbr[at]
+            if held < 0:
+                nbr[at] = far
+                continue
+            held = find(held)
+            if held == far:
+                continue  # an equal edge is already filed at this slot
+            parent[far] = held
+            absorbed = far * width
+            for k in range(width):
+                other = nbr[absorbed + k]
+                if other >= 0:
+                    work += (held, k, other)
+                    nbr[absorbed + k] = -1
 
     vertices = sum(1 for v, p in enumerate(parent) if v == p)
     edges = sum(1 for y in nbr if y >= 0) // 2

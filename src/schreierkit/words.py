@@ -5,7 +5,7 @@ Every :class:`FreeWord` is stored fully reduced: no letter is adjacent to
 its own inverse.  Every word is built by the one validating constructor,
 which checks the letters against the alphabet and raises
 :class:`UnreducedWord` on an unreduced sequence; :func:`free_reduce`
-(behind :func:`parse_word` and :func:`concat_reduce`) cancels first.
+(behind :func:`concat_reduce`) and :func:`parse_word` cancel first.
 
 Text syntax: a generator prints as its lowercase name, its inverse as the
 same letter uppercased, juxtaposition is concatenation, and ``"1"`` is the
@@ -120,19 +120,24 @@ def empty_word(alphabet: Alphabet) -> FreeWord:
     return FreeWord(alphabet, ())
 
 
-def free_reduce(alphabet: Alphabet, raw: Iterable[Letter]) -> FreeWord:
-    """Reduce a raw letter sequence to the unique reduced word for the same
-    group element.  Idempotent; a stack pass cancels all adjacent inverse
-    pairs, including those exposed by earlier cancellations."""
-    raw = tuple(raw)
-    _check_letters(alphabet, raw)
+def _cancel(raw: Iterable[Letter]) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for ell in raw:
         if out and out[-1].gen == ell.gen and out[-1].sign == -ell.sign:
             out.pop()
         else:
             out.append(ell)
-    return FreeWord(alphabet, tuple(out))
+    return tuple(out)
+
+
+def free_reduce(alphabet: Alphabet, raw: Iterable[Letter]) -> FreeWord:
+    """Reduce a raw letter sequence to the unique reduced word for the same
+    group element.  Idempotent; a stack pass cancels all adjacent inverse
+    pairs, including those exposed by earlier cancellations."""
+    raw = tuple(raw)
+    # a raw invalid pair that cancels must still raise
+    _check_letters(alphabet, raw)
+    return FreeWord(alphabet, _cancel(raw))
 
 
 def invert(w: FreeWord) -> FreeWord:
@@ -175,4 +180,5 @@ def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
             raw.append(Letter(lower[ch.lower()], -1))
         else:
             raise ParseError(f"unknown character {ch!r} at position {pos}", position=pos)
-    return free_reduce(alphabet, raw)
+    # letters from the alphabet's own names: the constructor checks them once
+    return FreeWord(alphabet, _cancel(raw))

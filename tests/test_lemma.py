@@ -21,6 +21,7 @@ from schreierkit import (
     certificate_from_json,
     certificate_to_json,
     compose,
+    empty_word,
     eval_word,
     find_separating_quotient,
     free_reduce,
@@ -493,6 +494,15 @@ def test_verify_flags_transversal_over_other_table():
     cert = run_lemma(AA_PRES, AA_REL, 4)
     other = SchreierTransversal(CosetTable(AB, ((1, 0), (1, 0))), cert.transversal.reps)
     assert verify_certificate(tampered(cert, transversal=other)).failures == (
+        "transversal_over_table",
+    )
+
+
+def test_verify_flags_transversal_over_smaller_table():
+    # the seed walk along r would step to coset 1, which this transversal lacks
+    cert = run_lemma(AA_PRES, AA_REL, 4)
+    smaller = SchreierTransversal(CosetTable(AB, ((0,), (0,))), (empty_word(AB),))
+    assert verify_certificate(tampered(cert, transversal=smaller)).failures == (
         "transversal_over_table",
     )
 

@@ -516,40 +516,64 @@ def with_elements(basis, elements):
     )
 
 
+def nielsen_move(rng, elements):
+    """Replace one element by its product with another (or that one's
+    inverse) on a random side: a move that keeps a free basis a basis."""
+    i, j = rng.sample(range(len(elements)), 2)
+    other = elements[j] if rng.random() < 0.5 else invert(elements[j])
+    if rng.random() < 0.5:
+        elements[i] = concat_reduce(elements[i], other)
+    else:
+        elements[i] = concat_reduce(other, elements[i])
+
+
 def tampered_lists(rng, table, elements):
-    """The element list itself plus the tampered variants: dropped,
-    duplicated, squared, a product substituted, one element inverted,
-    shuffled, a product appended, the empty word substituted and (when the
-    index is above 1) a non-member substituted."""
+    """Variants of the element list, each with whether it is known to be a
+    basis still.  Kept a basis: the list itself, one element inverted,
+    shuffled, and (with two elements or more) one element conjugated by
+    another and a chain of Nielsen moves.  Tampered: dropped, duplicated,
+    squared, a product substituted, a product appended, the empty word
+    substituted and (when the index is above 1) a non-member substituted."""
     elements = list(elements)
     k = len(elements)
     i, j = rng.randrange(k), rng.randrange(k)
-    variants = [elements]
-    variants.append(elements[:i] + elements[i + 1:])
-    variants.append(elements + [elements[i]])
+    variants = [(elements, True)]
+    variants.append((elements[:i] + elements[i + 1:], False))
+    variants.append((elements + [elements[i]], False))
     squared = list(elements)
     squared[i] = concat_reduce(elements[i], elements[i])
-    variants.append(squared)
+    variants.append((squared, False))
     product = list(elements)
     product[i] = concat_reduce(elements[i], elements[j])
-    variants.append(product)
+    variants.append((product, False))
     inverted = list(elements)
     inverted[i] = invert(elements[i])
-    variants.append(inverted)
+    variants.append((inverted, True))
     shuffled = list(elements)
     rng.shuffle(shuffled)
-    variants.append(shuffled)
-    variants.append(elements + [concat_reduce(elements[i], elements[j])])
+    variants.append((shuffled, True))
+    variants.append((elements + [concat_reduce(elements[i], elements[j])], False))
     emptied = list(elements)
     emptied[i] = empty_word(table.alphabet)
-    variants.append(emptied)
+    variants.append((emptied, False))
     # a generator that moves the base exists exactly when the index is above 1
     movers = [g for g in range(table.alphabet.size) if table.step(BASE, g, 1) != BASE]
     if movers:
         outside = list(elements)
         letter = FreeWord(table.alphabet, (Letter(rng.choice(movers), 1),))
         outside[j] = concat_reduce(elements[j], letter)
-        variants.append(outside)
+        variants.append((outside, False))
+    if k >= 2:
+        a, c = rng.sample(range(k), 2)
+        conjugated = list(elements)
+        conjugated[a] = concat_reduce(
+            concat_reduce(elements[c], elements[a]), invert(elements[c])
+        )
+        variants.append((conjugated, True))
+        chained = list(elements)
+        for _ in range(rng.randrange(2, 7)):
+            nielsen_move(rng, chained)
+        variants.append((chained, True))
     return variants
 
 
@@ -565,11 +589,13 @@ def test_fold_verify_matches_reference_fold():
         if w is not None:
             bases.append(basis_through_word(table, w)[0])
         for basis in bases:
-            for elements in tampered_lists(rng, table, basis.elements):
+            for elements, keeps_basis in tampered_lists(rng, table, basis.elements):
                 candidate = with_elements(basis, elements)
                 verdict = fold_verify(candidate)
                 assert verdict == reference_fold_verify(candidate)
                 verdicts[verdict] += 1
+                if keeps_basis:
+                    assert verdict
                 if len(elements) > len(basis.elements):
                     assert not verdict  # a dependent list must drop rank
         # a basis of another subgroup of the same index
@@ -577,6 +603,17 @@ def test_fold_verify_matches_reference_fold():
         candidate = with_elements(bases[0], stranger.elements)
         assert fold_verify(candidate) == reference_fold_verify(candidate)
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_fold_verify_when_a_merge_absorbs_the_base():
+    # b, aa, abA with b conjugated by aa: reading aa after aabAA merges the
+    # base vertex into the one two a-steps along the first loop, so the
+    # last element must be read from the merged vertex
+    basis = schreier_basis(schreier_transversal(TWO))
+    assert [str(u) for u in basis.elements] == ["b", "aa", "abA"]
+    conjugated = with_elements(basis, [parse_word(w, AB) for w in ("aabAA", "aa", "abA")])
+    assert fold_verify(conjugated)
+    assert reference_fold_verify(conjugated)
 
 
 def test_fold_verify_large_index():

@@ -78,6 +78,9 @@ def test_free_reduce_rejects_bad_letters():
         free_reduce(AB, [Letter(2, 1)])
     with pytest.raises(InvalidLetter):
         free_reduce(AB, [Letter(0, 2)])
+    # a bad pair that would cancel is still rejected
+    with pytest.raises(InvalidLetter):
+        free_reduce(AB, [Letter(2, 1), Letter(2, -1)])
 
 
 def test_free_reduce_against_fixpoint_oracle():
@@ -165,6 +168,20 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as info:
         parse_word("abx", AB)
     assert info.value.position == 2
+
+
+def test_parse_matches_free_reduce_on_random_text():
+    rng = random.Random(1414)
+    for _ in range(500):
+        text = "".join(rng.choice("abcABC") for _ in range(rng.randrange(30)))
+        letters = [Letter("abc".index(ch.lower()), 1 if ch.islower() else -1) for ch in text]
+        assert parse_word(text, ABC) == free_reduce(ABC, letters)
+        # a character outside the alphabet, even one that would cancel
+        pos = rng.randrange(len(text) + 1)
+        bad = rng.choice("dDx-")
+        with pytest.raises(ParseError) as info:
+            parse_word(text[:pos] + bad + text[pos:], ABC)
+        assert info.value.position == pos
 
 
 def test_print_parse_roundtrip():
