@@ -94,9 +94,10 @@ def trace(t: CosetTable, start: int, w: FreeWord) -> int:
         raise BadCoset(f"coset {start} out of range for index {t.n}")
     if w.alphabet != t.alphabet:
         raise AlphabetMismatch("word and table use different alphabets")
+    images, inverses = t.gen_images, t.inverse_images
     c = start
     for gen, sign in w.letters:
-        c = t.step(c, gen, sign)
+        c = images[gen][c] if sign > 0 else inverses[gen][c]
     return c
 
 
@@ -112,10 +113,11 @@ def separates_prefixes(t: CosetTable, w: FreeWord) -> bool:
         raise EmptyWord("the empty word has no initial-segment list")
     if w.alphabet != t.alphabet:
         raise AlphabetMismatch("word and table use different alphabets")
+    images, inverses = t.gen_images, t.inverse_images
     c = BASE
     cosets = {c}
     for gen, sign in w.letters[:-1]:
-        c = t.step(c, gen, sign)
+        c = images[gen][c] if sign > 0 else inverses[gen][c]
         cosets.add(c)
     return len(cosets) == len(w)
 

@@ -41,11 +41,11 @@ from .transversal import (
     AlphabetOrientation,
     SchreierTransversal,
     SubgroupBasis,
+    basis_letters,
     basis_through_word,
     check_basis,
     check_transversal,
     fold_verify,
-    schreier_basis,
 )
 from .words import Alphabet, FreeWord, invert, parse_word
 
@@ -349,7 +349,10 @@ def run_lemma(
 def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     """Re-derive every certificate invariant from raw data, trusting nothing
     from the producer.  Collects all failures instead of stopping early so
-    the result names each broken invariant."""
+    the result names each broken invariant.  The basis is compared, letter
+    by letter and with its ``edge_index``, with what :func:`basis_letters`
+    reads off the tree; certificate elements are validated reduced words,
+    so an unreduced tree spelling never compares equal."""
     failures: list[str] = []
     p, r = c.presentation, c.relator
     alphabets = (
@@ -403,17 +406,15 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         failures.append("r_position_valid")
 
     if tree_ok:
-        recomputed = schreier_basis(c.transversal, c.basis.orientation)
-        raw_elements = list(recomputed.elements)
+        edge_index, raw_elements = basis_letters(c.transversal, c.basis.orientation)
         if 0 <= c.r_position < len(raw_elements):
-            raw = raw_elements[c.r_position]
             expected_raw = invert(r) if c.matched_inverse else r
-            if raw != expected_raw:
+            if raw_elements[c.r_position] != expected_raw.letters:
                 failures.append("matched_inverse_consistent")
-            raw_elements[c.r_position] = r
+            raw_elements[c.r_position] = r.letters
         if (
-            tuple(raw_elements) != c.basis.elements
-            or recomputed.edge_index != c.basis.edge_index
+            raw_elements != [u.letters for u in c.basis.elements]
+            or edge_index != c.basis.edge_index
         ):
             failures.append("basis_matches_schreier_method")
 

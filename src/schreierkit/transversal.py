@@ -220,6 +220,33 @@ def schreier_transversal(
     return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))  # type: ignore[arg-type]
 
 
+def basis_letters(
+    tr: SchreierTransversal, orientation: AlphabetOrientation
+) -> tuple[dict[tuple[int, int], int], list[tuple[Letter, ...]]]:
+    """The edge index and the element letters of :func:`schreier_basis`,
+    read off the tree without building words: ``rep(c)``, ``g^e``, then
+    ``rep(c · g^e)^-1``, each representative inverted once.  Raises
+    :class:`AlphabetMismatch` for a representative over another alphabet."""
+    t = tr.table
+    if any(w.alphabet != t.alphabet for w in tr.reps):
+        raise AlphabetMismatch("representative alphabet differs from table alphabet")
+    m = t.alphabet.size
+    reps = [w.letters for w in tr.reps]
+    numbering = edge_numbering(t, [w[-1] if w else None for w in reps], orientation)
+    edge_index = {
+        divmod(slot, m): position
+        for slot, position in enumerate(numbering)
+        if position is not None
+    }
+    inverse_of = t.alphabet.inverse_of
+    backs = [tuple(map(inverse_of.__getitem__, reversed(w))) for w in reps]
+    elements = []
+    for c, g in edge_index:
+        e = orientation.sign(g)
+        elements.append(reps[c] + (Letter(g, e),) + backs[t.step(c, g, e)])
+    return edge_index, elements
+
+
 def schreier_basis(
     tr: SchreierTransversal, orientation: AlphabetOrientation | None = None
 ) -> SubgroupBasis:
@@ -229,8 +256,9 @@ def schreier_basis(
     oriented alphabet, each edge ``(c, g)`` numbered by
     :func:`edge_numbering` contributes the element
     ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the orientation sign of
-    ``g``, in the order of its number.  All such elements are nonempty and
-    pairwise distinct, and there are exactly ``n·(m-1) + 1`` of them.
+    ``g``, in the order of its number (:func:`basis_letters`).  All such
+    elements are nonempty and pairwise distinct, and there are exactly
+    ``n·(m-1) + 1`` of them.
 
     Each element is a plain concatenation, as nothing cancels: if ``rep(c)``
     ended in ``g^-e``, or ``rep(c · g^e)`` in ``g^e``, then ``(c, g)`` would
@@ -240,21 +268,9 @@ def schreier_basis(
     if orientation is None:
         orientation = AlphabetOrientation.empty()
     t = tr.table
-    if any(w.alphabet != t.alphabet for w in tr.reps):
-        raise AlphabetMismatch("representative alphabet differs from table alphabet")
-    last = [w.letters[-1] if w.letters else None for w in tr.reps]
-    m = t.alphabet.size
-    edge_index = {
-        divmod(slot, m): position
-        for slot, position in enumerate(edge_numbering(t, last, orientation))
-        if position is not None
-    }
-    elements = []
-    for c, g in edge_index:
-        e = orientation.sign(g)
-        back = tuple(Letter(h, -s) for h, s in reversed(tr.reps[t.step(c, g, e)].letters))
-        elements.append(FreeWord(t.alphabet, tr.reps[c].letters + (Letter(g, e),) + back))
-    return SubgroupBasis(t, tr, orientation, tuple(elements), edge_index)
+    edge_index, elements = basis_letters(tr, orientation)
+    words = tuple(FreeWord(t.alphabet, u) for u in elements)
+    return SubgroupBasis(t, tr, orientation, words, edge_index)
 
 
 def rewrite_in_basis(b: SubgroupBasis, w: FreeWord) -> list[tuple[int, int]]:

@@ -8,13 +8,13 @@ which checks the letters against the alphabet and raises
 (behind :func:`concat_reduce`) and :func:`parse_word` cancel first.
 
 Text syntax: a generator prints as its lowercase name, its inverse as the
-same letter uppercased, juxtaposition is concatenation, and ``"1"`` is the
-empty word.  There is no whitespace or exponent syntax.
+same ASCII letter uppercased, juxtaposition is concatenation, and ``"1"``
+is the empty word.  There is no whitespace or exponent syntax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -31,9 +31,14 @@ _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class Alphabet:
-    """Ordered, pairwise distinct single-character lowercase generator names."""
+    """Ordered, pairwise distinct single-character lowercase generator names,
+    with the ``2m`` letters interned in tables that equality, hashing and
+    repr ignore: character to letter, letter to inverse, letter to character."""
 
     names: tuple[str, ...]
+    letter_of: dict[str, Letter] = field(init=False, repr=False, compare=False)
+    inverse_of: dict[Letter, Letter] = field(init=False, repr=False, compare=False)
+    char_of: dict[Letter, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.names:
@@ -45,6 +50,13 @@ class Alphabet:
                 raise InvalidAlphabet(
                     f"generator name must be a single lowercase ASCII letter: {name!r}"
                 )
+        letter_of = {}
+        for g, name in enumerate(self.names):
+            letter_of[name], letter_of[name.upper()] = Letter(g, 1), Letter(g, -1)
+        inverse_of = {y: letter_of[ch.swapcase()] for ch, y in letter_of.items()}
+        object.__setattr__(self, "letter_of", letter_of)
+        object.__setattr__(self, "inverse_of", inverse_of)
+        object.__setattr__(self, "char_of", {y: ch for ch, y in letter_of.items()})
 
     @classmethod
     def of(cls, names: str) -> "Alphabet":
@@ -73,20 +85,20 @@ class Letter(NamedTuple):
 
 def _check_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> None:
     size = alphabet.size
-    for ell in letters:
-        if not 0 <= ell.gen < size:
-            raise InvalidLetter(f"generator index {ell.gen} outside alphabet of size {size}")
-        if ell.sign not in (1, -1):
-            raise InvalidLetter(f"letter sign must be +1 or -1, got {ell.sign}")
+    for gen, sign in letters:
+        if not 0 <= gen < size:
+            raise InvalidLetter(f"generator index {gen} outside alphabet of size {size}")
+        if sign not in (1, -1):
+            raise InvalidLetter(f"letter sign must be +1 or -1, got {sign}")
 
 
 def is_reduced(letters: Iterable[Letter]) -> bool:
     """True when no letter is immediately followed by its inverse."""
-    prev: Letter | None = None
-    for ell in letters:
-        if prev is not None and prev.gen == ell.gen and prev.sign == -ell.sign:
+    prev_gen = prev_sign = None
+    for gen, sign in letters:
+        if gen == prev_gen and sign == -prev_sign:  # type: ignore[operator]
             return False
-        prev = ell
+        prev_gen, prev_sign = gen, sign
     return True
 
 
@@ -110,20 +122,17 @@ class FreeWord:
     def __str__(self) -> str:
         if not self.letters:
             return "1"
-        names = self.alphabet.names
-        return "".join(
-            names[g] if s > 0 else names[g].upper() for g, s in self.letters
-        )
+        return "".join(map(self.alphabet.char_of.__getitem__, self.letters))
 
 
 def empty_word(alphabet: Alphabet) -> FreeWord:
     return FreeWord(alphabet, ())
 
 
-def _cancel(raw: Iterable[Letter]) -> tuple[Letter, ...]:
+def _cancel(inverse_of: dict[Letter, Letter], raw: Iterable[Letter]) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for ell in raw:
-        if out and out[-1].gen == ell.gen and out[-1].sign == -ell.sign:
+        if out and out[-1] == inverse_of[ell]:
             out.pop()
         else:
             out.append(ell)
@@ -137,12 +146,13 @@ def free_reduce(alphabet: Alphabet, raw: Iterable[Letter]) -> FreeWord:
     raw = tuple(raw)
     # a raw invalid pair that cancels must still raise
     _check_letters(alphabet, raw)
-    return FreeWord(alphabet, _cancel(raw))
+    return FreeWord(alphabet, _cancel(alphabet.inverse_of, raw))
 
 
 def invert(w: FreeWord) -> FreeWord:
     """Reverse the word and flip every sign; the result is again reduced."""
-    return FreeWord(w.alphabet, tuple(ell.inverse() for ell in reversed(w.letters)))
+    inverse_of = w.alphabet.inverse_of
+    return FreeWord(w.alphabet, tuple(map(inverse_of.__getitem__, reversed(w.letters))))
 
 
 def concat_reduce(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -166,19 +176,17 @@ def prefixes(w: FreeWord) -> list[FreeWord]:
 def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
     """Parse word syntax and freely reduce the result.
 
-    ``"1"`` and the empty string parse to the empty word.  Unknown
-    characters raise :class:`ParseError` carrying the offending position.
+    ``"1"`` and the empty string parse to the empty word.  A character
+    other than a generator name or its ASCII uppercase raises
+    :class:`ParseError` carrying the position of the first such character.
     """
     if text in ("", "1"):
         return empty_word(alphabet)
-    lower = {name: i for i, name in enumerate(alphabet.names)}
-    raw: list[Letter] = []
-    for pos, ch in enumerate(text):
-        if ch in lower:
-            raw.append(Letter(lower[ch], 1))
-        elif ch.lower() in lower and ch.isupper():
-            raw.append(Letter(lower[ch.lower()], -1))
-        else:
-            raise ParseError(f"unknown character {ch!r} at position {pos}", position=pos)
-    # letters from the alphabet's own names: the constructor checks them once
-    return FreeWord(alphabet, _cancel(raw))
+    letter_of = alphabet.letter_of
+    try:
+        raw = tuple(map(letter_of.__getitem__, text))
+    except KeyError:
+        pos = next(i for i, ch in enumerate(text) if ch not in letter_of)
+        message = f"unknown character {text[pos]!r} at position {pos}"
+        raise ParseError(message, position=pos) from None
+    return FreeWord(alphabet, _cancel(alphabet.inverse_of, raw))

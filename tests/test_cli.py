@@ -45,6 +45,14 @@ def test_reduce_bad_input(capsys):
     assert "error" in err
 
 
+def test_reduce_rejects_kelvin_sign(capsys):
+    # U+212A KELVIN SIGN is not the inverse of k: only ASCII A-Z spell inverses
+    code, out, err = run(capsys, "reduce", "ak\u212a", "--gens", "ak")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "position 2" in err
+    assert run(capsys, "reduce", "akK", "--gens", "ak")[:2] == (0, "a\n")
+
+
 def test_reduce_bad_alphabet_is_input_error(capsys):
     for argv in (("reduce", "é"), ("reduce", "aÀ"), ("reduce", "ab", "--gens", "aa")):
         code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -13,23 +14,34 @@ from schreierkit import (
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
+    ImageTooLarge,
     LemmaCertificate,
     Letter,
+    ParseError,
     Presentation,
     SchreierTransversal,
     SubgroupBasis,
     certificate_from_json,
     certificate_to_json,
+    check_basis,
+    check_transversal,
     compose,
+    contains,
     empty_word,
     eval_word,
     find_separating_quotient,
+    fold_verify,
     free_reduce,
     inverse,
+    invert,
     kills_relators,
+    lemma,
     parse_word,
     prefixes,
+    regular_table,
     run_lemma,
+    schreier_basis,
+    separates_prefixes,
     trace,
     verify_certificate,
 )
@@ -536,3 +548,178 @@ def test_verify_flags_list_that_does_not_fold():
         "basis_matches_schreier_method",
         "fold_verify_passes",
     )
+
+
+# ---------------------------------------------------------------------------
+# differential check of the verifier against the word-building one
+# ---------------------------------------------------------------------------
+
+
+def reference_parse_word(text, alphabet):
+    """Parse letter by letter and reduce with :func:`free_reduce`, without
+    the alphabet's letter tables (ASCII inverses only)."""
+    if text in ("", "1"):
+        return empty_word(alphabet)
+    raw = []
+    for pos, ch in enumerate(text):
+        if ch in alphabet.names:
+            raw.append(Letter(alphabet.names.index(ch), 1))
+        elif ch.isascii() and ch.lower() in alphabet.names and ch.isupper():
+            raw.append(Letter(alphabet.names.index(ch.lower()), -1))
+        else:
+            raise ParseError(f"unknown character {ch!r} at position {pos}", position=pos)
+    return free_reduce(alphabet, raw)
+
+
+def reference_verify_certificate(c):
+    """The verifier that re-spells the Schreier basis as words with
+    :func:`schreier_basis` and compares them with the certificate's."""
+    failures = []
+    p, r = c.presentation, c.relator
+    alphabets = (
+        [p.alphabet, r.alphabet, c.hom.alphabet, c.table.alphabet]
+        + [w.alphabet for w in c.transversal.reps]
+        + [u.alphabet for u in c.basis.elements]
+    )
+    if any(a != p.alphabet for a in alphabets):
+        return ("alphabets_consistent",)
+    n, m = c.table.n, p.alphabet.size
+    if not kills_relators(c.hom, p.relators):
+        failures.append("hom_kills_relators")
+    try:
+        regular = regular_table(c.hom)
+    except ImageTooLarge:
+        regular = None
+    if regular is None or regular.n != c.image_order or c.image_order != n:
+        failures.append("image_order_matches")
+    if c.table != regular:
+        failures.append("table_matches_regular")
+    if not all(contains(c.table, rel) for rel in p.relators):
+        failures.append("relators_in_subgroup")
+    if len(r) == 0 or not contains(c.table, r):
+        failures.append("relator_in_subgroup")
+    if len(r) == 0 or not separates_prefixes(c.table, r):
+        failures.append("prefixes_separated")
+    tree_ok = c.transversal.table == c.table
+    if not tree_ok:
+        failures.append("transversal_over_table")
+    if check_transversal(c.transversal):
+        failures.append("transversal_valid")
+        tree_ok = False
+    elif tree_ok and len(r) > 0:
+        coset, reps = BASE, c.transversal.reps
+        for i, letter in enumerate(r.letters[:-1], 1):
+            coset = c.table.step(coset, *letter)
+            if len(reps[coset]) != i or reps[coset].letters[-1] != letter:
+                failures.append("transversal_seeded")
+                break
+    if check_basis(c.basis):
+        failures.append("basis_invariants")
+    if not (0 <= c.r_position < len(c.basis.elements) and c.basis.elements[c.r_position] == r):
+        failures.append("r_position_valid")
+    if tree_ok:
+        recomputed = schreier_basis(c.transversal, c.basis.orientation)
+        raw_elements = list(recomputed.elements)
+        if 0 <= c.r_position < len(raw_elements):
+            expected_raw = invert(r) if c.matched_inverse else r
+            if raw_elements[c.r_position] != expected_raw:
+                failures.append("matched_inverse_consistent")
+            raw_elements[c.r_position] = r
+        if (
+            tuple(raw_elements) != c.basis.elements
+            or recomputed.edge_index != c.basis.edge_index
+        ):
+            failures.append("basis_matches_schreier_method")
+    if c.generator_bound != (m - 1) * n or c.generator_bound != len(c.basis.elements) - 1:
+        failures.append("generator_bound_matches")
+    if not fold_verify(c.basis):
+        failures.append("fold_verify_passes")
+    return tuple(failures)
+
+
+def _inverse_text(text):
+    return "1" if text == "1" else text[::-1].swapcase()
+
+
+def _tamper_doc(rng, doc):
+    """Apply one random JSON-level edit to a certificate document."""
+    names = doc["presentation"]["alphabet"]
+    elements = doc["basis"]["elements"]
+    reps = doc["transversal"]
+    edges = doc["basis"]["edge_index"]
+    i, j = rng.randrange(len(elements)), rng.randrange(len(elements))
+    kind = rng.randrange(14)
+    if kind == 0:
+        elements[i], elements[j] = elements[j], elements[i]
+    elif kind == 1:
+        elements[i] = elements[j]
+    elif kind == 2:
+        elements[i] = _inverse_text(elements[i])
+    elif kind == 3:
+        elements[i] = (elements[i] + elements[j]).replace("1", "") or "1"
+    elif kind == 4:
+        del elements[i]
+    elif kind == 5:
+        text = elements[i].replace("1", "")
+        k = rng.randrange(len(text) + 1)
+        edit = rng.choice(names + names.upper() + "z?")
+        elements[i] = (text[:k] + edit + text[k + rng.randrange(2):]) or "1"
+    elif kind == 6:
+        doc["basis"]["flipped"] = sorted(set(doc["basis"]["flipped"]) ^ {rng.randrange(len(names))})
+    elif kind == 7:
+        a, b = rng.randrange(len(edges)), rng.randrange(len(edges))
+        edges[a][2], edges[b][2] = edges[b][2], edges[a][2]
+    elif kind == 8:
+        edges[rng.randrange(len(edges))][rng.randrange(2)] += rng.choice((-1, 1))
+    elif kind == 9:
+        doc["r_position"] = rng.randrange(-1, len(elements) + 1)
+    elif kind == 10:
+        doc["matched_inverse"] = not doc["matched_inverse"]
+    elif kind == 11:
+        a, b = rng.randrange(len(reps)), rng.randrange(len(reps))
+        reps[a], reps[b] = reps[b], reps[a]
+    elif kind == 12:
+        reps[rng.randrange(len(reps))] = reps[rng.randrange(len(reps))]
+    else:
+        doc["relator"] = rng.choice([elements[i], _inverse_text(doc["relator"]), "ab"[: len(names)]])
+
+
+DIFFERENTIAL_WORDS = (
+    ("ab", "aa"), ("ab", "abAB"), ("ab", "bab"), ("abc", "abcABC"),
+    ("ab", "AbbbABaB"), ("abc", "cbcbCaCbac"),
+)
+
+
+def test_verify_matches_reference_verifier_on_tampered_json():
+    rng = random.Random(15)
+    seen = set()
+    for names, word in DIFFERENTIAL_WORDS:
+        alphabet = Alphabet.of(names)
+        cert = run_lemma(Presentation(alphabet, ()), parse_word(word, alphabet), 5)
+        text = certificate_to_json(cert)
+        for _ in range(120):
+            doc = json.loads(text)
+            for _ in range(rng.choice((1, 1, 2))):
+                _tamper_doc(rng, doc)
+            tampered_text = json.dumps(doc)
+            outcomes = []
+            for parse, verify in (
+                (reference_parse_word, reference_verify_certificate),
+                (parse_word, lambda c: verify_certificate(c).failures),
+            ):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(lemma, "parse_word", parse)
+                    try:
+                        loaded = certificate_from_json(tampered_text)
+                    except CertificateFormatError as exc:
+                        outcomes.append(("format", str(exc)))
+                        continue
+                outcomes.append(("verdict", verify(loaded)))
+            assert outcomes[0] == outcomes[1], (word, tampered_text)
+            kind, detail = outcomes[1]
+            seen.update(detail if kind == "verdict" else ["format"])
+    for name in (
+        "basis_matches_schreier_method", "matched_inverse_consistent", "transversal_valid",
+        "transversal_seeded", "basis_invariants", "fold_verify_passes", "format",
+    ):
+        assert name in seen, name

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from schreierkit import (
     InvalidLetter,
     Letter,
     ParseError,
+    UnreducedWord,
     concat_reduce,
     empty_word,
     free_reduce,
@@ -170,6 +172,15 @@ def test_parse_error_position():
     assert info.value.position == 2
 
 
+def test_parse_rejects_kelvin_sign():
+    # U+212A lowercases to "k" and is uppercase, but only ASCII spells inverses
+    ak = Alphabet.of("ak")
+    assert str(parse_word("akK", ak)) == "a"
+    with pytest.raises(ParseError) as info:
+        parse_word("ak\u212a", ak)
+    assert info.value.position == 2
+
+
 def test_parse_matches_free_reduce_on_random_text():
     rng = random.Random(1414)
     for _ in range(500):
@@ -194,6 +205,52 @@ def test_print_parse_roundtrip():
 def test_constructor_rejects_unreduced():
     with pytest.raises(ValueError):
         FreeWord(AB, (Letter(0, 1), Letter(0, -1)))
+
+
+def test_alphabet_equality_hash_and_repr_ignore_letter_tables():
+    first, second = Alphabet.of("ab"), Alphabet(("a", "b"))
+    assert first.inverse_of is not second.inverse_of
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == "Alphabet(names=('a', 'b'))"
+    assert [f.name for f in fields(Alphabet) if f.compare or f.repr or f.init] == ["names"]
+    assert first != Alphabet.of("ba")
+
+
+raw_letters_strategy = st.lists(
+    st.tuples(st.integers(-1, 3), st.sampled_from((1, -1, 1, -1, 0, 2, -2, True))).flatmap(
+        lambda t: st.sampled_from((t, Letter(*t)))
+    ),
+    max_size=12,
+)
+
+
+def _outcome(call):
+    try:
+        call()
+    except Exception as exc:  # compare class and message
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=250)
+@given(raw_letters_strategy)
+def test_constructor_raises_exactly_when_reference_checks_do(raw):
+    letters = tuple(raw)
+
+    def reference():  # the letter rules, spelled out one letter and one pair at a time
+        for gen, sign in letters:
+            if not 0 <= gen < 3:
+                raise InvalidLetter(f"generator index {gen} outside alphabet of size 3")
+            if sign not in (1, -1):
+                raise InvalidLetter(f"letter sign must be +1 or -1, got {sign}")
+        for (g, s), (h, t) in zip(letters, letters[1:]):
+            if g == h and s == -t:
+                raise UnreducedWord(f"letters are not freely reduced: {letters!r}")
+
+    expected = _outcome(reference)
+    assert _outcome(lambda: FreeWord(ABC, letters)) == expected
+    if expected is None or expected[0] is UnreducedWord:
+        assert is_reduced(letters) == (expected is None)
 
 
 letters_strategy = st.lists(
