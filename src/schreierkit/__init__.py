@@ -8,6 +8,7 @@ from .cosets import (
     canonical_form,
     contains,
     is_regular,
+    iter_low_index_tables,
     low_index_tables,
     presentation_from_text,
     presentation_to_text,

@@ -4,16 +4,22 @@ A :class:`CosetTable` is a :class:`~schreierkit.perms.FiniteQuotientHom`
 acting on coset identifiers ``0 .. n-1``; coset ``0`` is the base coset of
 the subgroup itself.  Tables are validated on construction: every
 generator's column must be a bijection and the action must be transitive
-from the base.  The one exception is the leaf of :func:`low_index_tables`,
-whose complete columns are permutations, hold their own inverses and act
-transitively by construction.
+from the base.  The one exception is the leaf of
+:func:`iter_low_index_tables`, whose complete columns are permutations,
+hold their own inverses and act transitively by construction.  That
+enumeration keeps one packed key per subgroup, sorts the keys, and builds
+each table only when it is consumed; :func:`low_index_tables` is the same
+sequence as a list.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import partial
+from itertools import chain
+from typing import Iterator
 
 from .errors import (
     AlphabetMismatch,
@@ -196,11 +202,14 @@ def _scan_rotation(
     return True
 
 
-def low_index_tables(
+def iter_low_index_tables(
     p: Presentation, n: int, max_index: int = DEFAULT_MAX_INDEX
-) -> list[CosetTable]:
+) -> Iterator[CosetTable]:
     """All coset tables with exactly ``n`` cosets on which every relator acts
     trivially, one representative per renumbering class with the base fixed.
+    A generator: the whole enumeration runs when the first table is asked
+    for (``BadBound`` is raised then), and keeps one packed key per table,
+    not the table; each table is built from its key when it is consumed.
 
     The search is plain backtracking over partial tables.  A signed letter
     is numbered ``k = 2*g`` (``g``) or ``2*g + 1`` (``g``⁻¹), so ``k ^ 1`` is
@@ -212,10 +221,16 @@ def low_index_tables(
     subgroups of index ``n``.
 
     Output is sorted by serialized canonical form, :func:`table_to_text`.
-    While ``n <= 10`` every coset id is one digit, so every generator line
-    has the same layout and text order is tuple order on ``gen_images``,
-    which is the key used.  Above that the text itself is the key: as text,
-    ``10`` sorts before ``2``.
+    A completed table is kept as one packed key: its ``2m`` live columns
+    in signed-letter order, one coset id after another, as ``bytes`` while
+    ``n <= 256`` and as an ``array("I")`` above that.  While ``n <= 10``
+    every coset id is one digit, so every generator line has the same
+    layout and text order is tuple order on ``gen_images``.  Every column
+    has length ``n`` and an inverse column is a function of its forward
+    column, so that is also the keys' own order, and they are sorted as
+    they are.  Above that the key's forward ids joined as text are the
+    sort key: every generator line holds the same ids, so all have the
+    same length, and as text ``10`` sorts before ``2``.
 
     A completed table is not re-validated.  Every edge is written into
     column ``k`` and its inverse into column ``k ^ 1`` together, and only
@@ -274,7 +289,8 @@ def low_index_tables(
         bc = [cols[k ^ 1] for k in rot]
         starting[rot[0]].append((fc, bc, rot))
     scan = _scan_rotation
-    found: list[CosetTable] = []
+    pack = bytes if n <= 0x100 else partial(array, "I")
+    keys: list[bytes | array] = []
     used = 1
 
     def close(trail: list[tuple[int, int, int]]) -> bool:
@@ -301,13 +317,7 @@ def low_index_tables(
                 c, k = c + 1, 0
                 if c == used:
                     if used == n:
-                        found.append(
-                            CosetTable._trusted(
-                                p.alphabet,
-                                tuple(map(tuple, cols[::2])),
-                                tuple(map(tuple, cols[1::2])),
-                            )
-                        )
+                        keys.append(pack(chain.from_iterable(cols)))
                     return
         column_taken = cols[k ^ 1]
         candidates = [d for d in range(used) if column_taken[d] < 0]
@@ -327,8 +337,27 @@ def low_index_tables(
                 used -= 1
 
     descend(BASE, 0)
-    found.sort(key=attrgetter("gen_images") if n <= 10 else table_to_text)
-    return found
+    if n <= 10:
+        keys.sort()
+    else:
+        keys.sort(key=lambda key: " ".join(map(str, chain(*_key_columns(key, n)[::2]))))
+    for key in keys:
+        columns = _key_columns(key, n)
+        yield CosetTable._trusted(p.alphabet, tuple(columns[::2]), tuple(columns[1::2]))
+
+
+def _key_columns(key: bytes | array, n: int) -> list[tuple[int, ...]]:
+    """The columns of a packed leaf key, ``n`` ids each."""
+    return list(zip(*[iter(key)] * n))
+
+
+def low_index_tables(
+    p: Presentation, n: int, max_index: int = DEFAULT_MAX_INDEX
+) -> list[CosetTable]:
+    """The tables of :func:`iter_low_index_tables` as a list, in the same
+    order: sorted by :func:`table_to_text`, each built from its sorted key
+    as the list is filled."""
+    return list(iter_low_index_tables(p, n, max_index))
 
 
 # ---------------------------------------------------------------------------

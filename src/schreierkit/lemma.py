@@ -464,15 +464,15 @@ def certificate_to_json(c: LemmaCertificate) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+# ``json`` yields no int subclass but ``bool``, which a type check rejects
+_INT = {int}
 
 
 def _require(doc: dict, key: str, kind: type):
     if key not in doc:
         raise CertificateFormatError(f"missing field {key!r}")
     value = doc[key]
-    if not (_is_int(value) if kind is int else isinstance(value, kind)):
+    if not (type(value) is int if kind is int else isinstance(value, kind)):
         raise CertificateFormatError(f"field {key!r} must be {kind.__name__}")
     return value
 
@@ -486,7 +486,7 @@ def _bounded(doc: dict, key: str, limit: int, what: str) -> int:
 
 def _int_rows(doc: dict, key: str, what: str) -> tuple[tuple[int, ...], ...]:
     rows = _require(doc, key, list)
-    if not all(isinstance(row, list) and all(map(_is_int, row)) for row in rows):
+    if not all(isinstance(row, list) and set(map(type, row)) <= _INT for row in rows):
         raise CertificateFormatError(f"{what} rows must be lists of integers")
     return tuple(map(tuple, rows))
 
@@ -535,14 +535,14 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         transversal = SchreierTransversal(table, reps)
         basis_doc = _require(doc, "basis", dict)
         flipped = _require(basis_doc, "flipped", list)
-        if not all(_is_int(g) and 0 <= g < alphabet.size for g in flipped):
+        if not (set(map(type, flipped)) <= _INT and all(0 <= g < alphabet.size for g in flipped)):
             raise CertificateFormatError("flipped must list generator indices")
         elements = tuple(
             parse_word(w, alphabet) for w in _require(basis_doc, "elements", list)
         )
         edge_index: dict[tuple[int, int], int] = {}
         for entry in _require(basis_doc, "edge_index", list):
-            if not (isinstance(entry, list) and len(entry) == 3 and all(map(_is_int, entry))):
+            if not (isinstance(entry, list) and len(entry) == 3 and set(map(type, entry)) <= _INT):
                 raise CertificateFormatError("edge_index entries must be [coset, gen, pos]")
             coset, gen, position = entry
             edge_index[(coset, gen)] = position

@@ -24,7 +24,7 @@ from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
-from .cosets import CosetTable, Presentation, low_index_tables
+from .cosets import CosetTable, Presentation, iter_low_index_tables
 from .errors import AlphabetMismatch, BadBound, BadGenus, RelatorNotKilled
 from .transversal import (
     AlphabetOrientation,
@@ -169,8 +169,10 @@ def surface_survey(
 ) -> Iterator[tuple[SurfaceReport, SubgroupPresentation]]:
     """One (report, rewritten presentation) pair per index-``n`` subgroup of
     the genus-``g`` surface group, in canonical table order; the table is
-    the presentation's ``table``.  A generator: each pair is built when it
-    is asked for, so only the tables stay in memory."""
+    the presentation's ``table``.  A generator over
+    :func:`~schreierkit.cosets.iter_low_index_tables`: each table and pair
+    is built when it is asked for, so only one packed key per subgroup
+    stays in memory."""
     if not 1 <= g <= max_genus:
         raise BadBound(f"genus {g} outside 1..{max_genus}")
     if not 1 <= n <= max_index:
@@ -178,7 +180,7 @@ def surface_survey(
     presentation = surface_presentation(g)
     rho_g = 2 * g - 1
     euler_g = 2 - 2 * g
-    for table in low_index_tables(presentation, n, max_index=n):
+    for table in iter_low_index_tables(presentation, n, max_index=n):
         sp = rewrite_presentation(presentation, table)
         euler_g1 = 1 - sp.generator_count + len(sp.relators)
         report = SurfaceReport(

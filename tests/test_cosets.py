@@ -24,6 +24,7 @@ from schreierkit import (
     inverse,
     invert,
     is_regular,
+    iter_low_index_tables,
     kills_relators,
     low_index_tables,
     parse_word,
@@ -358,6 +359,37 @@ def test_low_index_order_is_text_order_past_one_digit(n, count):
     assert len(tables) == count
     assert tables == sorted(tables, key=table_to_text)
     assert tables != sorted(tables, key=lambda t: t.gen_images)
+
+
+INVOLUTIONS = Presentation(AB, (parse_word("aa", AB), parse_word("bb", AB)))
+
+
+@pytest.mark.parametrize(
+    "pres, n, max_index",
+    [
+        (surface_presentation(2), 4, 8),  # the pinned grid digests
+        (surface_presentation(3), 3, 8),
+        (INVOLUTIONS, 11, 11),  # text order past one digit
+        (INVOLUTIONS, 12, 12),
+    ],
+    ids=["g2-n4", "g3-n3", "involutions-n11", "involutions-n12"],
+)
+def test_iter_low_index_tables_agrees_with_list(pres, n, max_index):
+    streamed = iter_low_index_tables(pres, n, max_index)
+    assert iter(streamed) is streamed
+    tables = list(streamed)
+    assert tables == low_index_tables(pres, n, max_index)
+    assert_leaf_tables_validate(tables)
+
+
+def test_iter_low_index_tables_ids_past_one_byte():
+    rank_one = Presentation(Alphabet.of("a"), ())
+    tables = list(iter_low_index_tables(rank_one, 300, max_index=300))
+    assert tables == low_index_tables(rank_one, 300, max_index=300)
+    cycle = CosetTable(rank_one.alphabet, (tuple(range(1, 300)) + (0,),))
+    assert tables == [canonical_form(cycle)]
+    assert max(tables[0].gen_images[0]) == 299
+    assert_leaf_tables_validate(tables)
 
 
 def test_low_index_higman_empty():

@@ -335,6 +335,38 @@ def test_certificate_rejects_non_int_edge_index_entry():
         certificate_from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            lambda doc: doc["hom"]["gen_images"][0].__setitem__(0, True),
+            "hom.gen_images rows must be lists of integers",
+        ),
+        (
+            lambda doc: doc["table"]["action"][1].__setitem__(0, 1.0),
+            "table.action rows must be lists of integers",
+        ),
+        (
+            lambda doc: doc["basis"]["edge_index"][0].__setitem__(2, 1.0),
+            "edge_index entries must be [coset, gen, pos]",
+        ),
+        (
+            lambda doc: doc["basis"]["flipped"].extend([0, 1.0]),
+            "flipped must list generator indices",
+        ),
+        (lambda doc: doc.__setitem__("r_position", True), "field 'r_position' must be int"),
+    ],
+    ids=["bool-in-permutation-row", "float-in-table-row", "float-in-edge-index",
+         "float-in-flipped", "bool-r-position"],
+)
+def test_certificate_rejects_non_int_numbers_by_name(edit, message):
+    doc = json.loads(certificate_to_json(run_lemma(AA_PRES, AA_REL, 4)))
+    edit(doc)
+    with pytest.raises(CertificateFormatError) as exc:
+        certificate_from_json(json.dumps(doc))
+    assert str(exc.value) == message
+
+
 def tampered(cert, **overrides):
     fields = {
         "presentation": cert.presentation,

@@ -1,3 +1,4 @@
+import gc
 import random
 from dataclasses import replace
 
@@ -244,6 +245,19 @@ def test_surface_survey_shapes():
         assert sp.generator_count == 7
         assert report.symbols_paired
         assert report.checks_pass
+
+
+def test_surface_survey_holds_no_tables():
+    def live_tables():
+        gc.collect()
+        return sum(isinstance(obj, CosetTable) for obj in gc.get_objects())
+
+    before = live_tables()
+    survey = surface_survey(2, 4)
+    next(survey)
+    # 5,275 subgroups: each waits as a packed key, not as a table
+    assert live_tables() - before <= 5
+    survey.close()
 
 
 def test_corrupted_crossings_fail_the_pairing_check():
