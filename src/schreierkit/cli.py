@@ -110,16 +110,15 @@ def cmd_surface(args: argparse.Namespace) -> int:
     all_pass = True
     count = 0
     for report, sp in survey:
-        checks = "pass" if report.checks_pass else "fail"
-        all_pass = all_pass and report.checks_pass
-        print(
+        passed = report.checks_pass
+        all_pass = all_pass and passed
+        sys.stdout.write(
             f"subgroup={count} genus={report.genus} index={report.index}"
             f" rho_G={report.rho_G} rho_G1_formula={report.rho_G1_formula}"
             f" rho_G1_counts={report.rho_G1_counts} euler_G={report.euler_G}"
-            f" euler_G1={report.euler_G1} checks={checks}"
+            f" euler_G1={report.euler_G1} checks={'pass' if passed else 'fail'}\n"
+            f"{table_to_text(sp.table)}\n"
         )
-        sys.stdout.write(table_to_text(sp.table))
-        print()
         count += 1
     print(f"subgroups={count} all_checks={'pass' if all_pass else 'fail'}")
     return 0 if all_pass else 1

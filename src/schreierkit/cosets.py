@@ -213,12 +213,18 @@ def iter_low_index_tables(
 
     The search is plain backtracking over partial tables.  A signed letter
     is numbered ``k = 2*g`` (``g``) or ``2*g + 1`` (``g``⁻¹), so ``k ^ 1`` is
-    its inverse and column ``k`` holds its partial action.  Undefined slots
-    are filled in (coset, generator, sign) order, i.e. (coset, ``k``) order;
-    candidate targets are the already-introduced cosets in ascending order,
-    then one fresh coset.  That discipline makes every completed table its
-    own canonical BFS renumbering, so distinct outputs are distinct
-    subgroups of index ``n``.
+    its inverse and column ``k`` holds its partial action.  It runs in two
+    phases.  While fewer than ``n`` cosets are in, a cursor moves forward
+    over the undefined slots in (coset, generator, sign) order, i.e.
+    (coset, ``k``) order; candidate targets are the already-introduced
+    cosets in ascending order, then one fresh coset.  So each coset first
+    appears, in slot order, at the slot where it came in, and every slot
+    before the cursor is defined.  Once every coset is in, no slot can take
+    a fresh coset, so any completion is its own canonical BFS renumbering
+    whatever order the remaining slots are filled in; the search then
+    branches on the first free slot of the forward column with the fewest
+    free slots (fail first: a column with one free slot is forced).
+    Distinct outputs are therefore distinct subgroups of index ``n``.
 
     Output is sorted by serialized canonical form, :func:`table_to_text`.
     A completed table is kept as one packed key: its ``2m`` live columns
@@ -268,11 +274,13 @@ def iter_low_index_tables(
     edge of the cycle already present, so the scan was complete: had the
     relator not fixed the coset, the branch would have been pruned there.
 
-    The canonical-form argument is unchanged: deductions only define edges
-    between cosets already introduced, fresh cosets still come one at a
-    time in slot order, and the slot cursor moves only forward along a
+    Deductions leave the canonical-form argument intact: they only define
+    edges between cosets already introduced, so fresh cosets still come one
+    at a time in slot order, and the slot cursor moves only forward along a
     branch, because every slot before it is defined and stays so until the
-    branch backtracks.
+    branch backtracks.  The second phase changes the order in which the
+    leaves are reached, not the set of leaves, and the keys are sorted
+    afterwards.
     """
     if not 1 <= n <= max_index:
         raise BadBound(f"index {n} outside 1..{max_index}")
@@ -291,6 +299,8 @@ def iter_low_index_tables(
     scan = _scan_rotation
     pack = bytes if n <= 0x100 else partial(array, "I")
     keys: list[bytes | array] = []
+    forward = cols[::2]
+    unset = [-1] * len(forward)
     used = 1
 
     def close(trail: list[tuple[int, int, int]]) -> bool:
@@ -311,14 +321,22 @@ def iter_low_index_tables(
 
     def descend(c: int, k: int) -> None:
         nonlocal used
-        while cols[k][c] >= 0:
-            k += 1
-            if k == width:
-                c, k = c + 1, 0
-                if c == used:
-                    if used == n:
-                        keys.append(pack(chain.from_iterable(cols)))
-                    return
+        if used < n:
+            while cols[k][c] >= 0:
+                k += 1
+                if k == width:
+                    c, k = c + 1, 0
+                    if c == used:
+                        return
+        else:
+            # every coset is in: branch on the tightest forward column
+            free = list(map(list.count, forward, unset))
+            tightest = min(filter(None, free), default=0)
+            if not tightest:
+                keys.append(pack(chain.from_iterable(cols)))
+                return
+            k = 2 * free.index(tightest)
+            c = cols[k].index(-1)
         column_taken = cols[k ^ 1]
         candidates = [d for d in range(used) if column_taken[d] < 0]
         if used < n:

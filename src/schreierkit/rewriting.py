@@ -20,8 +20,8 @@ Euler characteristic multiply by the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from typing import Iterator
 
 from .cosets import CosetTable, Presentation, iter_low_index_tables
@@ -43,6 +43,13 @@ DEFAULT_REPORT_MAX_INDEX = 6
 
 SignedSymbol = tuple[int, int]  # (basis symbol position, sign)
 SymbolWord = tuple[SignedSymbol, ...]
+
+
+@lru_cache(maxsize=16)
+def _signed_symbols(count: int) -> frozenset[SignedSymbol]:
+    """``(i, +1)`` and ``(i, -1)`` for every symbol ``i < count``.  Every
+    subgroup of one survey has the same count, so the set is built once."""
+    return frozenset(product(range(count), (1, -1)))
 
 
 @dataclass(frozen=True)
@@ -72,17 +79,11 @@ class SubgroupPresentation:
         (Stillwell, *Classical Topology and Combinatorial Group Theory*,
         §§3–4).  A symbol outside ``0 .. generator_count - 1`` gives False."""
         count = self.generator_count
-        # one slot per signed symbol: 2i for (i, +1), 2i + 1 for (i, -1)
-        unseen = [True] * (2 * count)
-        for relator in self.relators:
-            for position, sign in relator:
-                if not 0 <= position < count or sign not in (1, -1):
-                    return False
-                slot = 2 * position + (sign < 0)
-                if not unseen[slot]:
-                    return False
-                unseen[slot] = False
-        return not any(unseen)
+        # 2 * count symbols whose set is the 2 * count expected ones:
+        # each expected symbol occurs, so none occurs twice
+        if sum(map(len, self.relators)) != 2 * count:
+            return False
+        return set(chain.from_iterable(self.relators)) == _signed_symbols(count)
 
     def symbol_name(self, position: int) -> str:
         return f"x{position}"

@@ -392,6 +392,127 @@ def test_iter_low_index_tables_ids_past_one_byte():
     assert_leaf_tables_validate(tables)
 
 
+def reference_low_index(p, n):
+    """Oracle: the slot-order search.  Undefined slots are filled in
+    (coset, letter) order to the end, targets are the introduced cosets in
+    ascending order and then one fresh coset; after each choice every
+    relator rotation is traced from every introduced coset until nothing
+    more is deduced.  Leaves are validated and sorted by text."""
+    width = 2 * p.alphabet.size
+    cols = [[-1] * n for _ in range(width)]
+    rotations = set()
+    for rel in p.relators:
+        letters = tuple(2 * g + (s < 0) for g, s in rel.letters)
+        rotations.update(letters[i:] + letters[:i] for i in range(len(letters)))
+    found = []
+    used = 1
+
+    def scan(rot, alpha, trail):
+        f = b = alpha
+        i, j = 0, len(rot) - 1
+        while i <= j and cols[rot[i]][f] >= 0:
+            f, i = cols[rot[i]][f], i + 1
+        if i > j:
+            return f == alpha
+        while j > i and cols[rot[j] ^ 1][b] >= 0:
+            b, j = cols[rot[j] ^ 1][b], j - 1
+        if j > i:
+            return True
+        if cols[rot[i] ^ 1][b] >= 0:
+            return False
+        cols[rot[i]][f], cols[rot[i] ^ 1][b] = b, f
+        trail.append((rot[i], f, b))
+        return True
+
+    def close(trail):
+        while True:
+            before = len(trail)
+            for rot in rotations:
+                for alpha in range(used):
+                    if not scan(rot, alpha, trail):
+                        return False
+            if len(trail) == before:
+                return True
+
+    def descend(c, k):
+        nonlocal used
+        while cols[k][c] >= 0:
+            k += 1
+            if k == width:
+                c, k = c + 1, 0
+                if c == used:
+                    if used == n:
+                        found.append(CosetTable(p.alphabet, tuple(map(tuple, cols[::2]))))
+                    return
+        for d in range(min(used + 1, n)):
+            if cols[k ^ 1][d] >= 0:
+                continue
+            fresh = d == used
+            used += fresh
+            cols[k][c], cols[k ^ 1][d] = d, c
+            trail = [(k, c, d)]
+            if close(trail):
+                descend(c, k)
+            for kk, src, dst in trail:
+                cols[kk][src] = cols[kk ^ 1][dst] = -1
+            used -= fresh
+
+    descend(0, 0)
+    return sorted(found, key=table_to_text)
+
+
+def test_slot_order_reference_against_brute_force():
+    for pres, n in (
+        (Presentation(AB, (parse_word("abAB", AB),)), 3),
+        (Presentation(AB, (parse_word("abab", AB),)), 4),
+        (Presentation(AB, ()), 3),
+    ):
+        tables = reference_low_index(pres, n)
+        assert [table_to_text(t) for t in tables] == brute_force_low_index(pres, n)
+
+
+def _random_presentation(seed):
+    """``ab`` with one or two short relators, each the square or cube of a
+    random word of one or two letters, or the commutator of two such."""
+    rng = random.Random(seed)
+
+    def short():
+        while not len(word := random_word(rng, AB, 2)):
+            pass
+        return word
+
+    relators = []
+    for _ in range(rng.choice((1, 2))):
+        u = short()
+        if rng.random() < 0.5:
+            relator = u
+            for _ in range(rng.choice((1, 2))):
+                relator = concat_reduce(relator, u)
+        else:
+            v = short()
+            relator = concat_reduce(concat_reduce(u, v), concat_reduce(invert(u), invert(v)))
+        if len(relator):
+            relators.append(relator)
+    return Presentation(AB, tuple(relators))
+
+
+@pytest.mark.parametrize(
+    "pres, n",
+    [
+        (surface_presentation(1), 8),
+        (surface_presentation(2), 3),
+        (surface_presentation(4), 2),
+        (Presentation(AB, ()), 5),
+    ]
+    + [(_random_presentation(seed), n) for seed in range(8) for n in (5, 6)],
+    ids=["torus-n8", "g2-n3", "g4-n2", "free-ab-n5"]
+    + [f"random{seed}-n{n}" for seed in range(8) for n in (5, 6)],
+)
+def test_low_index_matches_slot_order_reference(pres, n):
+    # same tables in the same order as the search that never leaves slot order
+    assert low_index_tables(pres, n) == reference_low_index(pres, n)
+
+
 def test_low_index_higman_empty():
     alphabet = Alphabet.of("abcd")
     relators = tuple(

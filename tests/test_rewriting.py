@@ -297,3 +297,10 @@ def test_symbols_paired_on_hand_built_presentations():
     # a position outside 0 .. generator_count - 1 gives False, not an error
     assert not paired(1, ((0, 1), (0, -1), (1, 1)))
     assert not paired(1, ((0, 1), (-1, -1)))
+    # the total length is right in each of these
+    assert not paired(1, ((0, 1), (1, -1)))  # a position out of range
+    assert not paired(2, ((0, 1), (0, -1), (1, 1), (2, -1)))
+    assert not paired(1, ((0, 1), (0, 0)))  # a sign of 0
+    assert not paired(2, ((0, 1), (0, -1), (1, 0), (1, -1)))
+    assert not paired(2, ((0, 1), (0, -1)), ((1, 1), (1, 1)))  # a symbol twice
+    assert not paired(2, ((0, 1), (0, -1), (0, 1), (1, -1)))
