@@ -4,11 +4,17 @@ Exit codes: 0 success, 1 mathematical negative (NOTFOUND, failed
 verification, unmet precondition), 2 usage or input error (including a
 file that cannot be read or is not UTF-8).  Stdout is
 machine-parseable for codes 0 and 1; diagnostics go to stderr.
+
+:func:`main` builds its parser once per process, on its first call, and
+reuses it; :func:`build_parser` still returns a fresh one.  The parser
+carries no handler: ``main`` runs the module's ``cmd_<command>`` looked up
+by name at each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -43,6 +49,12 @@ from .transversal import (
 from .words import Alphabet, parse_word
 
 
+def _read(path: str) -> str:
+    # UTF-8 whatever the locale, so a file that is not UTF-8 is an input
+    # error (exit 2) everywhere
+    return Path(path).read_text(encoding="utf-8")
+
+
 def _inferred_alphabet(text: str) -> Alphabet:
     names = sorted({ch.lower() for ch in text if ch.lower().isalpha()})
     return Alphabet(tuple(names)) if names else Alphabet.of("a")
@@ -55,7 +67,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    presentation = presentation_from_text(Path(args.presentation).read_text())
+    presentation = presentation_from_text(_read(args.presentation))
     relator = parse_word(args.relator, presentation.alphabet)
     certificate = run_lemma(presentation, relator, args.max_degree)
     if certificate is None:
@@ -66,7 +78,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    certificate = certificate_from_json(Path(args.certificate).read_text())
+    certificate = certificate_from_json(_read(args.certificate))
     result = verify_certificate(certificate)
     if result:
         print("OK")
@@ -77,7 +89,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    table = table_from_text(Path(args.table).read_text())
+    table = table_from_text(_read(args.table))
     if args.through is None:
         transversal = schreier_transversal(table)
         basis = schreier_basis(transversal)
@@ -98,7 +110,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 
 def cmd_table(args: argparse.Namespace) -> int:
-    table = table_from_text(Path(args.table).read_text())
+    table = table_from_text(_read(args.table))
     sys.stdout.write(table_to_text(table))
     return 0
 
@@ -125,8 +137,8 @@ def cmd_surface(args: argparse.Namespace) -> int:
 
 
 def cmd_rewrite(args: argparse.Namespace) -> int:
-    presentation = presentation_from_text(Path(args.presentation).read_text())
-    table = table_from_text(Path(args.table).read_text())
+    presentation = presentation_from_text(_read(args.presentation))
+    table = table_from_text(_read(args.table))
     try:
         sp = rewrite_presentation(presentation, table)
     except RelatorNotKilled as exc:
@@ -150,7 +162,6 @@ def build_parser() -> argparse.ArgumentParser:
     reduce_p = sub.add_parser("reduce", help="freely reduce a word")
     reduce_p.add_argument("word")
     reduce_p.add_argument("--gens", help="generator names (default: inferred)")
-    reduce_p.set_defaults(func=cmd_reduce)
 
     witness_p = sub.add_parser(
         "witness", help="find a separating quotient and emit a certificate"
@@ -165,20 +176,16 @@ def build_parser() -> argparse.ArgumentParser:
         f" a first witness whose image group has more than {DEFAULT_IMAGE_CEILING}"
         " elements exits 2 with 'error: image group exceeds the ceiling ...'",
     )
-    witness_p.set_defaults(func=cmd_witness)
 
     verify_p = sub.add_parser("verify", help="re-check a certificate from raw data")
     verify_p.add_argument("--certificate", required=True)
-    verify_p.set_defaults(func=cmd_verify)
 
     basis_p = sub.add_parser("basis", help="transversal and basis of a coset table")
     basis_p.add_argument("--table", required=True)
     basis_p.add_argument("--through", help="build the basis through this word")
-    basis_p.set_defaults(func=cmd_basis)
 
     table_p = sub.add_parser("table", help="validate and echo a coset table file")
     table_p.add_argument("--table", required=True)
-    table_p.set_defaults(func=cmd_table)
 
     surface_p = sub.add_parser(
         "surface", help="rank-deficiency reports for surface-group subgroups"
@@ -187,23 +194,27 @@ def build_parser() -> argparse.ArgumentParser:
     surface_p.add_argument("--index", type=int, required=True)
     surface_p.add_argument("--max-genus", type=int, default=DEFAULT_REPORT_MAX_GENUS)
     surface_p.add_argument("--max-index", type=int, default=DEFAULT_REPORT_MAX_INDEX)
-    surface_p.set_defaults(func=cmd_surface)
 
     rewrite_p = sub.add_parser(
         "rewrite", help="rewrite relators to a subgroup presentation"
     )
     rewrite_p.add_argument("--presentation", required=True)
     rewrite_p.add_argument("--table", required=True)
-    rewrite_p.set_defaults(func=cmd_rewrite)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound ``cmd_*`` is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (SchreierKitError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,9 +15,10 @@ points is a degree ``d - 1`` tuple, already searched.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -158,7 +159,7 @@ def _class_minima(degree: int) -> list[tuple[int, ...]]:
 
 
 def _centraliser(
-    group: list[tuple[int, ...]], p: tuple[int, ...]
+    group: Sequence[tuple[int, ...]], p: tuple[int, ...]
 ) -> list[tuple[int, ...]]:
     """The elements of ``group`` that commute with ``p``, in order."""
     pairs = tuple(enumerate(p))
@@ -173,8 +174,8 @@ def _centraliser(
 
 
 def _orbit_minima(
-    perms: list[tuple[int, ...]], group: list[tuple[int, ...]], inverses: dict
-) -> list[tuple[int, ...]]:
+    perms: Sequence[tuple[int, ...]], group: Sequence[tuple[int, ...]], inverses: dict
+) -> Sequence[tuple[int, ...]]:
     """The least element of each orbit of ``group`` acting on ``perms`` by
     conjugation, in the order of ``perms``, which must be lexicographic and
     closed under that action.  ``inverses`` maps each element of ``group``
@@ -192,6 +193,61 @@ def _orbit_minima(
             then_q = itemgetter(*q)
             marked.update([then_s_inv(then_q(s)) for s, then_s_inv in pairs])
     return minima
+
+
+class _Symmetric:
+    """The tables of S_degree that the search reads whatever its input: the
+    permutations in lexicographic order, the inverse of each, the
+    cycle-type minima, and, under each generator-0 image ``sigma``, level
+    one's joint centraliser C(sigma) and candidates, built the first time
+    the search reaches them."""
+
+    def __init__(self, degree: int) -> None:
+        self.degree = degree
+        self.perms = tuple(itertools.permutations(range(degree)))
+        self.inverses = {q: inverse(q) for q in self.perms}
+        self.identity = tuple(range(degree))
+        self.class_minima = tuple(_class_minima(degree))
+        self._level_one: dict[tuple, tuple] = {}
+
+    def candidates(
+        self, centraliser: Sequence[tuple[int, ...]], fixed: tuple[int, ...], last: bool
+    ) -> Sequence[tuple[int, ...]]:
+        """The images one generator ranges over, in order: the least element
+        of each orbit of ``centraliser``, the joint centraliser of the
+        earlier images; at the ``last`` generator, only those that move
+        every point of ``fixed``, the points the earlier images all fix."""
+        whole = len(centraliser) == len(self.perms)
+        candidates: Sequence[tuple[int, ...]] = self.class_minima if whole else self.perms
+        if last and self.degree > 1:
+            # filtered before the orbit minima are taken: marking fewer
+            # permutations is the cheaper order
+            for x in fixed:
+                candidates = [q for q in candidates if q[x] != x]
+        if not whole:
+            candidates = _orbit_minima(candidates, centraliser, self.inverses)
+        return candidates
+
+    def level_one(
+        self, sigma: tuple[int, ...], last: bool
+    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """C(sigma) and generator 1's candidates under generator-0 image
+        ``sigma``; keyed by ``last`` too, since the last generator's
+        candidates are filtered by the fixed points of ``sigma``."""
+        kept = self._level_one.get((sigma, last))
+        if kept is None:
+            centraliser = tuple(_centraliser(self.perms, sigma))
+            fixed = tuple(x for x in range(self.degree) if sigma[x] == x)
+            kept = (centraliser, tuple(self.candidates(centraliser, fixed, last)))
+            self._level_one[(sigma, last)] = kept
+        return kept
+
+
+@functools.cache
+def _symmetric(degree: int) -> _Symmetric:
+    """The tables of S_degree, kept for the process; the search asks only
+    for ``degree <= DEFAULT_MAX_DEGREE`` (about 0.2 MB in all)."""
+    return _Symmetric(degree)
 
 
 def find_separating_quotient(
@@ -242,6 +298,18 @@ def find_separating_quotient(
     points are no point or every point (for ``d >= 3`` the earlier images
     are then all the identity), and the candidates left are the cycle-type
     minima of the derangements.
+
+    What depends only on the degree is built once per process for each
+    ``d <= DEFAULT_MAX_DEGREE`` and kept: the list of S_d, the inverse of
+    each element, the cycle-type minima, and, under each generator-0 image
+    ``sigma``, its centraliser C(sigma) and generator 1's candidates.  Those
+    candidates are keyed by ``sigma`` and by whether generator 1 is the
+    last: the last generator's pool is filtered by the fixed points of
+    ``sigma`` before its orbit minima are taken, which is cheaper than one
+    list of orbit minima over all of S_d filtered afterwards.  Deeper
+    levels are worked out per call.  Above ``DEFAULT_MAX_DEGREE`` the same
+    tables are built per call and dropped, since S_10's alone would hold
+    about 1 GB for good.
     """
     if max_degree < 1:
         raise BadBound(f"max_degree must be at least 1, got {max_degree}")
@@ -268,48 +336,62 @@ def find_separating_quotient(
     early.append(())
 
     for degree in range(1, max_degree + 1):
-        perms = list(itertools.permutations(range(degree)))
-        inverses = {q: inverse(q) for q in perms}
-        identity = tuple(range(degree))
-        class_minima = _class_minima(degree)
+        # above the default bound the tables are built per call and
+        # dropped: S_10's alone would hold about 1 GB for good
+        sym = _symmetric(degree) if degree <= DEFAULT_MAX_DEGREE else _Symmetric(degree)
         imgs: list[tuple[int, ...]] = []
         invs: list[tuple[int, ...]] = []
 
-        def assign(k: int, group: list[tuple[int, ...]], fixed: tuple[int, ...]) -> bool:
-            # group: the joint centraliser of the images fixed so far;
+        def assign(
+            k: int,
+            centraliser: Sequence[tuple[int, ...]],
+            fixed: tuple[int, ...],
+            candidates: Sequence[tuple[int, ...]],
+        ) -> bool:
+            # centraliser: the joint centraliser of the images fixed so far;
             # fixed: the points they all fix
             last = k == m - 1
-            whole = len(group) == len(perms)
-            candidates = class_minima if whole else perms
-            if last and degree > 1:
-                # the last image must move every point the earlier ones all fix
-                for x in fixed:
-                    candidates = [q for q in candidates if q[x] != x]
-            if not whole:
-                candidates = _orbit_minima(candidates, group, inverses)
             relators = by_level[k + 1]
             for cand in candidates:
                 imgs.append(cand)
-                invs.append(inverses[cand])
+                invs.append(sym.inverses[cand])
                 if not relators or all(_kills(rel, imgs, invs, degree) for rel in relators):
                     if last:
                         if _kills(r.letters, imgs, invs, degree) and _separated(
-                            r.letters[:-1], imgs, invs, identity
+                            r.letters[:-1], imgs, invs, sym.identity
                         ):
                             return True
                     elif (
-                        not early[k] or _separated(early[k], imgs, invs, identity)
-                    ) and assign(
-                        k + 1,
-                        _centraliser(group, cand),
-                        tuple(x for x in fixed if cand[x] == x),
-                    ):
+                        not early[k] or _separated(early[k], imgs, invs, sym.identity)
+                    ) and assign(k + 1, *next_level(k, centraliser, fixed, cand)):
                         return True
                 imgs.pop()
                 invs.pop()
             return False
 
-        if assign(0, perms, identity):
+        def next_level(
+            k: int,
+            centraliser: Sequence[tuple[int, ...]],
+            fixed: tuple[int, ...],
+            cand: tuple[int, ...],
+        ) -> tuple:
+            # level k + 1's centraliser, fixed points and candidates once
+            # level k has the image cand; level one's are kept per degree
+            fixed = tuple(x for x in fixed if cand[x] == x)
+            last = k + 1 == m - 1
+            if k == 0:
+                centraliser, candidates = sym.level_one(cand, last)
+            else:
+                centraliser = _centraliser(centraliser, cand)
+                candidates = sym.candidates(centraliser, fixed, last)
+            return centraliser, fixed, candidates
+
+        level_zero = sym.candidates(sym.perms, sym.identity, m == 1)
+        found = assign(0, sym.perms, sym.identity, level_zero)
+        # assign reaches itself through its closure, a cycle only the cyclic
+        # collector frees; unbinding sym frees the tables on return
+        del sym
+        if found:
             return FiniteQuotientHom(p.alphabet, tuple(imgs))
     return None
 

@@ -2,6 +2,9 @@ import copy
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -10,9 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schreierkit import FiniteQuotientHom, lemma
+from schreierkit import FiniteQuotientHom, cli, lemma
 from schreierkit.perms import DEFAULT_IMAGE_CEILING
-from schreierkit.cli import main
+from schreierkit.cli import build_parser, main
 
 AA_PRESENTATION = "gens: a b\nrel: aa\n"
 TWO_TABLE = "n=2\na: 1 0\nb: 0 1\n"
@@ -28,6 +31,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_main_runs_the_handler_bound_at_call_time(capsys, tmp_path, monkeypatch):
+    # main reuses one parser across calls; it must still run a cmd_* rebound
+    # after that parser was built, as monkeypatching and tracing do
+    table = tmp_path / "two.table"
+    table.write_text(TWO_TABLE)
+    assert run(capsys, "table", "--table", str(table))[0] == 0
+    seen = []
+
+    def stub(args):
+        seen.append(args.table)
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_table", stub)
+    assert run(capsys, "table", "--table", str(table)) == (0, "", "")
+    assert seen == [str(table)]
+    assert build_parser() is not build_parser()
 
 
 def test_reduce(capsys):
@@ -492,6 +513,30 @@ def test_non_utf8_file_is_input_error(capsys, tmp_path, command):
         "verify": ["verify", "--certificate", bad],
     }[command]
     assert_input_error(*run(capsys, *map(str, argv)))
+
+
+def test_files_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # an ASCII locale, with neither locale coercion nor UTF-8 mode, and every
+    # read without an explicit encoding turned into an error; the em space
+    # (U+2003, three bytes in UTF-8) is whitespace to the parser
+    pres = tmp_path / "aa.pres"
+    pres.write_bytes("gens: a\u2003b\nrel: aa\n".encode())
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONUTF8="0",
+        PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"),
+    )
+    proc = subprocess.run(
+        [
+            sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+            "-m", "schreierkit", "witness", "--presentation", str(pres), "--relator", "aa",
+        ],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout)["basis"]["elements"] == ["b", "aa", "abA"]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -45,7 +46,14 @@ from schreierkit import (
     trace,
     verify_certificate,
 )
-from schreierkit.lemma import _centraliser, _class_minima, _orbit_minima
+from schreierkit.lemma import (
+    DEFAULT_MAX_DEGREE,
+    _centraliser,
+    _class_minima,
+    _orbit_minima,
+    _symmetric,
+    _Symmetric,
+)
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -222,6 +230,48 @@ def test_orbit_minima_match_brute_force_orbits():
                 for p1 in minima:
                     check(perms, group, p1)
                     check(moving(perms, [p0, p1]), group, p1)
+
+
+def test_kept_level_one_tables_match_a_fresh_computation():
+    # built cold here; the last generator's pool is filtered by the fixed
+    # points of sigma before its orbit minima are taken
+    _symmetric.cache_clear()
+    for degree in range(1, 6):
+        perms = list(itertools.permutations(range(degree)))
+        inverses = {s: inverse(s) for s in perms}
+        tables = _symmetric(degree)
+        assert tables.perms == tuple(perms)
+        assert tables.class_minima == tuple(_class_minima(degree))
+        for sigma in _class_minima(degree):
+            centraliser = _centraliser(perms, sigma)
+            fixed = [x for x in range(degree) if sigma[x] == x]
+            for last in (False, True):
+                pool = perms
+                if last and degree > 1:
+                    pool = [q for q in perms if all(q[x] != x for x in fixed)]
+                kept = tables.level_one(sigma, last)
+                assert all(type(part) is tuple for part in kept)
+                assert kept == (
+                    tuple(centraliser), tuple(_orbit_minima(pool, centraliser, inverses))
+                ), (degree, sigma, last)
+
+
+def test_search_is_the_same_with_tables_cold_or_warm():
+    cases = [(p, parse_word(text, p.alphabet), degree) for p, text, degree in SEARCH_CASES]
+    expected = [brute_force_first_hom(*case) for case in cases]
+    _symmetric.cache_clear()
+    forward = [find_separating_quotient(*case) for case in cases]
+    backward = [find_separating_quotient(*case) for case in reversed(cases)]
+    assert forward == expected
+    assert backward[::-1] == expected
+
+
+def test_tables_above_the_default_degree_are_not_kept():
+    free = _pres(AB)
+    assert find_separating_quotient(free, parse_word("baaBAbAB", AB), 7) is None
+    # freed on return, with no cyclic collection
+    held = {obj.degree for obj in gc.get_objects() if isinstance(obj, _Symmetric)}
+    assert held == set(range(1, DEFAULT_MAX_DEGREE + 1))
 
 
 def test_single_letter_relator_uses_trivial_quotient():
