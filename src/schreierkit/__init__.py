@@ -5,13 +5,9 @@ from .cosets import (
     BASE,
     CosetTable,
     Presentation,
-    canonical_form,
     contains,
-    is_regular,
     iter_low_index_tables,
-    low_index_tables,
     presentation_from_text,
-    presentation_to_text,
     regular_table,
     separates_prefixes,
     table_from_text,
@@ -72,9 +68,7 @@ from .transversal import (
     check_transversal,
     crossings,
     edge_numbering,
-    evaluate_positions,
     fold_verify,
-    rewrite_in_basis,
     schreier_basis,
     schreier_transversal,
     transversal_to_text,
@@ -84,13 +78,11 @@ from .words import (
     Alphabet,
     FreeWord,
     Letter,
-    concat_reduce,
     empty_word,
     free_reduce,
     invert,
     is_reduced,
     parse_word,
-    prefixes,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

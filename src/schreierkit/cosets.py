@@ -8,8 +8,7 @@ from the base.  The one exception is the leaf of
 :func:`iter_low_index_tables`, whose complete columns are permutations,
 hold their own inverses and act transitively by construction.  That
 enumeration keeps one packed key per subgroup, sorts the keys, and builds
-each table only when it is consumed; :func:`low_index_tables` is the same
-sequence as a list.
+each table only when it is consumed.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .errors import (
     BadBound,
     BadCoset,
     EmptyWord,
-    ImageTooLarge,
     InvalidTable,
     ParseError,
 )
@@ -35,6 +33,10 @@ from .words import Alphabet, FreeWord, parse_word
 
 BASE = 0
 DEFAULT_MAX_INDEX = 8
+# the low-index search recurses once per branching, and each branching fills
+# at least one of a table's n·m edges: at most n·m + 1 frames deep, which
+# this keeps well inside Python's default recursion limit of 1000
+_MAX_TABLE_EDGES = 512
 
 
 @dataclass(frozen=True)
@@ -128,40 +130,6 @@ def separates_prefixes(t: CosetTable, w: FreeWord) -> bool:
     return len(cosets) == len(w)
 
 
-def is_regular(t: CosetTable) -> bool:
-    """True iff the permutation group generated by the table's columns has
-    order exactly ``n`` (only the identity fixes a point), i.e. the table is
-    the regular action of a quotient group and the subgroup is normal.
-    A transitive action generates at least ``n`` elements, so a closure
-    capped at ``n`` decides it."""
-    try:
-        return len(image_closure(t, t.n)) == t.n
-    except ImageTooLarge:
-        return False
-
-
-def canonical_form(t: CosetTable) -> CosetTable:
-    """Renumber cosets by breadth-first discovery from the base, visiting
-    neighbors by (generator ascending, sign +1 before -1)."""
-    m = t.alphabet.size
-    new_id = {BASE: 0}
-    order = [BASE]
-    for c in order:
-        for g in range(m):
-            for s in (1, -1):
-                d = t.step(c, g, s)
-                if d not in new_id:
-                    new_id[d] = len(order)
-                    order.append(d)
-    columns = []
-    for g in range(m):
-        images = [0] * t.n
-        for old, new in new_id.items():
-            images[new] = new_id[t.step(old, g, 1)]
-        columns.append(tuple(images))
-    return CosetTable(t.alphabet, tuple(columns))
-
-
 def _scan_rotation(
     fc: list[list[int]],
     bc: list[list[int]],
@@ -208,8 +176,10 @@ def iter_low_index_tables(
     """All coset tables with exactly ``n`` cosets on which every relator acts
     trivially, one representative per renumbering class with the base fixed.
     A generator: the whole enumeration runs when the first table is asked
-    for (``BadBound`` is raised then), and keeps one packed key per table,
-    not the table; each table is built from its key when it is consumed.
+    for (``BadBound`` is raised then: for ``n`` outside ``1..max_index``, or
+    for a table of more than 512 edges, ``n`` times the generator count),
+    and keeps one packed key per table, not the table; each table is built
+    from its key when it is consumed.
 
     The search is plain backtracking over partial tables.  A signed letter
     is numbered ``k = 2*g`` (``g``) or ``2*g + 1`` (``g``⁻¹), so ``k ^ 1`` is
@@ -284,7 +254,13 @@ def iter_low_index_tables(
     """
     if not 1 <= n <= max_index:
         raise BadBound(f"index {n} outside 1..{max_index}")
-    width = 2 * p.alphabet.size
+    m = p.alphabet.size
+    if n * m > _MAX_TABLE_EDGES:
+        raise BadBound(
+            f"index {n} over {m} generators gives {n * m} table edges,"
+            f" more than {_MAX_TABLE_EDGES}"
+        )
+    width = 2 * m
     cols = [[-1] * n for _ in range(width)]
     starting: list[list[tuple[list, list, tuple[int, ...]]]] = [[] for _ in range(width)]
     rotations: dict[tuple[int, ...], None] = {}
@@ -369,15 +345,6 @@ def _key_columns(key: bytes | array, n: int) -> list[tuple[int, ...]]:
     return list(zip(*[iter(key)] * n))
 
 
-def low_index_tables(
-    p: Presentation, n: int, max_index: int = DEFAULT_MAX_INDEX
-) -> list[CosetTable]:
-    """The tables of :func:`iter_low_index_tables` as a list, in the same
-    order: sorted by :func:`table_to_text`, each built from its sorted key
-    as the list is filled."""
-    return list(iter_low_index_tables(p, n, max_index))
-
-
 # ---------------------------------------------------------------------------
 # text formats
 # ---------------------------------------------------------------------------
@@ -421,15 +388,6 @@ def table_from_text(text: str) -> CosetTable:
     except ValueError as exc:
         raise InvalidTable(str(exc)) from exc
     return CosetTable(alphabet, tuple(columns))
-
-
-def presentation_to_text(p: Presentation) -> str:
-    """Presentation file format: ``gens: a b c`` then one ``rel: <word>``
-    line per relator."""
-    lines = ["gens: " + " ".join(p.alphabet.names)]
-    for rel in p.relators:
-        lines.append(f"rel: {rel}")
-    return "\n".join(lines) + "\n"
 
 
 def presentation_from_text(text: str) -> Presentation:

@@ -115,16 +115,14 @@ def kills_relators(h: FiniteQuotientHom, relators: Sequence[FreeWord]) -> bool:
     return all(eval_word(h, rel) == identity for rel in relators)
 
 
-def image_closure(
-    h: FiniteQuotientHom, ceiling: int = DEFAULT_IMAGE_CEILING
-) -> list[tuple[int, ...]]:
+def image_closure(h: FiniteQuotientHom) -> list[tuple[int, ...]]:
     """All elements of the image group in deterministic BFS order.
 
     The first element is the identity; discovery multiplies each known
     element on the right by the generator images in alphabet order, then by
     their inverses in alphabet order.  This order is part of the contract:
     certificates index cosets by it.  Raises :class:`ImageTooLarge` when
-    the group has more than ``ceiling`` elements.
+    the group has more than :data:`DEFAULT_IMAGE_CEILING` elements.
     """
     steps = h.gen_images + h.inverse_images
     identity = tuple(range(h.degree))
@@ -135,8 +133,8 @@ def image_closure(
         for step in steps:
             nxt = compose(current, step)
             if nxt not in seen:
-                if len(seen) >= ceiling:
-                    raise ImageTooLarge(ceiling)
+                if len(seen) >= DEFAULT_IMAGE_CEILING:
+                    raise ImageTooLarge(DEFAULT_IMAGE_CEILING)
                 seen[nxt] = None
                 queue.append(nxt)
     return list(seen)

@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .cosets import BASE, CosetTable, contains
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
-from .words import FreeWord, Letter, concat_reduce, empty_word, invert
+from .words import FreeWord, Letter
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,7 @@ def tree_letters(
     representative is one letter shorter.
 
     The transversal is seeded by the path of ``through``: its initial
-    segments (the empty word up to all but its last letter, as
-    :func:`~schreierkit.words.prefixes` lists them) become the
+    segments (the empty word up to all but its last letter) become the
     representatives of the cosets they reach, found in one walk from the
     base; they must reach pairwise distinct cosets.  Remaining cosets are
     filled breadth-first from the base and then the path's cosets in path
@@ -271,34 +270,6 @@ def schreier_basis(
     edge_index, elements = basis_letters(tr, orientation)
     words = tuple(FreeWord(t.alphabet, u) for u in elements)
     return SubgroupBasis(t, tr, orientation, words, edge_index)
-
-
-def rewrite_in_basis(b: SubgroupBasis, w: FreeWord) -> list[tuple[int, int]]:
-    """Express a subgroup element in the basis: its crossings from the
-    base.  The signed product of the corresponding basis elements freely
-    reduces back to ``w`` exactly."""
-    t = b.table
-    if w.alphabet != t.alphabet:
-        raise AlphabetMismatch("word and table use different alphabets")
-    m = t.alphabet.size
-    numbering: list[int | None] = [None] * (t.n * m)
-    for (c, g), position in b.edge_index.items():
-        # a basis read from a certificate may carry keys off the table
-        if 0 <= c < t.n and 0 <= g < m:
-            numbering[c * m + g] = position
-    positions, end = crossings(t, b.orientation, numbering, BASE, w)
-    if end != BASE:
-        raise NotInSubgroup(f"{w} does not fix the base coset")
-    return positions
-
-
-def evaluate_positions(b: SubgroupBasis, positions: Sequence[tuple[int, int]]) -> FreeWord:
-    """Multiply out a signed position sequence over the basis elements."""
-    acc = empty_word(b.table.alphabet)
-    for position, sign in positions:
-        factor = b.elements[position]
-        acc = concat_reduce(acc, factor if sign > 0 else invert(factor))
-    return acc
 
 
 def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:

@@ -4,8 +4,8 @@ A word is a sequence of letters, each a generator together with a sign.
 Every :class:`FreeWord` is stored fully reduced: no letter is adjacent to
 its own inverse.  Every word is built by the one validating constructor,
 which checks the letters against the alphabet and raises
-:class:`UnreducedWord` on an unreduced sequence; :func:`free_reduce`
-(behind :func:`concat_reduce`) and :func:`parse_word` cancel first.
+:class:`UnreducedWord` on an unreduced sequence; :func:`free_reduce` and
+:func:`parse_word` cancel first.
 
 Text syntax: a generator prints as its lowercase name, its inverse as the
 same ASCII letter uppercased, juxtaposition is concatenation, and ``"1"``
@@ -17,14 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .errors import (
-    AlphabetMismatch,
-    EmptyWord,
-    InvalidAlphabet,
-    InvalidLetter,
-    ParseError,
-    UnreducedWord,
-)
+from .errors import InvalidAlphabet, InvalidLetter, ParseError, UnreducedWord
 
 _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 
@@ -153,24 +146,6 @@ def invert(w: FreeWord) -> FreeWord:
     """Reverse the word and flip every sign; the result is again reduced."""
     inverse_of = w.alphabet.inverse_of
     return FreeWord(w.alphabet, tuple(map(inverse_of.__getitem__, reversed(w.letters))))
-
-
-def concat_reduce(u: FreeWord, v: FreeWord) -> FreeWord:
-    """Reduced form of the concatenation u·v."""
-    if u.alphabet != v.alphabet:
-        raise AlphabetMismatch(
-            f"cannot concatenate words over {u.alphabet.names} and {v.alphabet.names}"
-        )
-    return free_reduce(u.alphabet, u.letters + v.letters)
-
-
-def prefixes(w: FreeWord) -> list[FreeWord]:
-    """All proper initial segments of ``w``: the empty word, then the first
-    letter, the first two letters, ... up to length ``len(w) - 1``.  Every
-    prefix of a reduced word is reduced, so no re-reduction is needed."""
-    if not w.letters:
-        raise EmptyWord("the empty word has no initial-segment list")
-    return [FreeWord(w.alphabet, w.letters[:i]) for i in range(len(w.letters))]
 
 
 def parse_word(text: str, alphabet: Alphabet) -> FreeWord:

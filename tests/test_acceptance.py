@@ -9,25 +9,25 @@ import time
 from pathlib import Path
 
 from schreierkit import (
+    BASE,
     Alphabet,
+    AlphabetOrientation,
     CosetTable,
     InvalidTable,
     Letter,
     Presentation,
     certificate_to_json,
     compose,
-    concat_reduce,
     contains,
+    crossings,
+    edge_numbering,
     empty_word,
     eval_word,
-    evaluate_positions,
     fold_verify,
     free_reduce,
     invert,
-    low_index_tables,
+    iter_low_index_tables,
     parse_word,
-    prefixes,
-    rewrite_in_basis,
     rewrite_presentation,
     run_lemma,
     schreier_basis,
@@ -35,9 +35,11 @@ from schreierkit import (
     surface_presentation,
     surface_survey,
     trace,
+    tree_letters,
     verify_certificate,
 )
 from schreierkit.cli import main
+from test_transversal import reference_evaluate_positions
 
 DATA = Path(__file__).parent / "data"
 
@@ -145,7 +147,7 @@ def test_criterion_4_higman_negative_control(capsys, tmp_path):
     assert code == 1
     assert out == "NOTFOUND\n"
     for n in (2, 3, 4, 5):
-        assert low_index_tables(HIGMAN, n) == []
+        assert list(iter_low_index_tables(HIGMAN, n)) == []
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     print(f"ACCEPTANCE 4 Higman negative control at degree 5: PASS ({elapsed:.2f}s)")
@@ -193,7 +195,7 @@ def _random_killed_relator(rng, table):
         k = _perm_order(eval_word(table, u))
         relator = u
         for _ in range(k - 1):
-            relator = concat_reduce(relator, u)
+            relator = free_reduce(alphabet, relator.letters + u.letters)
         return relator
 
 
@@ -221,11 +223,16 @@ def test_criterion_7_rewriting_soundness():
         table = random_table(rng, Alphabet.first(m), n)
         tr = schreier_transversal(table)
         basis = schreier_basis(tr)
+        orientation = AlphabetOrientation.empty()
+        numbering = edge_numbering(table, tree_letters(table), orientation)
         for _ in range(5):
             u = random_word(rng, table.alphabet, 12)
-            w = concat_reduce(u, invert(tr.reps[trace(table, 0, u)]))
+            rep = tr.reps[trace(table, 0, u)]
+            w = free_reduce(table.alphabet, u.letters + invert(rep).letters)
             assert contains(table, w)
-            assert evaluate_positions(basis, rewrite_in_basis(basis, w)) == w
+            positions, end = crossings(table, orientation, numbering, BASE, w)
+            assert end == BASE
+            assert reference_evaluate_positions(basis, positions) == w
             checked += 1
     # every rewritten relator of the surface grid back-substitutes exactly
     for g, n in ((1, 2), (1, 3), (2, 2), (2, 3), (3, 2)):
@@ -235,10 +242,9 @@ def test_criterion_7_rewriting_soundness():
             i = 0
             for c in range(sp.table.n):
                 for rel in pres.relators:
-                    expected = concat_reduce(
-                        concat_reduce(tr.reps[c], rel), invert(tr.reps[c])
-                    )
-                    assert evaluate_positions(sp.basis, sp.relators[i]) == expected
+                    letters = tr.reps[c].letters + rel.letters + invert(tr.reps[c]).letters
+                    expected = free_reduce(pres.alphabet, letters)
+                    assert reference_evaluate_positions(sp.basis, sp.relators[i]) == expected
                     i += 1
     print("ACCEPTANCE 7 rewriting soundness (round trip + back-substitution): PASS")
 
@@ -254,14 +260,16 @@ def test_criterion_8_word_algebra_laws():
         assert free_reduce(alphabet, u.letters) == u
         # inverse laws
         assert invert(invert(u)) == u
-        assert concat_reduce(u, invert(u)) == empty_word(alphabet)
-        # concat laws
-        assert concat_reduce(u, empty_word(alphabet)) == u
-        assert concat_reduce(concat_reduce(u, v), w) == concat_reduce(
-            u, concat_reduce(v, w)
+        assert free_reduce(alphabet, u.letters + invert(u).letters) == empty_word(alphabet)
+        # concat laws, a product being the reduced concatenation of letters
+        uv = free_reduce(alphabet, u.letters + v.letters)
+        vw = free_reduce(alphabet, v.letters + w.letters)
+        assert free_reduce(alphabet, u.letters + empty_word(alphabet).letters) == u
+        assert free_reduce(alphabet, uv.letters + w.letters) == free_reduce(
+            alphabet, u.letters + vw.letters
         )
-        assert (len(concat_reduce(u, v)) - len(u) - len(v)) % 2 == 0
-        # prefix count
-        if len(u) > 0:
-            assert len(prefixes(u)) == len(u)
+        assert (len(uv) - len(u) - len(v)) % 2 == 0
+        # prefix count: each of the len(u) proper initial segments is reduced
+        segments = [free_reduce(alphabet, u.letters[:i]) for i in range(len(u))]
+        assert [len(p) for p in segments] == list(range(len(u)))
     print("ACCEPTANCE 8 word-algebra laws, 1000 randomized cases: PASS")

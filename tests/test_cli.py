@@ -350,6 +350,18 @@ def test_surface_bounds(capsys):
     assert code == 2
 
 
+def test_surface_beyond_the_table_edge_bound_is_input_error(capsys):
+    # a torus table of index 1000 has 2000 edges: over the enumeration's
+    # bound of 512, so one error line instead of a RecursionError
+    code, out, err = run(
+        capsys, "surface", "--genus", "1", "--index", "1000", "--max-index", "1000"
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: index 1000 over 2 generators gives 2000 table edges, more than 512\n"
+    )
+
+
 GENUS2_PRESENTATION = "gens: a b c d\nrel: abABcdCD\n"
 
 # SHA-256 of stdout, computed with the word-building rewriting this output

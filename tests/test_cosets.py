@@ -13,24 +13,20 @@ from schreierkit import (
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
+    FreeWord,
     InvalidTable,
     Letter,
     Presentation,
-    canonical_form,
-    concat_reduce,
     contains,
     eval_word,
     free_reduce,
+    image_closure,
     inverse,
     invert,
-    is_regular,
     iter_low_index_tables,
     kills_relators,
-    low_index_tables,
     parse_word,
-    prefixes,
     presentation_from_text,
-    presentation_to_text,
     regular_table,
     separates_prefixes,
     surface_presentation,
@@ -71,6 +67,28 @@ def random_table(rng, alphabet, n):
             continue
 
 
+def reference_canonical_form(t):
+    """Oracle: renumber cosets by breadth-first discovery from the base,
+    visiting neighbors by (generator ascending, sign +1 before -1)."""
+    m = t.alphabet.size
+    new_id = {0: 0}
+    order = [0]
+    for c in order:
+        for g in range(m):
+            for s in (1, -1):
+                d = t.step(c, g, s)
+                if d not in new_id:
+                    new_id[d] = len(order)
+                    order.append(d)
+    columns = []
+    for g in range(m):
+        images = [0] * t.n
+        for old, new in new_id.items():
+            images[new] = new_id[t.step(old, g, 1)]
+        columns.append(tuple(images))
+    return CosetTable(t.alphabet, tuple(columns))
+
+
 def brute_force_low_index(p, n):
     """Oracle: enumerate every assignment of generator permutations, keep the
     transitive relator-killing ones, and deduplicate by canonical form."""
@@ -83,7 +101,7 @@ def brute_force_low_index(p, n):
             continue
         if not kills_relators(table, p.relators):
             continue
-        seen[table_to_text(canonical_form(table))] = None
+        seen[table_to_text(reference_canonical_form(table))] = None
     return sorted(seen)
 
 
@@ -137,7 +155,8 @@ def test_trace_action_law():
         u = random_word(rng, AB, 8)
         v = random_word(rng, AB, 8)
         c = rng.randrange(table.n)
-        assert trace(table, c, concat_reduce(u, v)) == trace(table, trace(table, c, u), v)
+        uv = free_reduce(AB, u.letters + v.letters)
+        assert trace(table, c, uv) == trace(table, trace(table, c, u), v)
 
 
 def test_trace_depends_only_on_group_element():
@@ -168,7 +187,7 @@ def test_contains_subgroup_closure():
         u = random_word(rng, AB, 10)
         v = random_word(rng, AB, 10)
         if contains(TWO, u) and contains(TWO, v):
-            assert contains(TWO, concat_reduce(u, v))
+            assert contains(TWO, free_reduce(AB, u.letters + v.letters))
 
 
 def test_separates_prefixes():
@@ -185,15 +204,16 @@ def test_separates_prefixes():
         w = random_word(rng, AB, 8)
         if len(w) == 0:
             continue
-        cosets = {trace(table, 0, p) for p in prefixes(w)}
+        cosets = {trace(table, 0, FreeWord(AB, w.letters[:i])) for i in range(len(w))}
         assert separates_prefixes(table, w) == (len(cosets) == len(w))
 
 
 def test_is_regular():
-    assert is_regular(regular_table(hom((0,), (0,))))
-    assert is_regular(TWO)
+    # regular: the columns generate a group of order exactly n
+    for table in (regular_table(hom((0,), (0,))), TWO):
+        assert len(image_closure(table)) == table.n
     bad = CosetTable(AB, ((1, 2, 0), (1, 0, 2)))
-    assert not is_regular(bad)  # image is all of S3, order 6 != 3
+    assert len(image_closure(bad)) == 6 != bad.n  # image is all of S3
 
 
 def test_is_regular_on_regular_tables():
@@ -202,7 +222,8 @@ def test_is_regular_on_regular_tables():
         degree = rng.randrange(1, 5)
         perms = list(itertools.permutations(range(degree)))
         h = hom(rng.choice(perms), rng.choice(perms))
-        assert is_regular(regular_table(h))
+        table = regular_table(h)
+        assert len(image_closure(table)) == table.n
 
 
 def test_canonical_form_identifies_renumberings():
@@ -219,28 +240,29 @@ def test_canonical_form_identifies_renumberings():
                 images[relabel[old]] = relabel[table.gen_images[g][old]]
             columns.append(tuple(images))
         shuffled = CosetTable(AB, tuple(columns))
-        assert canonical_form(shuffled) == canonical_form(table)
-        assert canonical_form(canonical_form(table)) == canonical_form(table)
+        assert reference_canonical_form(shuffled) == reference_canonical_form(table)
+        canonical = reference_canonical_form(table)
+        assert reference_canonical_form(canonical) == canonical
 
 
 def test_low_index_free_group_against_brute_force():
     free = Presentation(AB, ())
     for n in (1, 2, 3):
-        tables = low_index_tables(free, n)
+        tables = list(iter_low_index_tables(free, n))
         assert [table_to_text(t) for t in tables] == brute_force_low_index(free, n)
-    assert len(low_index_tables(free, 2)) == 3
-    assert len(low_index_tables(free, 3)) == 13  # known count for rank 2
+    assert len(list(iter_low_index_tables(free, 2))) == 3
+    assert len(list(iter_low_index_tables(free, 3))) == 13  # known count for rank 2
 
 
 def test_low_index_outputs_are_canonical_and_kill_relators():
     pres = Presentation(AB, (parse_word("abab", AB),))
     for n in (1, 2, 3, 4):
-        tables = low_index_tables(pres, n)
+        tables = list(iter_low_index_tables(pres, n))
         texts = [table_to_text(t) for t in tables]
         assert texts == sorted(texts)
         assert len(set(texts)) == len(texts)
         for t in tables:
-            assert canonical_form(t) == t
+            assert reference_canonical_form(t) == t
             assert kills_relators(t, pres.relators)
         assert texts == brute_force_low_index(pres, n)
 
@@ -249,16 +271,16 @@ def test_low_index_torus_against_brute_force():
     # relator with inverse letters and nonempty results at every index
     pres = Presentation(AB, (parse_word("abAB", AB),))
     for n in (1, 2, 3):
-        tables = low_index_tables(pres, n)
+        tables = list(iter_low_index_tables(pres, n))
         assert [table_to_text(t) for t in tables] == brute_force_low_index(pres, n)
     # index-n subgroups of the rank-2 free abelian quotient: sum of divisors
-    assert len(low_index_tables(pres, 2)) == 3
-    assert len(low_index_tables(pres, 3)) == 4
+    assert len(list(iter_low_index_tables(pres, 2))) == 3
+    assert len(list(iter_low_index_tables(pres, 3))) == 4
 
 
 def test_low_index_surface_genus2_index2():
     pres = surface_presentation(2)
-    tables = low_index_tables(pres, 2)
+    tables = list(iter_low_index_tables(pres, 2))
     assert len(tables) == 15
     # oracle: 4 generators into S2, at least one nontrivial, relator is a
     # product of commutators so it dies automatically
@@ -300,7 +322,7 @@ def _low_index_cases(draw):
         elif kind == "inverse":
             relators.append(invert(base))
         else:
-            relators.append(concat_reduce(base, base))
+            relators.append(free_reduce(alphabet, base.letters + base.letters))
     return Presentation(alphabet, tuple(relators)), n
 
 
@@ -320,7 +342,7 @@ def _case(names, n, *relators):
 @example(_case("ab", 4, "a", "bAB"))  # length 1
 def test_low_index_matches_brute_force_hypothesis(case):
     pres, n = case
-    tables = low_index_tables(pres, n)
+    tables = list(iter_low_index_tables(pres, n))
     assert [table_to_text(t) for t in tables] == brute_force_low_index(pres, n)
     assert_leaf_tables_validate(tables)
 
@@ -344,7 +366,7 @@ def assert_leaf_tables_validate(tables):
 )
 def test_low_index_surface_grid_pinned(genus, n, count, digest):
     # count is the Mednykh/Hall number; the digest pins the sorted output
-    tables = low_index_tables(surface_presentation(genus), n)
+    tables = list(iter_low_index_tables(surface_presentation(genus), n))
     assert len(tables) == count
     text = "".join(table_to_text(t) for t in tables)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
@@ -355,7 +377,7 @@ def test_low_index_surface_grid_pinned(genus, n, count, digest):
 def test_low_index_order_is_text_order_past_one_digit(n, count):
     # two-digit coset ids: as text 10 sorts before 2, so tuple order differs
     pres = Presentation(AB, (parse_word("aa", AB), parse_word("bb", AB)))
-    tables = low_index_tables(pres, n, max_index=n)
+    tables = list(iter_low_index_tables(pres, n, max_index=n))
     assert len(tables) == count
     assert tables == sorted(tables, key=table_to_text)
     assert tables != sorted(tables, key=lambda t: t.gen_images)
@@ -377,17 +399,18 @@ INVOLUTIONS = Presentation(AB, (parse_word("aa", AB), parse_word("bb", AB)))
 def test_iter_low_index_tables_agrees_with_list(pres, n, max_index):
     streamed = iter_low_index_tables(pres, n, max_index)
     assert iter(streamed) is streamed
-    tables = list(streamed)
-    assert tables == low_index_tables(pres, n, max_index)
+    # taken one at a time, the tables are those of a whole fresh run
+    first = next(streamed)
+    tables = [first, *streamed]
+    assert tables == list(iter_low_index_tables(pres, n, max_index))
     assert_leaf_tables_validate(tables)
 
 
 def test_iter_low_index_tables_ids_past_one_byte():
     rank_one = Presentation(Alphabet.of("a"), ())
     tables = list(iter_low_index_tables(rank_one, 300, max_index=300))
-    assert tables == low_index_tables(rank_one, 300, max_index=300)
     cycle = CosetTable(rank_one.alphabet, (tuple(range(1, 300)) + (0,),))
-    assert tables == [canonical_form(cycle)]
+    assert tables == [reference_canonical_form(cycle)]
     assert max(tables[0].gen_images[0]) == 299
     assert_leaf_tables_validate(tables)
 
@@ -487,10 +510,12 @@ def _random_presentation(seed):
         if rng.random() < 0.5:
             relator = u
             for _ in range(rng.choice((1, 2))):
-                relator = concat_reduce(relator, u)
+                relator = free_reduce(AB, relator.letters + u.letters)
         else:
             v = short()
-            relator = concat_reduce(concat_reduce(u, v), concat_reduce(invert(u), invert(v)))
+            relator = free_reduce(
+                AB, u.letters + v.letters + invert(u).letters + invert(v).letters
+            )
         if len(relator):
             relators.append(relator)
     return Presentation(AB, tuple(relators))
@@ -510,7 +535,7 @@ def _random_presentation(seed):
 )
 def test_low_index_matches_slot_order_reference(pres, n):
     # same tables in the same order as the search that never leaves slot order
-    assert low_index_tables(pres, n) == reference_low_index(pres, n)
+    assert list(iter_low_index_tables(pres, n)) == reference_low_index(pres, n)
 
 
 def test_low_index_higman_empty():
@@ -520,19 +545,32 @@ def test_low_index_higman_empty():
     )
     pres = Presentation(alphabet, relators)
     for n in (2, 3):
-        assert low_index_tables(pres, n) == []
+        assert list(iter_low_index_tables(pres, n)) == []
         assert brute_force_low_index(pres, n) == []
 
 
 def test_low_index_bounds():
     free = Presentation(AB, ())
     with pytest.raises(BadBound):
-        low_index_tables(free, 0)
+        list(iter_low_index_tables(free, 0))
     with pytest.raises(BadBound):
-        low_index_tables(free, 9)
+        list(iter_low_index_tables(free, 9))
     # the bound is overridable; rank 1 has exactly one subgroup per index
     rank_one = Presentation(Alphabet.of("a"), ())
-    assert len(low_index_tables(rank_one, 9, max_index=9)) == 1
+    assert len(list(iter_low_index_tables(rank_one, 9, max_index=9))) == 1
+
+
+def test_low_index_edge_bound():
+    # the search recurses about once per table edge it fills, so a table may
+    # have at most 512 edges, index times generator count, whatever max_index
+    rank_one = Presentation(Alphabet.of("a"), ())
+    tables = list(iter_low_index_tables(rank_one, 512, max_index=512))
+    cycle = CosetTable(rank_one.alphabet, (tuple(range(1, 512)) + (0,),))
+    assert tables == [reference_canonical_form(cycle)]
+    with pytest.raises(BadBound, match="gives 513 table edges, more than 512"):
+        next(iter_low_index_tables(rank_one, 513, max_index=513))
+    with pytest.raises(BadBound, match="index 257 over 2 generators gives 514 table edges"):
+        next(iter_low_index_tables(surface_presentation(1), 257, max_index=1000))
 
 
 def test_table_text_roundtrip():
@@ -549,9 +587,9 @@ def test_table_text_roundtrip():
 
 def test_presentation_text_roundtrip():
     pres = Presentation(AB, (parse_word("aa", AB), parse_word("abAB", AB)))
-    text = presentation_to_text(pres)
-    assert text == "gens: a b\nrel: aa\nrel: abAB\n"
+    text = "gens: a b\nrel: aa\nrel: abAB\n"
     assert presentation_from_text(text) == pres
+    assert [str(rel) for rel in pres.relators] == ["aa", "abAB"]
 
 
 def test_presentation_rejects_empty_relator():

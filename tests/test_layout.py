@@ -1,9 +1,22 @@
 """Module layout rules checked from the source text."""
 
 import ast
+import inspect
+import io
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import schreierkit
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "schreierkit"
+README = SRC.parent.parent / "README.md"
+
+
+def readme_tour() -> str:
+    """The python block of the README's library tour."""
+    text = README.read_text()
+    start = text.index("```python\n", text.index("## Library tour")) + len("```python\n")
+    return text[start:text.index("```", start)]
 
 
 def test_no_private_names_imported_across_modules():
@@ -72,3 +85,47 @@ def test_every_verifier_failure_name_is_tested():
     tests = (SRC.parent.parent / "tests" / "test_lemma.py").read_text()
     assert len(emitted) >= 16
     assert sorted(name for name in emitted if f'"{name}"' not in tests) == []
+
+
+def test_every_export_is_used_in_src_or_shown_in_the_tour():
+    # a public function or class that only tests call does not belong in src/
+    referenced = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        if isinstance(node, ast.Name) and node.id not in defining:
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in defining:
+            referenced.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(), filename=str(path)), frozenset())
+    tour = {
+        alias.name
+        for node in ast.walk(ast.parse(readme_tour()))
+        if isinstance(node, ast.ImportFrom) and node.module == "schreierkit"
+        for alias in node.names
+    }
+    exported = {
+        name
+        for name in schreierkit.__all__
+        if inspect.isfunction(obj := getattr(schreierkit, name)) or inspect.isclass(obj)
+    }
+    assert len(exported) >= 60
+    assert sorted(exported - referenced - tour) == []
+
+
+def test_readme_tour_runs_and_prints_what_it_says():
+    tour = readme_tour()
+    expected = [
+        line.split("#", 1)[1].strip() for line in tour.splitlines() if line.startswith("print(")
+    ]
+    assert expected == ["['b', 'aa', 'abA']"]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(tour, str(README), "exec"), {})
+    assert out.getvalue().splitlines() == expected

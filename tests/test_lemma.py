@@ -15,6 +15,7 @@ from schreierkit import (
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
+    FreeWord,
     ImageTooLarge,
     LemmaCertificate,
     Letter,
@@ -38,7 +39,6 @@ from schreierkit import (
     kills_relators,
     lemma,
     parse_word,
-    prefixes,
     regular_table,
     run_lemma,
     schreier_basis,
@@ -77,7 +77,7 @@ def brute_force_first_hom(p, r, max_degree):
                 continue
             if eval_word(h, r) != tuple(range(degree)):
                 continue
-            images = [eval_word(h, q) for q in prefixes(r)]
+            images = [eval_word(h, FreeWord(r.alphabet, r.letters[:i])) for i in range(len(r))]
             if len(set(images)) == len(images):
                 return h
     return None
@@ -550,7 +550,10 @@ def test_transversal_seeded_matches_initial_segment_definition():
         cert = run_lemma(free, parse_word(r, AB), 5)
         reps = cert.transversal.reps
         for w in dict.fromkeys(w for w in words if len(w) > 0):
-            expected = any(reps[trace(cert.table, BASE, p)] != p for p in prefixes(w))
+            expected = any(
+                reps[trace(cert.table, BASE, p)] != p
+                for p in (FreeWord(AB, w.letters[:i]) for i in range(len(w)))
+            )
             failures = verify_certificate(tampered(cert, relator=w)).failures
             assert ("transversal_seeded" in failures) == expected, (r, str(w))
 

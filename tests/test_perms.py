@@ -14,7 +14,6 @@ from schreierkit import (
     Letter,
     Presentation,
     compose,
-    concat_reduce,
     eval_word,
     free_reduce,
     image_closure,
@@ -23,6 +22,7 @@ from schreierkit import (
     kills_relators,
     parse_word,
 )
+from schreierkit.perms import DEFAULT_IMAGE_CEILING
 
 AB = Alphabet.of("ab")
 
@@ -98,7 +98,8 @@ def test_eval_word_laws():
         u = random_word(rng, AB, 10)
         v = random_word(rng, AB, 10)
         assert eval_word(h, invert(u)) == inverse(eval_word(h, u))
-        assert eval_word(h, concat_reduce(u, v)) == compose(eval_word(h, u), eval_word(h, v))
+        uv = free_reduce(AB, u.letters + v.letters)
+        assert eval_word(h, uv) == compose(eval_word(h, u), eval_word(h, v))
 
 
 def test_kills_relators():
@@ -154,6 +155,8 @@ def test_image_closure_group_axioms_and_lagrange():
 
 
 def test_image_closure_ceiling():
-    h = FiniteQuotientHom(AB, ((1, 2, 0), (1, 0, 2)))
-    with pytest.raises(ImageTooLarge):
-        image_closure(h, ceiling=5)
+    # a transposition and an 8-cycle generate S_8, 40320 elements
+    h = FiniteQuotientHom(AB, ((1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)))
+    with pytest.raises(ImageTooLarge) as info:
+        image_closure(h)
+    assert info.value.ceiling == DEFAULT_IMAGE_CEILING == 10000

@@ -5,8 +5,10 @@ from dataclasses import replace
 import pytest
 
 from schreierkit import (
+    BASE,
     Alphabet,
     AlphabetMismatch,
+    AlphabetOrientation,
     BadBound,
     BadGenus,
     CosetTable,
@@ -17,21 +19,22 @@ from schreierkit import (
     RelatorNotKilled,
     SubgroupPresentation,
     compose,
-    concat_reduce,
+    crossings,
+    edge_numbering,
     eval_word,
-    evaluate_positions,
     free_reduce,
     invert,
     is_reduced,
-    low_index_tables,
+    iter_low_index_tables,
     parse_word,
     regular_table,
-    rewrite_in_basis,
     rewrite_presentation,
     surface_presentation,
     surface_survey,
     table_from_text,
+    tree_letters,
 )
+from test_transversal import reference_evaluate_positions
 
 AB = Alphabet.of("ab")
 
@@ -71,7 +74,7 @@ def random_killed_relator(rng, table):
         k = perm_order(eval_word(table, u))
         relator = u
         for _ in range(k - 1):
-            relator = concat_reduce(relator, u)
+            relator = free_reduce(alphabet, relator.letters + u.letters)
         return relator
 
 
@@ -145,7 +148,7 @@ def test_rewrite_rejects_other_alphabet():
 
 def test_rewrite_counts_genus1_index2():
     pres = surface_presentation(1)
-    tables = low_index_tables(pres, 2)
+    tables = list(iter_low_index_tables(pres, 2))
     assert len(tables) == 3
     for table in tables:
         sp = rewrite_presentation(pres, table)
@@ -156,7 +159,7 @@ def test_rewrite_counts_genus1_index2():
 
 def test_rewrite_counts_genus2_index2():
     pres = surface_presentation(2)
-    tables = low_index_tables(pres, 2)
+    tables = list(iter_low_index_tables(pres, 2))
     assert len(tables) == 15
     for table in tables:
         sp = rewrite_presentation(pres, table)
@@ -165,24 +168,30 @@ def test_rewrite_counts_genus2_index2():
 
 
 def assert_relators_are_conjugates(pres, table, sp):
-    """Each traced relator equals the old conjugate-based rewrite, is freely
-    reduced over the basis symbols, and multiplies out to the conjugate."""
+    """Each traced relator equals the old conjugate-based rewrite (the
+    conjugate's crossings from the base), is freely reduced over the basis
+    symbols, and multiplies out to the conjugate."""
     tr = sp.basis.transversal
+    orientation = AlphabetOrientation.empty()
+    numbering = edge_numbering(table, tree_letters(table), orientation)
     i = 0
     for c in range(table.n):
         for rel in pres.relators:
-            conjugate = concat_reduce(concat_reduce(tr.reps[c], rel), invert(tr.reps[c]))
+            rep = tr.reps[c]
+            letters = rep.letters + rel.letters + invert(rep).letters
+            conjugate = free_reduce(table.alphabet, letters)
             relator = sp.relators[i]
-            assert relator == tuple(rewrite_in_basis(sp.basis, conjugate))
+            walk = crossings(table, orientation, numbering, BASE, conjugate)
+            assert walk == (list(relator), BASE)
             assert all(x[0] != y[0] or x[1] != -y[1] for x, y in zip(relator, relator[1:]))
-            assert evaluate_positions(sp.basis, relator) == conjugate
+            assert reference_evaluate_positions(sp.basis, relator) == conjugate
             i += 1
     assert i == len(sp.relators)
 
 
 def test_back_substitution_reduces_to_conjugates():
     pres = surface_presentation(2)
-    for table in low_index_tables(pres, 2):
+    for table in iter_low_index_tables(pres, 2):
         assert_relators_are_conjugates(pres, table, rewrite_presentation(pres, table))
 
 
@@ -239,7 +248,8 @@ def test_surface_survey_shapes():
     assert iter(survey) is survey  # streamed, not collected
     survey = list(survey)
     assert len(survey) == 15
-    assert [sp.table for _, sp in survey] == low_index_tables(surface_presentation(2), 2)
+    tables = list(iter_low_index_tables(surface_presentation(2), 2))
+    assert [sp.table for _, sp in survey] == tables
     for report, sp in survey:
         assert sp.table.n == 2
         assert sp.generator_count == 7

@@ -23,19 +23,15 @@ from schreierkit import (
     basis_to_text,
     check_basis,
     check_transversal,
-    concat_reduce,
     contains,
     crossings,
     edge_numbering,
     empty_word,
-    evaluate_positions,
     fold_verify,
     free_reduce,
     invert,
     parse_word,
-    prefixes,
     regular_table,
-    rewrite_in_basis,
     schreier_basis,
     schreier_transversal,
     separates_prefixes,
@@ -93,6 +89,11 @@ def random_subgroup_word(rng, table, max_tries=2000):
     return None
 
 
+def initial_segments(w):
+    """The empty word up to all but the last letter of ``w``."""
+    return [FreeWord(w.alphabet, w.letters[:i]) for i in range(len(w))]
+
+
 def test_unseeded_transversal_examples():
     one = regular_table(FiniteQuotientHom(AB, ((0,), (0,))))
     assert [str(w) for w in schreier_transversal(one).reps] == ["1"]
@@ -137,7 +138,7 @@ def test_seeded_transversal_random():
             continue
         tr = schreier_transversal(table, w)
         assert not check_transversal(tr)
-        for p in prefixes(w):
+        for p in initial_segments(w):
             assert tr.reps[trace(table, 0, p)] == p
 
 
@@ -151,7 +152,7 @@ def test_seeded_reps_are_minimal_extensions():
         if w is None:
             continue
         tr = schreier_transversal(table, w)
-        seeded = {trace(table, 0, p): len(p) for p in prefixes(w)}
+        seeded = {trace(table, 0, p): len(p) for p in initial_segments(w)}
         dist = {c: 0 for c in seeded}
         queue = deque(seeded)
         while queue:
@@ -202,22 +203,35 @@ def test_index_rank_formula_randomized():
         assert fold_verify(basis)
 
 
+def rewrite(table, w):
+    """``w`` over the basis of ``schreier_basis(schreier_transversal(table))``:
+    its crossings from the base, and the coset where it ends."""
+    orientation = AlphabetOrientation.empty()
+    numbering = edge_numbering(table, tree_letters(table), orientation)
+    return crossings(table, orientation, numbering, BASE, w)
+
+
+def reference_evaluate_positions(b, positions):
+    """Oracle: multiply out a signed position sequence over the basis
+    elements."""
+    letters = []
+    for position, sign in positions:
+        factor = b.elements[position]
+        letters += factor.letters if sign > 0 else invert(factor).letters
+    return free_reduce(b.table.alphabet, letters)
+
+
 def test_rewrite_in_basis_examples():
-    basis = schreier_basis(schreier_transversal(TWO))
-    assert rewrite_in_basis(basis, empty_word(AB)) == []
-    assert rewrite_in_basis(basis, parse_word("aa", AB)) == [(1, 1)]
+    assert rewrite(TWO, empty_word(AB)) == ([], BASE)
+    assert rewrite(TWO, parse_word("aa", AB)) == ([(1, 1)], BASE)
     # aa * (abA)^-1 crosses the aa edge forward and the abA edge backward
-    w = concat_reduce(parse_word("aa", AB), invert(parse_word("abA", AB)))
+    w = free_reduce(AB, parse_word("aa", AB).letters + invert(parse_word("abA", AB)).letters)
     assert str(w) == "aaaBA"
-    assert rewrite_in_basis(basis, w) == [(1, 1), (2, -1)]
-    with pytest.raises(NotInSubgroup):
-        rewrite_in_basis(basis, parse_word("a", AB))
-
-
-def test_rewrite_in_basis_rejects_other_alphabet():
+    assert rewrite(TWO, w) == ([(1, 1), (2, -1)], BASE)
     basis = schreier_basis(schreier_transversal(TWO))
-    with pytest.raises(AlphabetMismatch):
-        rewrite_in_basis(basis, parse_word("aa", Alphabet.of("abc")))
+    assert reference_evaluate_positions(basis, [(1, 1), (2, -1)]) == w
+    # a word outside the subgroup ends away from the base
+    assert rewrite(TWO, parse_word("a", AB)) == ([], 1)
 
 
 def test_schreier_basis_rejects_representatives_over_other_alphabet():
@@ -234,8 +248,9 @@ def test_rewrite_roundtrip_randomized():
         basis = schreier_basis(schreier_transversal(table))
         for _ in range(5):
             u = random_word_in_subgroup(rng, table)
-            seq = rewrite_in_basis(basis, u)
-            assert evaluate_positions(basis, seq) == u
+            seq, end = rewrite(table, u)
+            assert end == BASE
+            assert reference_evaluate_positions(basis, seq) == u
 
 
 def random_word_in_subgroup(rng, table):
@@ -249,7 +264,7 @@ def random_word_in_subgroup(rng, table):
     u = free_reduce(alphabet, raw)
     tr = schreier_transversal(table)
     rep = tr.reps[trace(table, 0, u)]
-    return concat_reduce(u, invert(rep))
+    return free_reduce(alphabet, u.letters + invert(rep).letters)
 
 
 def test_basis_elements_rewrite_to_themselves():
@@ -258,7 +273,7 @@ def test_basis_elements_rewrite_to_themselves():
         table = random_table(rng, AB, rng.randrange(1, 7))
         basis = schreier_basis(schreier_transversal(table))
         for position, u in enumerate(basis.elements):
-            assert rewrite_in_basis(basis, u) == [(position, 1)]
+            assert rewrite(table, u) == ([(position, 1)], BASE)
 
 
 def test_basis_through_word_case1():
@@ -360,7 +375,7 @@ def test_long_through_word():
     for table, w in cases:
         assert contains(table, w) and separates_prefixes(table, w)
         tr = schreier_transversal(table, w)
-        assert tr.reps == reference_schreier_transversal(table, prefixes(w)).reps
+        assert tr.reps == reference_schreier_transversal(table, initial_segments(w)).reps
         basis, position = basis_through_word(table, w)
         assert basis.elements[position] == w
 
@@ -386,7 +401,7 @@ def test_fold_verify_rejects_tampered_lists():
         basis.table,
         basis.transversal,
         basis.orientation,
-        basis.elements[:-1] + (concat_reduce(basis.elements[-1], basis.elements[-1]),),
+        basis.elements[:-1] + (free_reduce(AB, basis.elements[-1].letters * 2),),
         basis.edge_index,
     )
     assert not fold_verify(squared)
@@ -521,10 +536,11 @@ def nielsen_move(rng, elements):
     inverse) on a random side: a move that keeps a free basis a basis."""
     i, j = rng.sample(range(len(elements)), 2)
     other = elements[j] if rng.random() < 0.5 else invert(elements[j])
+    alphabet = other.alphabet
     if rng.random() < 0.5:
-        elements[i] = concat_reduce(elements[i], other)
+        elements[i] = free_reduce(alphabet, elements[i].letters + other.letters)
     else:
-        elements[i] = concat_reduce(other, elements[i])
+        elements[i] = free_reduce(alphabet, other.letters + elements[i].letters)
 
 
 def tampered_lists(rng, table, elements):
@@ -537,14 +553,15 @@ def tampered_lists(rng, table, elements):
     elements = list(elements)
     k = len(elements)
     i, j = rng.randrange(k), rng.randrange(k)
+    alphabet = table.alphabet
     variants = [(elements, True)]
     variants.append((elements[:i] + elements[i + 1:], False))
     variants.append((elements + [elements[i]], False))
     squared = list(elements)
-    squared[i] = concat_reduce(elements[i], elements[i])
+    squared[i] = free_reduce(alphabet, elements[i].letters * 2)
     variants.append((squared, False))
     product = list(elements)
-    product[i] = concat_reduce(elements[i], elements[j])
+    product[i] = free_reduce(alphabet, elements[i].letters + elements[j].letters)
     variants.append((product, False))
     inverted = list(elements)
     inverted[i] = invert(elements[i])
@@ -552,22 +569,22 @@ def tampered_lists(rng, table, elements):
     shuffled = list(elements)
     rng.shuffle(shuffled)
     variants.append((shuffled, True))
-    variants.append((elements + [concat_reduce(elements[i], elements[j])], False))
+    variants.append((elements + [product[i]], False))
     emptied = list(elements)
-    emptied[i] = empty_word(table.alphabet)
+    emptied[i] = empty_word(alphabet)
     variants.append((emptied, False))
     # a generator that moves the base exists exactly when the index is above 1
     movers = [g for g in range(table.alphabet.size) if table.step(BASE, g, 1) != BASE]
     if movers:
         outside = list(elements)
-        letter = FreeWord(table.alphabet, (Letter(rng.choice(movers), 1),))
-        outside[j] = concat_reduce(elements[j], letter)
+        letter = Letter(rng.choice(movers), 1)
+        outside[j] = free_reduce(alphabet, elements[j].letters + (letter,))
         variants.append((outside, False))
     if k >= 2:
         a, c = rng.sample(range(k), 2)
         conjugated = list(elements)
-        conjugated[a] = concat_reduce(
-            concat_reduce(elements[c], elements[a]), invert(elements[c])
+        conjugated[a] = free_reduce(
+            alphabet, elements[c].letters + elements[a].letters + invert(elements[c]).letters
         )
         variants.append((conjugated, True))
         chained = list(elements)
@@ -621,7 +638,7 @@ def test_fold_verify_large_index():
     table = random_table(rng, AB, 2000)
     basis = schreier_basis(schreier_transversal(table))
     assert fold_verify(basis)
-    extra = concat_reduce(basis.elements[0], basis.elements[1])
+    extra = free_reduce(AB, basis.elements[0].letters + basis.elements[1].letters)
     assert not fold_verify(with_elements(basis, basis.elements + (extra,)))
 
 
@@ -813,7 +830,7 @@ def reference_schreier_transversal(
             for s in (1, -1):
                 d = t.step(c, g, s)
                 if reps[d] is None:
-                    reps[d] = concat_reduce(rep, FreeWord(t.alphabet, (Letter(g, s),)))
+                    reps[d] = free_reduce(t.alphabet, rep.letters + (Letter(g, s),))
                     queue.append(d)
     return SchreierTransversal(t, tuple(reps))  # type: ignore[arg-type]
 
@@ -861,9 +878,8 @@ def reference_schreier_basis(
                 continue
             e = orientation.sign(g)
             d = t.step(c, g, e)
-            u = concat_reduce(
-                concat_reduce(tr.reps[c], FreeWord(t.alphabet, (Letter(g, e),))),
-                invert(tr.reps[d]),
+            u = free_reduce(
+                t.alphabet, tr.reps[c].letters + (Letter(g, e),) + invert(tr.reps[d]).letters
             )
             edge_index[(c, g)] = len(elements)
             elements.append(u)
@@ -887,7 +903,7 @@ def test_words_match_eager_reference():
             seeded += 1
         for through in throughs:
             tr = schreier_transversal(table, through)
-            seed = None if through is None else prefixes(through)
+            seed = None if through is None else initial_segments(through)
             expected = reference_schreier_transversal(table, seed)
             assert tr.reps == expected.reps
             assert tree_letters(table, through) == tuple(

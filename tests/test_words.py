@@ -7,20 +7,16 @@ from hypothesis import strategies as st
 
 from schreierkit import (
     Alphabet,
-    AlphabetMismatch,
-    EmptyWord,
     FreeWord,
     InvalidLetter,
     Letter,
     ParseError,
     UnreducedWord,
-    concat_reduce,
     empty_word,
     free_reduce,
     invert,
     is_reduced,
     parse_word,
-    prefixes,
 )
 
 AB = Alphabet.of("ab")
@@ -106,18 +102,15 @@ def test_invert_laws():
     for _ in range(200):
         w = free_reduce(AB, random_raw(rng, AB, 24))
         assert invert(invert(w)) == w
-        assert concat_reduce(w, invert(w)) == empty_word(AB)
+        assert free_reduce(AB, w.letters + invert(w).letters) == empty_word(AB)
 
 
 def test_concat_examples():
-    assert str(concat_reduce(parse_word("ab", AB), parse_word("Ba", AB))) == "aa"
+    # a product is reduced as the concatenation of its factors' letters
+    u, v = parse_word("ab", AB), parse_word("Ba", AB)
+    assert str(free_reduce(AB, u.letters + v.letters)) == "aa"
     w = parse_word("abA", AB)
-    assert concat_reduce(w, empty_word(AB)) == w
-
-
-def test_concat_alphabet_mismatch():
-    with pytest.raises(AlphabetMismatch):
-        concat_reduce(empty_word(AB), empty_word(ABC))
+    assert free_reduce(AB, w.letters + empty_word(AB).letters) == w
 
 
 def test_concat_associativity_against_flat_oracle():
@@ -125,8 +118,8 @@ def test_concat_associativity_against_flat_oracle():
     for _ in range(1000):
         u, v, w = (free_reduce(AB, random_raw(rng, AB, 12)) for _ in range(3))
         flat = free_reduce(AB, u.letters + v.letters + w.letters)
-        assert concat_reduce(concat_reduce(u, v), w) == flat
-        assert concat_reduce(u, concat_reduce(v, w)) == flat
+        assert free_reduce(AB, free_reduce(AB, u.letters + v.letters).letters + w.letters) == flat
+        assert free_reduce(AB, u.letters + free_reduce(AB, v.letters + w.letters).letters) == flat
 
 
 def test_concat_length_parity():
@@ -134,29 +127,18 @@ def test_concat_length_parity():
     for _ in range(300):
         u = free_reduce(AB, random_raw(rng, AB, 16))
         v = free_reduce(AB, random_raw(rng, AB, 16))
-        assert (len(concat_reduce(u, v)) - len(u) - len(v)) % 2 == 0
-
-
-def test_prefixes_examples():
-    segs = prefixes(parse_word("abAB", AB))
-    assert [str(p) for p in segs] == ["1", "a", "ab", "abA"]
-    assert [str(p) for p in prefixes(parse_word("aa", AB))] == ["1", "a"]
-    with pytest.raises(EmptyWord):
-        prefixes(empty_word(AB))
+        assert (len(free_reduce(AB, u.letters + v.letters)) - len(u) - len(v)) % 2 == 0
 
 
 def test_prefixes_properties():
+    # an initial segment of a reduced word is reduced, so a representative
+    # is its parent's letters plus one with no re-reduction
     rng = random.Random(31)
     for _ in range(300):
         w = free_reduce(ABC, random_raw(rng, ABC, 20))
-        if len(w) == 0:
-            continue
-        segs = prefixes(w)
-        assert len(segs) == len(w)
-        assert len(set(segs)) == len(segs)
-        for i, p in enumerate(segs):
-            assert len(p) == i
-            assert w.letters[: len(p)] == p.letters
+        for i in range(len(w)):
+            assert is_reduced(w.letters[:i])
+            assert free_reduce(ABC, w.letters[:i]).letters == w.letters[:i]
 
 
 def test_parse_examples():
@@ -271,7 +253,7 @@ def test_reduction_idempotent_hypothesis(raw):
 @given(letters_strategy, letters_strategy)
 def test_concat_hypothesis(raw_u, raw_v):
     u, v = free_reduce(ABC, raw_u), free_reduce(ABC, raw_v)
-    uv = concat_reduce(u, v)
+    uv = free_reduce(ABC, u.letters + v.letters)
     assert is_reduced(uv.letters)
     assert len(uv) <= len(u) + len(v)
     assert uv == free_reduce(ABC, list(raw_u) + list(raw_v))
