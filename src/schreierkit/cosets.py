@@ -13,10 +13,8 @@ each table only when it is consumed.
 
 from __future__ import annotations
 
-from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from typing import Iterator
 
@@ -199,9 +197,10 @@ def iter_low_index_tables(
     Output is sorted by serialized canonical form, :func:`table_to_text`.
     A completed table is kept as one packed key: its ``2m`` live columns
     in signed-letter order, one coset id after another, as ``bytes`` while
-    ``n <= 256`` and as an ``array("I")`` above that.  While ``n <= 10``
-    every coset id is one digit, so every generator line has the same
-    layout and text order is tuple order on ``gen_images``.  Every column
+    ``n <= 256`` and as a tuple above that, where the edge bound leaves
+    only rank one, with at most one subgroup.  While ``n <= 10`` every
+    coset id is one digit, so every generator line has the same layout and
+    text order is tuple order on ``gen_images``.  Every column
     has length ``n`` and an inverse column is a function of its forward
     column, so that is also the keys' own order, and they are sorted as
     they are.  Above that the key's forward ids joined as text are the
@@ -273,8 +272,8 @@ def iter_low_index_tables(
         bc = [cols[k ^ 1] for k in rot]
         starting[rot[0]].append((fc, bc, rot))
     scan = _scan_rotation
-    pack = bytes if n <= 0x100 else partial(array, "I")
-    keys: list[bytes | array] = []
+    pack = bytes if n <= 0x100 else tuple
+    keys: list[bytes | tuple[int, ...]] = []
     forward = cols[::2]
     unset = [-1] * len(forward)
     used = 1
@@ -340,7 +339,7 @@ def iter_low_index_tables(
         yield CosetTable._trusted(p.alphabet, tuple(columns[::2]), tuple(columns[1::2]))
 
 
-def _key_columns(key: bytes | array, n: int) -> list[tuple[int, ...]]:
+def _key_columns(key: bytes | tuple[int, ...], n: int) -> list[tuple[int, ...]]:
     """The columns of a packed leaf key, ``n`` ids each."""
     return list(zip(*[iter(key)] * n))
 

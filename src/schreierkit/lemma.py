@@ -198,9 +198,9 @@ def _orbit_minima(
 class _Symmetric:
     """The tables of S_degree that the search reads whatever its input: the
     permutations in lexicographic order, the inverse of each, the
-    cycle-type minima, and, under each generator-0 image ``sigma``, level
-    one's joint centraliser C(sigma) and candidates, built the first time
-    the search reaches them."""
+    cycle-type minima, and what :meth:`below` works out under a node whose
+    joint centraliser is all of S_d, kept the first time the search
+    reaches it."""
 
     def __init__(self, degree: int) -> None:
         self.degree = degree
@@ -208,15 +208,26 @@ class _Symmetric:
         self.inverses = {q: inverse(q) for q in self.perms}
         self.identity = tuple(range(degree))
         self.class_minima = tuple(_class_minima(degree))
-        self._level_one: dict[tuple, tuple] = {}
+        self._kept: dict[tuple, tuple] = {}
 
-    def candidates(
-        self, centraliser: Sequence[tuple[int, ...]], fixed: tuple[int, ...], last: bool
-    ) -> Sequence[tuple[int, ...]]:
-        """The images one generator ranges over, in order: the least element
-        of each orbit of ``centraliser``, the joint centraliser of the
-        earlier images; at the ``last`` generator, only those that move
-        every point of ``fixed``, the points the earlier images all fix."""
+    def below(
+        self, centraliser: Sequence[tuple[int, ...]], fixed: tuple[int, ...],
+        image: tuple[int, ...], last: bool,
+    ) -> tuple:
+        """The next generator's joint centraliser, common fixed points and
+        candidates once a generator gets ``image``, where ``centraliser`` and
+        ``fixed`` are those of the earlier images.  The candidates are the
+        least element of each orbit of the new centraliser, in order; at the
+        ``last`` generator, only those that move every new fixed point.
+        Kept, as tuples, when ``centraliser`` is all of S_d, keyed by
+        ``fixed`` too: S_2 is abelian, so after a swap its centraliser is
+        whole but no point is fixed."""
+        key = (image, fixed, last)
+        keep = len(centraliser) == len(self.perms)
+        if keep and key in self._kept:
+            return self._kept[key]
+        centraliser = _centraliser(centraliser, image)
+        fixed = tuple(x for x in fixed if image[x] == x)
         whole = len(centraliser) == len(self.perms)
         candidates: Sequence[tuple[int, ...]] = self.class_minima if whole else self.perms
         if last and self.degree > 1:
@@ -226,21 +237,10 @@ class _Symmetric:
                 candidates = [q for q in candidates if q[x] != x]
         if not whole:
             candidates = _orbit_minima(candidates, centraliser, self.inverses)
-        return candidates
-
-    def level_one(
-        self, sigma: tuple[int, ...], last: bool
-    ) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """C(sigma) and generator 1's candidates under generator-0 image
-        ``sigma``; keyed by ``last`` too, since the last generator's
-        candidates are filtered by the fixed points of ``sigma``."""
-        kept = self._level_one.get((sigma, last))
-        if kept is None:
-            centraliser = tuple(_centraliser(self.perms, sigma))
-            fixed = tuple(x for x in range(self.degree) if sigma[x] == x)
-            kept = (centraliser, tuple(self.candidates(centraliser, fixed, last)))
-            self._level_one[(sigma, last)] = kept
-        return kept
+        if keep:
+            self._kept[key] = (tuple(centraliser), fixed, tuple(candidates))
+            return self._kept[key]
+        return centraliser, fixed, candidates
 
 
 @functools.cache
@@ -301,15 +301,17 @@ def find_separating_quotient(
 
     What depends only on the degree is built once per process for each
     ``d <= DEFAULT_MAX_DEGREE`` and kept: the list of S_d, the inverse of
-    each element, the cycle-type minima, and, under each generator-0 image
-    ``sigma``, its centraliser C(sigma) and generator 1's candidates.  Those
-    candidates are keyed by ``sigma`` and by whether generator 1 is the
-    last: the last generator's pool is filtered by the fixed points of
-    ``sigma`` before its orbit minima are taken, which is cheaper than one
-    list of orbit minima over all of S_d filtered afterwards.  Deeper
-    levels are worked out per call.  Above ``DEFAULT_MAX_DEGREE`` the same
-    tables are built per call and dropped, since S_10's alone would hold
-    about 1 GB for good.
+    each element, the cycle-type minima, and, by one rule, every level
+    below a node whose earlier images have all of S_d as joint
+    centraliser: that level depends only on the node's image, the common
+    fixed points above it and whether it is the last, and is kept under
+    those three.  That covers the root, read as a node whose image is the
+    identity, generator 1 under each generator-0 image, and every level at
+    ``d = 2``.  The last generator's pool is filtered by the fixed points
+    before its orbit minima are taken, cheaper than filtering one list of
+    orbit minima over all of S_d afterwards.  Other levels are worked out
+    per call.  Above ``DEFAULT_MAX_DEGREE`` the same tables are built per
+    call and dropped, since S_10's alone would hold about 1 GB for good.
     """
     if max_degree < 1:
         raise BadBound(f"max_degree must be at least 1, got {max_degree}")
@@ -363,31 +365,14 @@ def find_separating_quotient(
                             return True
                     elif (
                         not early[k] or _separated(early[k], imgs, invs, sym.identity)
-                    ) and assign(k + 1, *next_level(k, centraliser, fixed, cand)):
+                    ) and assign(k + 1, *sym.below(centraliser, fixed, cand, k + 1 == m - 1)):
                         return True
                 imgs.pop()
                 invs.pop()
             return False
 
-        def next_level(
-            k: int,
-            centraliser: Sequence[tuple[int, ...]],
-            fixed: tuple[int, ...],
-            cand: tuple[int, ...],
-        ) -> tuple:
-            # level k + 1's centraliser, fixed points and candidates once
-            # level k has the image cand; level one's are kept per degree
-            fixed = tuple(x for x in fixed if cand[x] == x)
-            last = k + 1 == m - 1
-            if k == 0:
-                centraliser, candidates = sym.level_one(cand, last)
-            else:
-                centraliser = _centraliser(centraliser, cand)
-                candidates = sym.candidates(centraliser, fixed, last)
-            return centraliser, fixed, candidates
-
-        level_zero = sym.candidates(sym.perms, sym.identity, m == 1)
-        found = assign(0, sym.perms, sym.identity, level_zero)
+        # the root is a node whose image is the identity
+        found = assign(0, *sym.below(sym.perms, sym.identity, sym.identity, m == 1))
         # assign reaches itself through its closure, a cycle only the cyclic
         # collector frees; unbinding sym frees the tables on return
         del sym

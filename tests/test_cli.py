@@ -273,8 +273,12 @@ NOT_A_BIJECTION = "error: malformed certificate: not a bijection on [0, 2): (0, 
             lambda rows: [[1, 0], [0, 1, 2]],
             "error: malformed certificate: generator images have mixed degrees: [2, 3]\n",
         ),
+        # well-formed rows that disagree with the declared size
+        ("hom", "degree", lambda degree: 3, "error: hom degree does not match its images\n"),
+        ("table", "n", lambda n: 3, "error: table n does not match its action\n"),
     ],
-    ids=["hom-column", "table-column", "hom-column-and-count", "table-mixed-degrees"],
+    ids=["hom-column", "table-column", "hom-column-and-count", "table-mixed-degrees",
+         "hom-degree", "table-n"],
 )
 def test_verify_permutation_parse_errors_pinned(capsys, tmp_path, field, key, edit, expected):
     rows = json.loads(AA_CERTIFICATE)[field][key]

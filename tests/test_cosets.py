@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from schreierkit import (
     Alphabet,
+    AlphabetMismatch,
     BadBound,
     BadCoset,
     CosetTable,
@@ -146,6 +147,8 @@ def test_trace_examples():
     assert trace(TWO, 0, parse_word("ab", AB)) == 1
     with pytest.raises(BadCoset):
         trace(TWO, 2, parse_word("a", AB))
+    with pytest.raises(AlphabetMismatch):
+        trace(TWO, 0, parse_word("a", Alphabet.of("abc")))
 
 
 def test_trace_action_law():
@@ -197,6 +200,8 @@ def test_separates_prefixes():
     assert not separates_prefixes(TWO, parse_word("aaa", AB))  # pigeonhole
     with pytest.raises(EmptyWord):
         separates_prefixes(TWO, parse_word("1", AB))
+    with pytest.raises(AlphabetMismatch):
+        separates_prefixes(TWO, parse_word("aa", Alphabet.of("abc")))
     # against the definition: trace every initial segment from the base
     rng = random.Random(733)
     for _ in range(200):
@@ -583,6 +588,10 @@ def test_table_text_roundtrip():
         table_from_text("n=2\na: 1 0\nb: 0 2\n")
     with pytest.raises(InvalidTable):
         table_from_text("n=2\na: 0 1\nb: 0 1\n")  # not transitive
+    with pytest.raises(InvalidTable, match="index must be positive, got 0"):
+        table_from_text("n=0\n")
+    with pytest.raises(InvalidTable, match="alphabet needs at least one generator"):
+        table_from_text("n=1\n")
 
 
 def test_presentation_text_roundtrip():
@@ -595,3 +604,8 @@ def test_presentation_text_roundtrip():
 def test_presentation_rejects_empty_relator():
     with pytest.raises(EmptyWord):
         Presentation(AB, (parse_word("1", AB),))
+
+
+def test_presentation_rejects_relator_over_other_alphabet():
+    with pytest.raises(AlphabetMismatch):
+        Presentation(AB, (parse_word("aa", Alphabet.of("abc")),))

@@ -39,12 +39,19 @@ def test_sibling_imports_are_used():
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        # sibling and standard-library imports alike; `import a.b` binds `a`
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 unused.extend(
                     f"{path.name}: from {'.' * node.level}{node.module or ''} import {alias.name}"
                     for alias in node.names
                     if (alias.asname or alias.name) not in used
+                )
+            elif isinstance(node, ast.Import):
+                unused.extend(
+                    f"{path.name}: import {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.partition(".")[0]) not in used
                 )
     assert unused == []
 

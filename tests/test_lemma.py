@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from schreierkit import (
     BASE,
     Alphabet,
+    AlphabetMismatch,
     BadBound,
     CertificateFormatError,
     CosetTable,
@@ -121,6 +122,9 @@ SEARCH_CASES = [
     (_pres(ABC, "aa"), "bcaaB", 3),
     (_pres(ABC, "abAB", "cc"), "acbCAB", 3),
     (_pres(ABC, "cc", "aaa"), "bbcA", 3),
+    # after a swap at d = 2 the centraliser is whole but no point is fixed
+    (_pres(ABC), "AA", 3),
+    (_pres(ABC, "bC"), "aa", 3),
 ]
 
 
@@ -233,27 +237,35 @@ def test_orbit_minima_match_brute_force_orbits():
 
 
 def test_kept_level_one_tables_match_a_fresh_computation():
-    # built cold here; the last generator's pool is filtered by the fixed
-    # points of sigma before its orbit minima are taken
+    # built cold here; the last generator's pool is filtered by the new
+    # fixed points before its orbit minima are taken.  The nodes are the
+    # root's children (the root itself under the identity) and, at d = 2,
+    # the children of a swap: S_2's centraliser stays whole, but no point
+    # is fixed, so the kept level must be keyed by the fixed points too
     _symmetric.cache_clear()
     for degree in range(1, 6):
         perms = list(itertools.permutations(range(degree)))
         inverses = {s: inverse(s) for s in perms}
+        identity = tuple(range(degree))
         tables = _symmetric(degree)
         assert tables.perms == tuple(perms)
         assert tables.class_minima == tuple(_class_minima(degree))
-        for sigma in _class_minima(degree):
-            centraliser = _centraliser(perms, sigma)
-            fixed = [x for x in range(degree) if sigma[x] == x]
+        nodes = [(identity, sigma) for sigma in _class_minima(degree)]
+        if degree == 2:
+            nodes += [((), q) for q in perms]
+        for fixed_above, image in nodes:
+            centraliser = _centraliser(perms, image)
+            fixed = tuple(x for x in fixed_above if image[x] == x)
             for last in (False, True):
                 pool = perms
                 if last and degree > 1:
                     pool = [q for q in perms if all(q[x] != x for x in fixed)]
-                kept = tables.level_one(sigma, last)
+                kept = tables.below(tables.perms, fixed_above, image, last)
                 assert all(type(part) is tuple for part in kept)
                 assert kept == (
-                    tuple(centraliser), tuple(_orbit_minima(pool, centraliser, inverses))
-                ), (degree, sigma, last)
+                    tuple(centraliser), fixed, tuple(_orbit_minima(pool, centraliser, inverses))
+                ), (degree, fixed_above, image, last)
+                assert tables.below(tables.perms, fixed_above, image, last) is kept
 
 
 def test_search_is_the_same_with_tables_cold_or_warm():
@@ -286,6 +298,8 @@ def test_find_separating_quotient_errors():
         find_separating_quotient(AA_PRES, AA_REL, 0)
     with pytest.raises(EmptyWord):
         find_separating_quotient(AA_PRES, parse_word("1", AB), 4)
+    with pytest.raises(AlphabetMismatch):
+        find_separating_quotient(AA_PRES, parse_word("aa", ABC), 4)
 
 
 def test_higman_not_found():
