@@ -64,8 +64,6 @@ from .transversal import (
     SubgroupBasis,
     basis_through_word,
     basis_to_text,
-    check_basis,
-    check_transversal,
     crossings,
     edge_numbering,
     fold_verify,

@@ -48,12 +48,13 @@ class CosetTable(FiniteQuotientHom):
         super().__post_init__()
         if self.n == 0:
             raise InvalidTable("a coset table needs at least one coset, got index 0")
-        columns = [self.image(g, s) for g in range(self.alphabet.size) for s in (1, -1)]
+        # an inverse is a positive power of its permutation, so the forward
+        # columns reach every coset that the group reaches
         reached = {BASE}
         frontier = deque([BASE])
         while frontier:
             c = frontier.popleft()
-            for d in [col[c] for col in columns]:
+            for d in [col[c] for col in self.gen_images]:
                 if d not in reached:
                     reached.add(d)
                     frontier.append(d)
@@ -64,6 +65,23 @@ class CosetTable(FiniteQuotientHom):
     def n(self) -> int:
         """The index: number of cosets."""
         return self.degree
+
+    @classmethod
+    def _trusted(
+        cls,
+        alphabet: Alphabet,
+        gen_images: tuple[tuple[int, ...], ...],
+        inverses: tuple[tuple[int, ...], ...],
+    ) -> CosetTable:
+        """Build without any check from tuple columns and their inverse
+        columns that the caller has already proved to be a table, as
+        :func:`iter_low_index_tables` does for its leaves; the result equals
+        and hashes like the validated construction."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "alphabet", alphabet)
+        object.__setattr__(t, "gen_images", gen_images)
+        object.__setattr__(t, "inverse_images", inverses)
+        return t
 
 
 @dataclass(frozen=True)

@@ -44,8 +44,6 @@ from .transversal import (
     SubgroupBasis,
     basis_letters,
     basis_through_word,
-    check_basis,
-    check_transversal,
     fold_verify,
 )
 from .words import Alphabet, FreeWord, invert, parse_word
@@ -413,6 +411,41 @@ def run_lemma(
     return certificate
 
 
+def _transversal_valid(tr: SchreierTransversal) -> bool:
+    """Whether the representatives form a spanning tree of the table: one
+    per coset over the table's alphabet, the empty one at the base only,
+    and every other one its parent's plus one letter, the parent being the
+    coset it steps back to along that last letter.  By induction on length
+    each representative then traces from the base to its own coset, and
+    the set is prefix-closed."""
+    t, reps = tr.table, tr.reps
+    if len(reps) != t.n or any(w.alphabet != t.alphabet for w in reps) or reps[BASE].letters:
+        return False
+    for c, w in enumerate(reps):
+        if c == BASE:
+            continue
+        if not w.letters:
+            return False
+        g, s = w.letters[-1]
+        if reps[t.step(c, g, -s)].letters != w.letters[:-1]:
+            return False
+    return True
+
+
+def _basis_invariants(b: SubgroupBasis) -> bool:
+    """Whether the basis has the ``n·(m-1) + 1`` elements of the index-rank
+    formula, numbered by the ``edge_index`` values, pairwise distinct, and
+    each nonempty and in the subgroup.  The counts come first, so a wrong
+    count traces no element."""
+    t, elements = b.table, b.elements
+    return (
+        len(elements) == t.n * (t.alphabet.size - 1) + 1
+        and sorted(b.edge_index.values()) == list(range(len(elements)))
+        and len(set(elements)) == len(elements)
+        and all(u.letters and contains(t, u) for u in elements)
+    )
+
+
 def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     """Re-derive every certificate invariant from raw data, trusting nothing
     from the producer.  Collects all failures instead of stopping early so
@@ -453,7 +486,7 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     tree_ok = c.transversal.table == c.table
     if not tree_ok:
         failures.append("transversal_over_table")
-    if check_transversal(c.transversal):
+    if not _transversal_valid(c.transversal):
         failures.append("transversal_valid")
         tree_ok = False
     elif tree_ok and len(r) > 0:
@@ -467,7 +500,7 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
                 failures.append("transversal_seeded")
                 break
 
-    if check_basis(c.basis):
+    if not _basis_invariants(c.basis):
         failures.append("basis_invariants")
     if not (0 <= c.r_position < len(c.basis.elements) and c.basis.elements[c.r_position] == r):
         failures.append("r_position_valid")

@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import ClassVar, Sequence, TypeVar
+from typing import ClassVar, Sequence
 
 from .errors import AlphabetMismatch, ImageTooLarge, InvalidHom, InvalidPermutation
 from .words import Alphabet, FreeWord
 
 DEFAULT_IMAGE_CEILING = 10000
-
-_Hom = TypeVar("_Hom", bound="FiniteQuotientHom")
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
@@ -68,22 +66,6 @@ class FiniteQuotientHom:
         if len(degrees) != 1:
             raise self.invalid(f"generator images have mixed degrees: {sorted(degrees)}")
         object.__setattr__(self, "inverse_images", tuple(map(inverse, self.gen_images)))
-
-    @classmethod
-    def _trusted(
-        cls: type[_Hom],
-        alphabet: Alphabet,
-        gen_images: tuple[tuple[int, ...], ...],
-        inverses: tuple[tuple[int, ...], ...],
-    ) -> _Hom:
-        """Build without any check from tuple columns and their inverse
-        columns that the caller has already proved valid for ``cls``; the
-        result equals and hashes like the validated construction."""
-        h = object.__new__(cls)
-        object.__setattr__(h, "alphabet", alphabet)
-        object.__setattr__(h, "gen_images", gen_images)
-        object.__setattr__(h, "inverse_images", inverses)
-        return h
 
     @property
     def degree(self) -> int:

@@ -418,59 +418,8 @@ def fold_verify(b: SubgroupBasis) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# invariant checks and text formats
+# text formats
 # ---------------------------------------------------------------------------
-
-
-def check_transversal(tr: SchreierTransversal) -> list[str]:
-    """Re-validate the transversal invariants; returns failure descriptions.
-
-    Reads the spanning tree: one representative per coset over the table's
-    alphabet, the empty one at the base only, and every other one its
-    parent's plus one letter, the parent being the coset it steps back to
-    along that last letter.  By induction on length each representative
-    then traces from the base to its own coset (its parent's traces to the
-    parent, and the letter steps on), and the set is prefix-closed."""
-    t = tr.table
-    if len(tr.reps) != t.n:
-        return [f"expected {t.n} representatives, found {len(tr.reps)}"]
-    failures: list[str] = []
-    for c, w in enumerate(tr.reps):
-        if w.alphabet != t.alphabet:
-            failures.append(f"representative {c} uses a different alphabet")
-        elif c == BASE:
-            if w.letters:
-                failures.append(f"base representative {w} is not the empty word")
-        elif not w.letters:
-            failures.append(f"representative of coset {c} is the empty word")
-        else:
-            g, s = w.letters[-1]
-            if tr.reps[t.step(c, g, -s)].letters != w.letters[:-1]:
-                failures.append(f"representative {w} of coset {c} does not extend its parent's")
-    return failures
-
-
-def check_basis(b: SubgroupBasis) -> list[str]:
-    """Re-validate the basis invariants; returns failure descriptions."""
-    failures: list[str] = []
-    t = b.table
-    n, m = t.n, t.alphabet.size
-    expected = n * (m - 1) + 1
-    if len(b.elements) != expected:
-        failures.append(
-            f"basis has {len(b.elements)} elements, index-rank formula needs {expected}"
-        )
-    if len(set(b.elements)) != len(b.elements):
-        failures.append("basis elements are not pairwise distinct")
-    for u in b.elements:
-        if len(u) == 0:
-            failures.append("basis contains the empty word")
-        elif not contains(t, u):
-            failures.append(f"basis element {u} is not in the subgroup")
-    positions = sorted(b.edge_index.values())
-    if positions != list(range(len(b.elements))):
-        failures.append("edge index does not enumerate the element positions")
-    return failures
 
 
 def transversal_to_text(tr: SchreierTransversal) -> str:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from schreierkit import FiniteQuotientHom, cli, lemma
 from schreierkit.perms import DEFAULT_IMAGE_CEILING
 from schreierkit.cli import build_parser, main
+from test_lemma import golden_with_extra_elements
 
 AA_PRESENTATION = "gens: a b\nrel: aa\n"
 TWO_TABLE = "n=2\na: 1 0\nb: 0 1\n"
@@ -191,6 +192,16 @@ def test_verify_rejects_truncated_file(capsys, tmp_path):
     cert.write_text(out[: len(out) // 2])
     code, _, err = run(capsys, "verify", "--certificate", str(cert))
     assert code == 2
+
+
+def test_verify_names_the_count_failures_of_an_oversized_basis(capsys, tmp_path):
+    cert = tmp_path / "oversized.json"
+    cert.write_text(golden_with_extra_elements(20_000))
+    assert run(capsys, "verify", "--certificate", str(cert))[:2] == (
+        1,
+        "basis_invariants\nbasis_matches_schreier_method\n"
+        "generator_bound_matches\nfold_verify_passes\n",
+    )
 
 
 def oversized_certificate(capsys, tmp_path, edit):

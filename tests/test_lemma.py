@@ -2,6 +2,7 @@ import gc
 import itertools
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,10 +27,9 @@ from schreierkit import (
     SubgroupBasis,
     certificate_from_json,
     certificate_to_json,
-    check_basis,
-    check_transversal,
     compose,
     contains,
+    cosets,
     empty_word,
     eval_word,
     find_separating_quotient,
@@ -55,6 +55,7 @@ from schreierkit.lemma import (
     _symmetric,
     _Symmetric,
 )
+from test_transversal import reference_check_transversal
 
 AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
@@ -649,6 +650,45 @@ def test_verify_flags_list_that_does_not_fold():
     )
 
 
+GOLDEN = (Path(__file__).parent / "data" / "lemma_aa_certificate.json").read_text()
+
+
+def golden_with_extra_elements(count):
+    """The golden certificate with ``count`` random reduced 10-letter words
+    appended to its basis elements, as JSON text."""
+    doc = json.loads(GOLDEN)
+    rng = random.Random(21)
+    for _ in range(count):
+        text = ""
+        while len(text) < 10:
+            ch = rng.choice("abAB")
+            if not text or text[-1] != ch.swapcase():
+                text += ch
+        doc["basis"]["elements"].append(text)
+    return json.dumps(doc)
+
+
+def test_verify_decides_the_basis_count_before_tracing(monkeypatch):
+    cert = certificate_from_json(golden_with_extra_elements(20_000))
+    untraced = cosets.trace
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return untraced(*args)
+
+    monkeypatch.setattr(cosets, "trace", counted)
+    assert verify_certificate(cert).failures == (
+        "basis_invariants",
+        "basis_matches_schreier_method",
+        "generator_bound_matches",
+        "fold_verify_passes",
+    )
+    # one trace per relator and one for r: no basis element is traced
+    assert calls <= len(cert.presentation.relators) + 1
+
+
 # ---------------------------------------------------------------------------
 # differential check of the verifier against the word-building one
 # ---------------------------------------------------------------------------
@@ -668,6 +708,19 @@ def reference_parse_word(text, alphabet):
         else:
             raise ParseError(f"unknown character {ch!r} at position {pos}", position=pos)
     return free_reduce(alphabet, raw)
+
+
+def reference_basis_invariants(b):
+    """Oracle: every basis invariant checked in full, with membership read
+    off each element's permutation of the cosets."""
+    t = b.table
+    members = [len(u) > 0 and eval_word(t, u)[BASE] == BASE for u in b.elements]
+    return (
+        len(b.elements) == t.n * (t.alphabet.size - 1) + 1
+        and len(set(b.elements)) == len(b.elements)
+        and all(members)
+        and sorted(b.edge_index.values()) == list(range(len(b.elements)))
+    )
 
 
 def reference_verify_certificate(c):
@@ -702,7 +755,7 @@ def reference_verify_certificate(c):
     tree_ok = c.transversal.table == c.table
     if not tree_ok:
         failures.append("transversal_over_table")
-    if check_transversal(c.transversal):
+    if reference_check_transversal(c.transversal):
         failures.append("transversal_valid")
         tree_ok = False
     elif tree_ok and len(r) > 0:
@@ -712,7 +765,7 @@ def reference_verify_certificate(c):
             if len(reps[coset]) != i or reps[coset].letters[-1] != letter:
                 failures.append("transversal_seeded")
                 break
-    if check_basis(c.basis):
+    if not reference_basis_invariants(c.basis):
         failures.append("basis_invariants")
     if not (0 <= c.r_position < len(c.basis.elements) and c.basis.elements[c.r_position] == r):
         failures.append("r_position_valid")

@@ -21,8 +21,6 @@ from schreierkit import (
     SubgroupBasis,
     basis_through_word,
     basis_to_text,
-    check_basis,
-    check_transversal,
     contains,
     crossings,
     edge_numbering,
@@ -39,6 +37,7 @@ from schreierkit import (
     transversal_to_text,
     tree_letters,
 )
+from schreierkit.lemma import _basis_invariants, _transversal_valid
 
 AB = Alphabet.of("ab")
 TWO = regular_table(FiniteQuotientHom(AB, ((1, 0), (0, 1))))
@@ -112,13 +111,13 @@ def test_unseeded_reps_have_minimal_length():
         dist = bfs_distances(table)
         for c, w in enumerate(tr.reps):
             assert len(w) == dist[c]
-        assert not check_transversal(tr)
+        assert _transversal_valid(tr)
 
 
 def test_seeded_transversal():
     tr = schreier_transversal(TWO, parse_word("aa", AB))
     assert [str(w) for w in tr.reps] == ["1", "a"]
-    assert not check_transversal(tr)
+    assert _transversal_valid(tr)
 
 
 def test_seed_errors():
@@ -137,7 +136,7 @@ def test_seeded_transversal_random():
         if w is None:
             continue
         tr = schreier_transversal(table, w)
-        assert not check_transversal(tr)
+        assert _transversal_valid(tr)
         for p in initial_segments(w):
             assert tr.reps[trace(table, 0, p)] == p
 
@@ -199,7 +198,7 @@ def test_index_rank_formula_randomized():
         table = random_table(rng, Alphabet.first(m), n)
         basis = schreier_basis(schreier_transversal(table))
         assert len(basis.elements) == n * (m - 1) + 1
-        assert not check_basis(basis)
+        assert _basis_invariants(basis)
         assert fold_verify(basis)
 
 
@@ -303,7 +302,7 @@ def test_basis_through_single_negative_letter():
     assert position == 0
     assert basis.elements[position] == w
     assert fold_verify(basis)
-    assert not check_basis(basis)
+    assert _basis_invariants(basis)
 
 
 def test_basis_through_word_errors():
@@ -327,7 +326,7 @@ def test_basis_through_word_randomized():
         built += 1
         basis, position = basis_through_word(table, w)
         assert basis.elements[position] == w
-        assert not check_basis(basis)
+        assert _basis_invariants(basis)
         assert fold_verify(basis)
         # the through-word sits on its final edge
         final = trace(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
@@ -658,45 +657,35 @@ def transversal_of(table, *texts):
 
 
 def test_check_transversal_conditions():
-    assert check_transversal(transversal_of(THREE, "1", "a", "A")) == []
-    assert check_transversal(transversal_of(THREE, "1", "a")) == [
-        "expected 3 representatives, found 2"
-    ]
+    assert _transversal_valid(transversal_of(THREE, "1", "a", "A"))
+    # one representative per coset
+    assert not _transversal_valid(transversal_of(THREE, "1", "a"))
     one = regular_table(FiniteQuotientHom(AB, ((0,), (0,))))
-    assert check_transversal(transversal_of(one, "b")) == [
-        "base representative b is not the empty word"
-    ]
-    assert check_transversal(transversal_of(THREE, "1", "a", "1")) == [
-        "representative of coset 2 is the empty word"
-    ]
+    assert not _transversal_valid(transversal_of(one, "b"))
+    assert not _transversal_valid(transversal_of(THREE, "1", "a", "1"))
     reps = (empty_word(AB), parse_word("a", Alphabet.of("abc")), parse_word("A", AB))
-    foreign = SchreierTransversal(THREE, reps)
-    assert check_transversal(foreign) == ["representative 1 uses a different alphabet"]
+    assert not _transversal_valid(SchreierTransversal(THREE, reps))
     # bA reaches coset 2, but b represents no coset: the set is not prefix-closed
-    assert check_transversal(transversal_of(THREE, "1", "a", "bA")) == [
-        "representative bA of coset 2 does not extend its parent's"
-    ]
+    assert not _transversal_valid(transversal_of(THREE, "1", "a", "bA"))
 
 
 def test_check_basis_conditions():
     basis = schreier_basis(schreier_transversal(TWO))
-    assert check_basis(basis) == []
+    assert _basis_invariants(basis)
 
     def elements(*texts):
         return with_elements(basis, [parse_word(text, AB) for text in texts])
 
-    assert check_basis(elements("b", "aa")) == [
-        "basis has 2 elements, index-rank formula needs 3",
-        "edge index does not enumerate the element positions",
-    ]
-    assert check_basis(elements("b", "aa", "b")) == ["basis elements are not pairwise distinct"]
-    assert check_basis(elements("b", "aa", "1")) == ["basis contains the empty word"]
-    assert check_basis(elements("b", "aa", "a")) == ["basis element a is not in the subgroup"]
+    # too few elements, and the edge index numbers three positions
+    assert not _basis_invariants(elements("b", "aa"))
+    assert not _basis_invariants(elements("b", "aa", "b"))
+    assert not _basis_invariants(elements("b", "aa", "1"))
+    assert not _basis_invariants(elements("b", "aa", "a"))
     renumbered = SubgroupBasis(
         basis.table, basis.transversal, basis.orientation, basis.elements,
         {**basis.edge_index, (1, 1): 5},
     )
-    assert check_basis(renumbered) == ["edge index does not enumerate the element positions"]
+    assert not _basis_invariants(renumbered)
 
 
 def reference_check_transversal(tr: SchreierTransversal) -> list[str]:
@@ -768,7 +757,7 @@ def test_check_transversal_matches_reference():
             transversals.append(schreier_transversal(table, w))
         for tr in transversals:
             for candidate in tampered_transversals(rng, tr):
-                verdict = not check_transversal(candidate)
+                verdict = _transversal_valid(candidate)
                 assert verdict == (not reference_check_transversal(candidate))
                 verdicts[verdict] += 1
     assert verdicts[True] > 0 and verdicts[False] > 0
