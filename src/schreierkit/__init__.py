@@ -59,7 +59,6 @@ from .rewriting import (
     surface_survey,
 )
 from .transversal import (
-    AlphabetOrientation,
     SchreierTransversal,
     SubgroupBasis,
     basis_through_word,

@@ -39,7 +39,6 @@ from .errors import (
 )
 from .perms import DEFAULT_IMAGE_CEILING, FiniteQuotientHom, compose, inverse, kills_relators
 from .transversal import (
-    AlphabetOrientation,
     SchreierTransversal,
     SubgroupBasis,
     basis_letters,
@@ -506,7 +505,7 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         failures.append("r_position_valid")
 
     if tree_ok:
-        edge_index, raw_elements = basis_letters(c.transversal, c.basis.orientation)
+        edge_index, raw_elements = basis_letters(c.transversal, c.basis.flipped)
         if 0 <= c.r_position < len(raw_elements):
             expected_raw = invert(r) if c.matched_inverse else r
             if raw_elements[c.r_position] != expected_raw.letters:
@@ -550,7 +549,7 @@ def certificate_to_json(c: LemmaCertificate) -> str:
         },
         "transversal": [str(w) for w in c.transversal.reps],
         "basis": {
-            "flipped": sorted(c.basis.orientation.flipped),
+            "flipped": sorted(c.basis.flipped),
             "elements": [str(u) for u in c.basis.elements],
             "edge_index": sorted(
                 [coset, gen, position]
@@ -649,7 +648,7 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         basis = SubgroupBasis(
             table,
             transversal,
-            AlphabetOrientation(frozenset(flipped)),
+            frozenset(flipped),
             elements,
             edge_index,
         )

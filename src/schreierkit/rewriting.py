@@ -27,7 +27,6 @@ from typing import Iterator
 from .cosets import CosetTable, Presentation, iter_low_index_tables
 from .errors import AlphabetMismatch, BadBound, BadGenus, RelatorNotKilled
 from .transversal import (
-    AlphabetOrientation,
     SubgroupBasis,
     crossings,
     edge_numbering,
@@ -146,13 +145,12 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
     """
     if p.alphabet != t.alphabet:
         raise AlphabetMismatch("presentation and table use different alphabets")
-    orientation = AlphabetOrientation.empty()
-    numbering = edge_numbering(t, tree_letters(t), orientation)
+    numbering = edge_numbering(t, tree_letters(t), frozenset())
     walks = []
     for rel in p.relators:
         row = []
         for c in range(t.n):
-            positions, end = crossings(t, orientation, numbering, c, rel)
+            positions, end = crossings(t, numbering, c, rel)
             if end != c:
                 raise RelatorNotKilled(rel, c)
             row.append(tuple(positions))

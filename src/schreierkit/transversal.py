@@ -14,9 +14,8 @@ edges, which is all that :func:`crossings` (and so rewriting) reads.  The
 representative and element words are spelled from the same tree only when
 they are asked for.
 
-An :class:`AlphabetOrientation` supports the last-letter swap: generators
-in its ``flipped`` set are replaced by their inverses before the basis is
-read off.
+The last-letter swap is a ``flipped`` set of generators: the basis is read
+off with each of them replaced by its inverse.
 """
 
 from __future__ import annotations
@@ -39,36 +38,19 @@ class SchreierTransversal:
 
 
 @dataclass(frozen=True)
-class AlphabetOrientation:
-    """Generators whose basis letter has been replaced by its inverse."""
-
-    flipped: frozenset[int]
-
-    @classmethod
-    def empty(cls) -> "AlphabetOrientation":
-        return cls(frozenset())
-
-    @classmethod
-    def of(cls, *gens: int) -> "AlphabetOrientation":
-        return cls(frozenset(gens))
-
-    def sign(self, gen: int) -> int:
-        return -1 if gen in self.flipped else 1
-
-
-@dataclass(frozen=True)
 class SubgroupBasis:
     """An ordered free basis of the subgroup of a coset table.
 
-    ``elements`` are spelled over the original alphabet regardless of the
-    orientation; ``edge_index`` maps each non-tree edge, keyed by
-    ``(coset, generator)`` in the oriented forward direction, to the
-    position of its element.
+    ``flipped`` holds the generators whose basis letter is replaced by its
+    inverse; ``elements`` are spelled over the original alphabet all the
+    same.  ``edge_index`` maps each non-tree edge, keyed by ``(coset,
+    generator)`` at the coset it leaves along ``g`` (``g^-1`` when ``g``
+    is flipped), to the position of its element.
     """
 
     table: CosetTable
     transversal: SchreierTransversal
-    orientation: AlphabetOrientation
+    flipped: frozenset[int]
     elements: tuple[FreeWord, ...]
     edge_index: dict[tuple[int, int], int]
 
@@ -125,17 +107,16 @@ def tree_letters(
 def edge_numbering(
     t: CosetTable,
     last: Sequence[tuple[int, int] | None],
-    orientation: AlphabetOrientation,
+    flipped: frozenset[int],
 ) -> list[int | None]:
     """Number the edges of the coset graph that the spanning tree given by
     ``last`` (as from :func:`tree_letters`) leaves out.  The edge leaving
-    coset ``c`` along generator ``g`` in the oriented forward direction
-    has slot ``c·m + g`` (``m`` generators); the result holds, slot by
-    slot, its number or ``None`` for a tree edge.  Numbers therefore run
-    coset ascending, then generator ascending, and there are exactly
-    ``n·(m-1) + 1`` of them."""
+    coset ``c`` along generator ``g`` (along ``g^-1`` when ``g`` is in
+    ``flipped``) has slot ``c·m + g`` (``m`` generators); the result
+    holds, slot by slot, its number or ``None`` for a tree edge.  Numbers
+    therefore run coset ascending, then generator ascending, and there are
+    exactly ``n·(m-1) + 1`` of them."""
     m = t.alphabet.size
-    flipped = orientation.flipped
     numbering: list[int | None] = [0] * (t.n * m)
     for c, letter in enumerate(last):
         if letter is None:
@@ -155,42 +136,34 @@ def edge_numbering(
 
 def crossings(
     t: CosetTable,
-    orientation: AlphabetOrientation,
     numbering: Sequence[int | None],
     start: int,
     w: FreeWord,
 ) -> tuple[list[tuple[int, int]], int]:
     """Walk ``w`` once from coset ``start``: the ``(edge number, sign)``
     of each numbered (non-tree) edge crossed, as ``numbering`` (from
-    :func:`edge_numbering`) gives it, tree edges contributing nothing, and
-    the coset where the walk ends, so that membership is read off the same
-    walk.  The caller checks that ``start`` is a coset of the table and
-    ``w`` is over its alphabet.  For reduced ``w`` the crossings are freely
+    ``edge_numbering(t, tree_letters(t), frozenset())``) gives it, tree
+    edges contributing nothing, and the coset where the walk ends, so that
+    membership is read off the same walk.  An edge is keyed at the coset
+    it leaves along ``g``, and a crossing's sign is its letter's sign.
+    The caller checks that ``start`` is a coset of the table and ``w`` is
+    over its alphabet.  For reduced ``w`` the crossings are freely
     reduced: between two crossings of one edge in opposite directions the
     walk would be a closed non-backtracking path in the spanning tree,
     which is empty, and then ``w`` itself would cancel."""
     m = t.alphabet.size
-    flipped = orientation.flipped
     images, inverses = t.gen_images, t.inverse_images
     out: list[tuple[int, int]] = []
     c = start
     for g, s in w.letters:
-        # forward: the letter crosses its edge in the oriented forward
-        # direction, so the edge is keyed at the coset it leaves
         if s > 0:
             d = images[g][c]
-            forward = g not in flipped
+            position = numbering[c * m + g]
         else:
             d = inverses[g][c]
-            forward = g in flipped
-        if forward:
-            position = numbering[c * m + g]
-            if position is not None:
-                out.append((position, 1))
-        else:
             position = numbering[d * m + g]
-            if position is not None:
-                out.append((position, -1))
+        if position is not None:
+            out.append((position, s))
         c = d
     return out, c
 
@@ -220,7 +193,7 @@ def schreier_transversal(
 
 
 def basis_letters(
-    tr: SchreierTransversal, orientation: AlphabetOrientation
+    tr: SchreierTransversal, flipped: frozenset[int]
 ) -> tuple[dict[tuple[int, int], int], list[tuple[Letter, ...]]]:
     """The edge index and the element letters of :func:`schreier_basis`,
     read off the tree without building words: ``rep(c)``, ``g^e``, then
@@ -231,7 +204,7 @@ def basis_letters(
         raise AlphabetMismatch("representative alphabet differs from table alphabet")
     m = t.alphabet.size
     reps = [w.letters for w in tr.reps]
-    numbering = edge_numbering(t, [w[-1] if w else None for w in reps], orientation)
+    numbering = edge_numbering(t, [w[-1] if w else None for w in reps], flipped)
     edge_index = {
         divmod(slot, m): position
         for slot, position in enumerate(numbering)
@@ -241,21 +214,20 @@ def basis_letters(
     backs = [tuple(map(inverse_of.__getitem__, reversed(w))) for w in reps]
     elements = []
     for c, g in edge_index:
-        e = orientation.sign(g)
+        e = -1 if g in flipped else 1
         elements.append(reps[c] + (Letter(g, e),) + backs[t.step(c, g, e)])
     return edge_index, elements
 
 
 def schreier_basis(
-    tr: SchreierTransversal, orientation: AlphabetOrientation | None = None
+    tr: SchreierTransversal, flipped: frozenset[int] = frozenset()
 ) -> SubgroupBasis:
     """Read off the subgroup basis from a transversal.
 
-    The representatives' last letters give the spanning tree.  Over the
-    oriented alphabet, each edge ``(c, g)`` numbered by
-    :func:`edge_numbering` contributes the element
-    ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the orientation sign of
-    ``g``, in the order of its number (:func:`basis_letters`).  All such
+    The representatives' last letters give the spanning tree.  Each edge
+    ``(c, g)`` numbered by :func:`edge_numbering` contributes the element
+    ``rep(c) · g^e · rep(c · g^e)^-1``, with ``e = -1`` when ``g`` is in
+    ``flipped`` and ``e = 1`` otherwise, in the order of its number (:func:`basis_letters`).  All such
     elements are nonempty and pairwise distinct, and there are exactly
     ``n·(m-1) + 1`` of them.
 
@@ -264,12 +236,10 @@ def schreier_basis(
     be the tree edge, which :func:`edge_numbering` leaves out.  Should that
     fail, the :class:`FreeWord` check raises :class:`UnreducedWord`.
     """
-    if orientation is None:
-        orientation = AlphabetOrientation.empty()
     t = tr.table
-    edge_index, elements = basis_letters(tr, orientation)
+    edge_index, elements = basis_letters(tr, flipped)
     words = tuple(FreeWord(t.alphabet, u) for u in elements)
-    return SubgroupBasis(t, tr, orientation, words, edge_index)
+    return SubgroupBasis(t, tr, flipped, words, edge_index)
 
 
 def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
@@ -279,8 +249,8 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
     Seeds the transversal with the path of ``w``, so its initial segments,
     which must reach pairwise distinct cosets, are representatives.  When
     the last letter of ``w`` is positive the plain Schreier basis already
-    contains ``w``; when it is negative the alphabet is reoriented at that
-    generator.  Either way the final edge, read along the last letter ``y``
+    contains ``w``; when it is negative that generator is flipped, so the
+    basis is read with its inverse.  Either way the final edge, read along the last letter ``y``
     from the coset ``c`` of ``w`` less ``y``, emits
     ``rep(c) · y · rep(BASE)^-1``; the seed makes ``rep(c)`` that prefix
     and ``rep(BASE)`` is empty, so the element is ``w`` itself, never its
@@ -293,10 +263,7 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
         raise NotInSubgroup(f"{w} does not fix the base coset")
     tr = schreier_transversal(t, w)
     g_last, s_last = w.letters[-1]
-    orientation = (
-        AlphabetOrientation.empty() if s_last > 0 else AlphabetOrientation.of(g_last)
-    )
-    basis = schreier_basis(tr, orientation)
+    basis = schreier_basis(tr, frozenset() if s_last > 0 else frozenset({g_last}))
     return basis, basis.edge_index[(t.step(BASE, g_last, -s_last), g_last)]
 
 
@@ -310,8 +277,10 @@ def fold_verify(b: SubgroupBasis) -> bool:
     basis of exactly the table's subgroup ``H``: there are exactly
     ``k = n·(m-1) + 1`` of them (index ``n``, ``m`` generators), each
     fixing the base coset, and their folded graph has ``V = n`` vertices
-    and ``E = n·m`` edges.  Reads only ``b.elements`` and ``b.table``; an
-    element over another alphabet raises :class:`AlphabetMismatch`.
+    and ``E = n·m`` edges.  Reads only ``b.elements`` and ``b.table``.  The
+    count is checked first, so a list of the wrong length is ``False``
+    before any element is read, whatever its alphabets; with the right
+    count, an element over another alphabet raises :class:`AlphabetMismatch`.
 
     Folds as it goes (Stallings, 1983; Kapovich–Myasnikov, 2002), with
     union-find on the vertices and one neighbour slot per vertex and
@@ -338,11 +307,11 @@ def fold_verify(b: SubgroupBasis) -> bool:
     ``k`` and the counts cannot both hold.
     """
     t = b.table
-    if any(w.alphabet != t.alphabet for w in b.elements):
-        raise AlphabetMismatch("basis element and table use different alphabets")
     n, m = t.n, t.alphabet.size
     if len(b.elements) != n * (m - 1) + 1:
         return False
+    if any(w.alphabet != t.alphabet for w in b.elements):
+        raise AlphabetMismatch("basis element and table use different alphabets")
     images, inverses = t.gen_images, t.inverse_images
     width = 2 * m  # slot 2g: out along g; slot 2g+1: in along g
     parent = [0]  # union-find over vertices; vertex 0 is the first base

@@ -11,7 +11,6 @@ from pathlib import Path
 from schreierkit import (
     BASE,
     Alphabet,
-    AlphabetOrientation,
     CosetTable,
     InvalidTable,
     Letter,
@@ -115,7 +114,7 @@ def test_criterion_3_case2_swap():
     assert r in cert.basis.elements
     assert cert.basis.elements[cert.r_position] == r
     # matched_inverse must agree with the raw final-edge element
-    raw = schreier_basis(cert.transversal, cert.basis.orientation).elements[
+    raw = schreier_basis(cert.transversal, cert.basis.flipped).elements[
         cert.r_position
     ]
     assert raw == (invert(r) if cert.matched_inverse else r)
@@ -223,14 +222,13 @@ def test_criterion_7_rewriting_soundness():
         table = random_table(rng, Alphabet.first(m), n)
         tr = schreier_transversal(table)
         basis = schreier_basis(tr)
-        orientation = AlphabetOrientation.empty()
-        numbering = edge_numbering(table, tree_letters(table), orientation)
+        numbering = edge_numbering(table, tree_letters(table), frozenset())
         for _ in range(5):
             u = random_word(rng, table.alphabet, 12)
             rep = tr.reps[trace(table, 0, u)]
             w = free_reduce(table.alphabet, u.letters + invert(rep).letters)
             assert contains(table, w)
-            positions, end = crossings(table, orientation, numbering, BASE, w)
+            positions, end = crossings(table, numbering, BASE, w)
             assert end == BASE
             assert reference_evaluate_positions(basis, positions) == w
             checked += 1

@@ -328,7 +328,7 @@ def test_run_lemma_case2():
     assert cert.image_order == 2
     assert cert.hom.gen_images == ((1, 0), (1, 0))
     assert r in cert.basis.elements
-    assert cert.basis.orientation.flipped == frozenset({1})
+    assert cert.basis.flipped == frozenset({1})
     assert len(cert.basis.elements) == 3
     assert verify_certificate(cert)
 
@@ -364,9 +364,14 @@ def test_determinism_and_monotonicity():
     assert certificate_to_json(first) == certificate_to_json(larger)
 
 
-def test_certificate_json_roundtrip():
-    cert = run_lemma(AA_PRES, AA_REL, 4)
+@pytest.mark.parametrize(
+    ("relator", "flipped"), [("aa", []), ("aB", [1])], ids=["aa", "aB"]
+)
+def test_certificate_json_roundtrip(relator, flipped):
+    r = parse_word(relator, AB)
+    cert = run_lemma(Presentation(AB, (r,)), r, 4)
     text = certificate_to_json(cert)
+    assert json.loads(text)["basis"]["flipped"] == flipped
     loaded = certificate_from_json(text)
     assert loaded == cert
     assert certificate_to_json(loaded) == text
@@ -463,7 +468,7 @@ def test_verify_detects_deleted_basis_element():
     shrunk = SubgroupBasis(
         basis.table,
         basis.transversal,
-        basis.orientation,
+        basis.flipped,
         basis.elements[:-1],
         {k: v for k, v in basis.edge_index.items() if v < len(basis.elements) - 1},
     )
@@ -478,7 +483,7 @@ def test_verify_detects_edited_basis_word():
     elements = list(basis.elements)
     elements[0] = parse_word("bb", AB)
     edited = SubgroupBasis(
-        basis.table, basis.transversal, basis.orientation,
+        basis.table, basis.transversal, basis.flipped,
         tuple(elements), basis.edge_index,
     )
     result = verify_certificate(tampered(cert, basis=edited))
@@ -508,7 +513,7 @@ def test_verify_detects_bad_transversal():
     crooked = SchreierTransversal(cert.table, reps)
     basis = cert.basis
     rebased = SubgroupBasis(
-        basis.table, crooked, basis.orientation, basis.elements, basis.edge_index
+        basis.table, crooked, basis.flipped, basis.elements, basis.edge_index
     )
     result = verify_certificate(tampered(cert, transversal=crooked, basis=rebased))
     assert not result
@@ -641,7 +646,7 @@ def test_verify_flags_list_that_does_not_fold():
     basis = cert.basis
     # bb lies in the subgroup, but {bb, aa, abA} generates a proper subgroup of it
     edited = SubgroupBasis(
-        basis.table, basis.transversal, basis.orientation,
+        basis.table, basis.transversal, basis.flipped,
         (parse_word("bb", AB),) + basis.elements[1:], basis.edge_index,
     )
     assert verify_certificate(tampered(cert, basis=edited)).failures == (
@@ -770,7 +775,7 @@ def reference_verify_certificate(c):
     if not (0 <= c.r_position < len(c.basis.elements) and c.basis.elements[c.r_position] == r):
         failures.append("r_position_valid")
     if tree_ok:
-        recomputed = schreier_basis(c.transversal, c.basis.orientation)
+        recomputed = schreier_basis(c.transversal, c.basis.flipped)
         raw_elements = list(recomputed.elements)
         if 0 <= c.r_position < len(raw_elements):
             expected_raw = invert(r) if c.matched_inverse else r

@@ -8,7 +8,6 @@ from schreierkit import (
     BASE,
     Alphabet,
     AlphabetMismatch,
-    AlphabetOrientation,
     BadBound,
     BadGenus,
     CosetTable,
@@ -172,8 +171,7 @@ def assert_relators_are_conjugates(pres, table, sp):
     conjugate's crossings from the base), is freely reduced over the basis
     symbols, and multiplies out to the conjugate."""
     tr = sp.basis.transversal
-    orientation = AlphabetOrientation.empty()
-    numbering = edge_numbering(table, tree_letters(table), orientation)
+    numbering = edge_numbering(table, tree_letters(table), frozenset())
     i = 0
     for c in range(table.n):
         for rel in pres.relators:
@@ -181,7 +179,7 @@ def assert_relators_are_conjugates(pres, table, sp):
             letters = rep.letters + rel.letters + invert(rep).letters
             conjugate = free_reduce(table.alphabet, letters)
             relator = sp.relators[i]
-            walk = crossings(table, orientation, numbering, BASE, conjugate)
+            walk = crossings(table, numbering, BASE, conjugate)
             assert walk == (list(relator), BASE)
             assert all(x[0] != y[0] or x[1] != -y[1] for x, y in zip(relator, relator[1:]))
             assert reference_evaluate_positions(sp.basis, relator) == conjugate

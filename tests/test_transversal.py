@@ -8,7 +8,6 @@ from schreierkit import (
     BASE,
     Alphabet,
     AlphabetMismatch,
-    AlphabetOrientation,
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
@@ -205,9 +204,8 @@ def test_index_rank_formula_randomized():
 def rewrite(table, w):
     """``w`` over the basis of ``schreier_basis(schreier_transversal(table))``:
     its crossings from the base, and the coset where it ends."""
-    orientation = AlphabetOrientation.empty()
-    numbering = edge_numbering(table, tree_letters(table), orientation)
-    return crossings(table, orientation, numbering, BASE, w)
+    numbering = edge_numbering(table, tree_letters(table), frozenset())
+    return crossings(table, numbering, BASE, w)
 
 
 def reference_evaluate_positions(b, positions):
@@ -279,7 +277,7 @@ def test_basis_through_word_case1():
     basis, position = basis_through_word(TWO, parse_word("aa", AB))
     assert position == 1
     assert [str(u) for u in basis.elements] == ["b", "aa", "abA"]
-    assert basis.orientation.flipped == frozenset()
+    assert basis.flipped == frozenset()
     assert basis.elements[basis.edge_index[(1, 0)]] == parse_word("aa", AB)
     assert fold_verify(basis)
 
@@ -288,7 +286,7 @@ def test_basis_through_word_case2():
     table = regular_table(FiniteQuotientHom(AB, ((1, 0), (1, 0))))
     w = parse_word("aB", AB)
     basis, position = basis_through_word(table, w)
-    assert basis.orientation.flipped == frozenset({1})
+    assert basis.flipped == frozenset({1})
     assert len(basis.elements) == 3
     assert position == 2
     assert basis.elements[position] == w
@@ -384,14 +382,14 @@ def test_fold_verify_rejects_tampered_lists():
     duplicated = SubgroupBasis(
         basis.table,
         basis.transversal,
-        basis.orientation,
+        basis.flipped,
         basis.elements[:-1] + (basis.elements[0],),
         basis.edge_index,
     )
     assert not fold_verify(duplicated)
 
     shrunk = SubgroupBasis(
-        basis.table, basis.transversal, basis.orientation,
+        basis.table, basis.transversal, basis.flipped,
         basis.elements[:-1], basis.edge_index,
     )
     assert not fold_verify(shrunk)
@@ -399,7 +397,7 @@ def test_fold_verify_rejects_tampered_lists():
     squared = SubgroupBasis(
         basis.table,
         basis.transversal,
-        basis.orientation,
+        basis.flipped,
         basis.elements[:-1] + (free_reduce(AB, basis.elements[-1].letters * 2),),
         basis.edge_index,
     )
@@ -525,7 +523,7 @@ def reference_fold_verify(b: SubgroupBasis) -> bool:
 
 def with_elements(basis, elements):
     return SubgroupBasis(
-        basis.table, basis.transversal, basis.orientation, tuple(elements),
+        basis.table, basis.transversal, basis.flipped, tuple(elements),
         basis.edge_index,
     )
 
@@ -649,6 +647,14 @@ def test_fold_verify_rejects_other_alphabet():
         fold_verify(with_elements(basis, foreign))
 
 
+def test_fold_verify_decides_wrong_count_before_alphabets():
+    """A list of the wrong length is rejected before any element is read,
+    so a foreign element in it does not raise."""
+    basis = schreier_basis(schreier_transversal(TWO))
+    elements = list(basis.elements) + [parse_word("Ca", Alphabet.of("abc"))]
+    assert not fold_verify(with_elements(basis, elements))
+
+
 THREE = CosetTable(AB, ((1, 2, 0), (0, 1, 2)))
 
 
@@ -682,7 +688,7 @@ def test_check_basis_conditions():
     assert not _basis_invariants(elements("b", "aa", "1"))
     assert not _basis_invariants(elements("b", "aa", "a"))
     renumbered = SubgroupBasis(
-        basis.table, basis.transversal, basis.orientation, basis.elements,
+        basis.table, basis.transversal, basis.flipped, basis.elements,
         {**basis.edge_index, (1, 1): 5},
     )
     assert not _basis_invariants(renumbered)
@@ -824,9 +830,10 @@ def reference_schreier_transversal(
     return SchreierTransversal(t, tuple(reps))  # type: ignore[arg-type]
 
 
-def reference_tree_edges(tr: SchreierTransversal, orientation: AlphabetOrientation) -> set[tuple[int, int]]:
+def reference_tree_edges(tr: SchreierTransversal, flipped: frozenset[int]) -> set[tuple[int, int]]:
     """Edges consumed by the representatives' final letters, keyed by
-    (source coset, generator) in the oriented forward direction."""
+    (source coset, generator) along ``g``, or along ``g^-1`` when ``g`` is
+    flipped."""
     t = tr.table
     tree: set[tuple[int, int]] = set()
     for c in range(t.n):
@@ -835,7 +842,7 @@ def reference_tree_edges(tr: SchreierTransversal, orientation: AlphabetOrientati
             continue
         g, s = w.letters[-1]
         parent = t.step(c, g, -s)
-        if s * orientation.sign(g) > 0:
+        if (s > 0) != (g in flipped):
             tree.add((parent, g))
         else:
             tree.add((c, g))
@@ -843,45 +850,44 @@ def reference_tree_edges(tr: SchreierTransversal, orientation: AlphabetOrientati
 
 
 def reference_schreier_basis(
-    tr: SchreierTransversal, orientation: AlphabetOrientation | None = None
+    tr: SchreierTransversal, flipped: frozenset[int] = frozenset()
 ) -> SubgroupBasis:
     """Oracle: the basis as read off before the shared edge numbering.
 
     Read off the subgroup basis from a transversal.
 
-    Over the oriented alphabet, each non-tree edge ``(c, g)`` contributes
-    the element ``rep(c) · g^e · rep(c · g^e)^-1`` with ``e`` the
-    orientation sign of ``g``; enumeration order is coset ascending, then
+    Each non-tree edge ``(c, g)`` contributes the element
+    ``rep(c) · g^e · rep(c · g^e)^-1``, with ``e = -1`` when ``g`` is
+    flipped and ``e = 1`` otherwise; enumeration order is coset ascending, then
     generator ascending.  All such elements are nonempty and pairwise
     distinct, and there are exactly ``n·(m-1) + 1`` of them.
     """
-    if orientation is None:
-        orientation = AlphabetOrientation.empty()
     t = tr.table
-    tree = reference_tree_edges(tr, orientation)
+    tree = reference_tree_edges(tr, flipped)
     elements: list[FreeWord] = []
     edge_index: dict[tuple[int, int], int] = {}
     for c in range(t.n):
         for g in range(t.alphabet.size):
             if (c, g) in tree:
                 continue
-            e = orientation.sign(g)
+            e = -1 if g in flipped else 1
             d = t.step(c, g, e)
             u = free_reduce(
                 t.alphabet, tr.reps[c].letters + (Letter(g, e),) + invert(tr.reps[d]).letters
             )
             edge_index[(c, g)] = len(elements)
             elements.append(u)
-    return SubgroupBasis(t, tr, orientation, tuple(elements), edge_index)
+    return SubgroupBasis(t, tr, flipped, tuple(elements), edge_index)
 
 
 def test_words_match_eager_reference():
     """Representatives, elements and edge numbering agree with the eager
-    construction on random tables, seeded and unseeded, in both
-    orientations; ``tree_letters`` gives the representatives' last
-    letters."""
+    construction on random tables, seeded and unseeded, unflipped and with
+    random flips, and for the flipped bases that ``basis_through_word``
+    builds for a negative last letter; ``tree_letters`` gives the
+    representatives' last letters."""
     rng = random.Random(6161)
-    seeded = 0
+    seeded = through_flipped = 0
     for _ in range(150):
         m = rng.randrange(1, 4)
         table = random_table(rng, Alphabet.first(m), rng.randrange(1, 31))
@@ -899,13 +905,20 @@ def test_words_match_eager_reference():
                 u.letters[-1] if u.letters else None for u in expected.reps
             )
             flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
-            for orientation in (AlphabetOrientation.empty(), AlphabetOrientation(flipped)):
-                basis = schreier_basis(tr, orientation)
-                oracle = reference_schreier_basis(expected, orientation)
+            flip_sets = [frozenset(), flipped]
+            if through is not None and through.letters[-1].sign < 0:
+                flip_sets.append(frozenset({through.letters[-1].gen}))
+                assert basis_through_word(table, through)[0] == schreier_basis(
+                    tr, flip_sets[-1]
+                )
+                through_flipped += 1
+            for flips in flip_sets:
+                basis = schreier_basis(tr, flips)
+                oracle = reference_schreier_basis(expected, flips)
                 assert basis.elements == oracle.elements
                 assert basis.edge_index == oracle.edge_index
                 assert list(basis.edge_index) == list(oracle.edge_index)
-                numbering = edge_numbering(table, tree_letters(table, through), orientation)
+                numbering = edge_numbering(table, tree_letters(table, through), flips)
                 assert len(numbering) == table.n * m
                 assert {
                     divmod(slot, m): position
@@ -916,22 +929,22 @@ def test_words_match_eager_reference():
                     range(len(oracle.edge_index))
                 )
     assert seeded > 50
+    assert through_flipped > 20
 
 
 def reference_crossings(
     t: CosetTable,
-    orientation: AlphabetOrientation,
     edge_index: dict[tuple[int, int], int],
     start: int,
     w: FreeWord,
 ) -> tuple[list[tuple[int, int]], int]:
     """Oracle: the walker as it read the ``(coset, generator)`` keyed
-    ``SubgroupBasis.edge_index``, testing the orientation letter by letter."""
+    ``SubgroupBasis.edge_index`` of an unflipped basis."""
     out: list[tuple[int, int]] = []
     c = start
     for g, s in w.letters:
         d = t.step(c, g, s)
-        if s * orientation.sign(g) > 0:
+        if s > 0:
             key, sign = (c, g), 1
         else:
             key, sign = (d, g), -1
@@ -944,25 +957,24 @@ def reference_crossings(
 
 def test_crossings_match_reference_walker():
     """The walker over the flat numbering gives the reference's positions
-    and end coset for random reduced words from every coset, under the
-    empty orientation, random flips, and the flipped bases that
-    ``basis_through_word`` builds for a negative last letter."""
+    and end coset for random reduced words from every coset, over the
+    unflipped basis of the plain tree and of a tree seeded by a subgroup
+    word.  (Flipped numberings are checked against ``edge_index`` in
+    :func:`test_words_match_eager_reference`.)"""
     rng = random.Random(4242)
-    through_flipped = 0
+    seeded = 0
     for _ in range(120):
         m = rng.randrange(1, 4)
         alphabet = Alphabet.first(m)
         table = random_table(rng, alphabet, rng.randrange(1, 13))
-        tr = schreier_transversal(table)
-        flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
-        bases = [schreier_basis(tr), schreier_basis(tr, AlphabetOrientation(flipped))]
+        bases = [schreier_basis(schreier_transversal(table))]
         w = random_subgroup_word(rng, table, max_tries=200)
-        if w is not None and w.letters[-1].sign < 0:
-            bases.append(basis_through_word(table, w)[0])
-            through_flipped += 1
+        if w is not None:
+            bases.append(schreier_basis(schreier_transversal(table, w)))
+            seeded += 1
         for basis in bases:
             last = [u.letters[-1] if u.letters else None for u in basis.transversal.reps]
-            numbering = edge_numbering(table, last, basis.orientation)
+            numbering = edge_numbering(table, last, frozenset())
             for start in range(table.n):
                 for _ in range(4):
                     raw = [
@@ -970,9 +982,7 @@ def test_crossings_match_reference_walker():
                         for _ in range(rng.randrange(16))
                     ]
                     word = free_reduce(alphabet, raw)
-                    assert crossings(
-                        table, basis.orientation, numbering, start, word
-                    ) == reference_crossings(
-                        table, basis.orientation, basis.edge_index, start, word
+                    assert crossings(table, numbering, start, word) == reference_crossings(
+                        table, basis.edge_index, start, word
                     )
-    assert through_flipped > 20
+    assert seeded > 40
