@@ -70,6 +70,7 @@ from .transversal import (
     schreier_transversal,
     transversal_to_text,
     tree_letters,
+    tree_numbering,
 )
 from .words import (
     Alphabet,

@@ -370,9 +370,10 @@ def _key_columns(key: bytes | tuple[int, ...], n: int) -> list[tuple[int, ...]]:
 def table_to_text(t: CosetTable) -> str:
     """Bit-exact coset-table format: ``n=<int>`` then one line per generator
     ``<name>: i0 i1 ... i(n-1)``."""
+    row = " ".join(["%d"] * t.n)
     lines = [f"n={t.n}"]
-    for g, name in enumerate(t.alphabet.names):
-        lines.append(f"{name}: " + " ".join(map(str, t.gen_images[g])))
+    for name, column in zip(t.alphabet.names, t.gen_images):
+        lines.append(f"{name}: {row % column}")
     return "\n".join(lines) + "\n"
 
 

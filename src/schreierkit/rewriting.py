@@ -9,8 +9,10 @@ edges it crosses (Reidemeister–Schreier); ``rep(c)`` runs along the
 spanning tree and contributes nothing, so the conjugate is never built.
 The same walk ends at the coset that shows whether ``rho`` fixes ``c``,
 so each relator is walked once from each coset.
-Only the spanning tree's numbering of the non-tree edges is needed, so no
-word is spelled: the basis elements are spelled on demand, when printed.
+Only the spanning tree's numbering of the non-tree edges is needed, and
+:func:`~schreierkit.transversal.tree_numbering` marks it during the tree's
+one search, so no word is spelled: the basis elements are spelled on
+demand, when printed.
 Rewritten relators are kept raw (freely reduced over the fresh basis
 symbols, but never simplified further) so the counting identities are exact:
 ``generators = n·(m-1) + 1`` and ``relators = n·k`` make the presentation
@@ -29,10 +31,9 @@ from .errors import AlphabetMismatch, BadBound, BadGenus, RelatorNotKilled
 from .transversal import (
     SubgroupBasis,
     crossings,
-    edge_numbering,
     schreier_basis,
     schreier_transversal,
-    tree_letters,
+    tree_numbering,
 )
 from .words import Alphabet, Letter, free_reduce
 
@@ -145,7 +146,7 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
     """
     if p.alphabet != t.alphabet:
         raise AlphabetMismatch("presentation and table use different alphabets")
-    numbering = edge_numbering(t, tree_letters(t), frozenset())
+    numbering = tree_numbering(t)
     walks = []
     for rel in p.relators:
         row = []

@@ -10,9 +10,10 @@ subgroup, with exactly ``n·(m-1) + 1`` elements for index ``n`` over
 
 The spanning tree needs no words: :func:`tree_letters` gives each
 coset's last tree letter and :func:`edge_numbering` numbers the non-tree
-edges, which is all that :func:`crossings` (and so rewriting) reads.  The
-representative and element words are spelled from the same tree only when
-they are asked for.
+edges; :func:`tree_numbering` numbers those of the plain tree during its
+one search, which is all that :func:`crossings` (and so rewriting) reads.
+The representative and element words are spelled from the same tree only
+when they are asked for.
 
 The last-letter swap is a ``flipped`` set of generators: the basis is read
 off with each of them replaced by its inverse.
@@ -21,7 +22,7 @@ off with each of them replaced by its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cosets import BASE, CosetTable, contains
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
@@ -92,16 +93,31 @@ def tree_letters(
             reached[c] = True
             last[c] = letter
             queue.append(c)
-    steps = [((g, s), t.image(g, s)) for g in range(t.alphabet.size) for s in (1, -1)]
+    for _, g, s, d in _tree_edges(t, queue, reached):
+        last[d] = (g, s)
+    return tuple(last)
+
+
+def _tree_edges(
+    t: CosetTable, queue: list[int], reached: list[bool]
+) -> Iterator[tuple[int, int, int, int]]:
+    """The search of :func:`tree_letters` from ``queue``: each tree edge
+    ``(parent, g, s, child)`` as it is found, ``child`` then marked in
+    ``reached`` and queued."""
+    columns = list(enumerate(zip(t.gen_images, t.inverse_images)))
     # the loop also visits the cosets it appends, in order
     for c in queue:
-        for letter, column in steps:
-            d = column[c]
+        for g, (forward, backward) in columns:
+            d = forward[c]
             if not reached[d]:
                 reached[d] = True
-                last[d] = letter
                 queue.append(d)
-    return tuple(last)
+                yield c, g, 1, d
+            d = backward[c]
+            if not reached[d]:
+                reached[d] = True
+                queue.append(d)
+                yield c, g, -1, d
 
 
 def edge_numbering(
@@ -126,6 +142,24 @@ def edge_numbering(
             # the tree edge runs forward from the parent
             c = t.step(c, g, -s)
         numbering[c * m + g] = None
+    return _number_slots(numbering)
+
+
+def tree_numbering(t: CosetTable) -> list[int | None]:
+    """``edge_numbering(t, tree_letters(t), frozenset())``, marking each
+    tree edge as the search finds it."""
+    m = t.alphabet.size
+    numbering: list[int | None] = [0] * (t.n * m)
+    reached = [False] * t.n
+    reached[BASE] = True
+    for c, g, s, d in _tree_edges(t, [BASE], reached):
+        # the tree edge leaves the parent along g, or the child along g^-1
+        numbering[(c if s > 0 else d) * m + g] = None
+    return _number_slots(numbering)
+
+
+def _number_slots(numbering: list[int | None]) -> list[int | None]:
+    """Number the slots not marked ``None`` in place, in slot order."""
     position = 0
     for slot, mark in enumerate(numbering):
         if mark is not None:
@@ -142,7 +176,7 @@ def crossings(
 ) -> tuple[list[tuple[int, int]], int]:
     """Walk ``w`` once from coset ``start``: the ``(edge number, sign)``
     of each numbered (non-tree) edge crossed, as ``numbering`` (from
-    ``edge_numbering(t, tree_letters(t), frozenset())``) gives it, tree
+    :func:`tree_numbering`) gives it, tree
     edges contributing nothing, and the coset where the walk ends, so that
     membership is read off the same walk.  An edge is keyed at the coset
     it leaves along ``g``, and a crossing's sign is its letter's sign.

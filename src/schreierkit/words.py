@@ -51,6 +51,15 @@ class Alphabet:
         object.__setattr__(self, "inverse_of", inverse_of)
         object.__setattr__(self, "char_of", {y: ch for ch, y in letter_of.items()})
 
+    def __eq__(self, other: object) -> bool:
+        # the dataclass comparison, after the identity test that settles
+        # the common case of one shared alphabet
+        if self is other:
+            return True
+        if not isinstance(other, Alphabet):
+            return NotImplemented
+        return self.names == other.names
+
     @classmethod
     def of(cls, names: str) -> "Alphabet":
         """Alphabet from a string of generator names, e.g. ``Alphabet.of("ab")``."""

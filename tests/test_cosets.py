@@ -594,6 +594,25 @@ def test_table_text_roundtrip():
         table_from_text("n=1\n")
 
 
+def test_table_text_matches_joined_ids():
+    """The text is the ids joined by spaces, byte for byte, with one-digit
+    and two-digit ids and at 300 cosets, and it reads back to the table."""
+    rng = random.Random(1111)
+    tables = [random_table(rng, AB, n) for n in (1, 10, 11)]
+    cycle = [0] + rng.sample(range(1, 300), 299)
+    image = [0] * 300
+    for c, d in zip(cycle, cycle[1:] + cycle[:1]):
+        image[c] = d
+    tables.append(CosetTable(Alphabet.of("a"), (tuple(image),)))
+    for t in tables:
+        lines = [f"n={t.n}"]
+        for name, column in zip(t.alphabet.names, t.gen_images):
+            lines.append(f"{name}: " + " ".join(map(str, column)))
+        text = table_to_text(t)
+        assert text == "\n".join(lines) + "\n"
+        assert table_from_text(text) == t
+
+
 def test_presentation_text_roundtrip():
     pres = Presentation(AB, (parse_word("aa", AB), parse_word("abAB", AB)))
     text = "gens: a b\nrel: aa\nrel: abAB\n"

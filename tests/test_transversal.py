@@ -15,6 +15,7 @@ from schreierkit import (
     InvalidTable,
     Letter,
     NotInSubgroup,
+    Presentation,
     PrefixesNotSeparated,
     SchreierTransversal,
     SubgroupBasis,
@@ -27,14 +28,17 @@ from schreierkit import (
     fold_verify,
     free_reduce,
     invert,
+    iter_low_index_tables,
     parse_word,
     regular_table,
     schreier_basis,
     schreier_transversal,
     separates_prefixes,
+    surface_presentation,
     trace,
     transversal_to_text,
     tree_letters,
+    tree_numbering,
 )
 from schreierkit.lemma import _basis_invariants, _transversal_valid
 
@@ -986,3 +990,66 @@ def test_crossings_match_reference_walker():
                         table, basis.edge_index, start, word
                     )
     assert seeded > 40
+
+
+def reference_tree_letters(t: CosetTable, through: FreeWord | None = None):
+    """Oracle: the transversal's breadth-first search written plainly, one
+    ``t.step`` per letter, the seed path first."""
+    last: dict[int, tuple[int, int] | None] = {BASE: None}
+    queue = deque([BASE])
+    if through is not None:
+        c = BASE
+        for g, s in through.letters[:-1]:
+            c = t.step(c, g, s)
+            last[c] = (g, s)
+            queue.append(c)
+    while queue:
+        c = queue.popleft()
+        for g in range(t.alphabet.size):
+            for s in (1, -1):
+                d = t.step(c, g, s)
+                if d not in last:
+                    last[d] = (g, s)
+                    queue.append(d)
+    return tuple(last[c] for c in range(t.n))
+
+
+def renumbered(rng, t: CosetTable) -> CosetTable:
+    """The same subgroup's table with the cosets other than the base
+    relabelled at random, so its numbering is not the canonical one."""
+    new = [BASE] + rng.sample(range(1, t.n), t.n - 1)
+    columns = []
+    for column in t.gen_images:
+        image = [0] * t.n
+        for c, d in enumerate(column):
+            image[new[c]] = new[d]
+        columns.append(tuple(image))
+    return CosetTable(t.alphabet, tuple(columns))
+
+
+def test_tree_numbering_matches_three_call_idiom():
+    """``tree_numbering`` equals ``edge_numbering(t, tree_letters(t),
+    frozenset())``, and ``tree_letters``, seeded or not, equals a plain
+    breadth-first search, on enumerated tables (surface genus 2 at index 3,
+    the free group of rank 2 at index 4), regular tables of random
+    homomorphisms, and renumbered copies of both."""
+    rng = random.Random(2323)
+    tables = list(iter_low_index_tables(surface_presentation(2), 3, max_index=3))
+    tables += iter_low_index_tables(Presentation(AB, ()), 4)
+    for _ in range(60):
+        alphabet = Alphabet.first(rng.randrange(1, 4))
+        degree = rng.randrange(1, 5)
+        images = tuple(tuple(rng.sample(range(degree), degree)) for _ in alphabet.names)
+        tables.append(regular_table(FiniteQuotientHom(alphabet, images)))
+    tables += [renumbered(rng, t) for t in tables if t.n > 2]
+    seeded = 0
+    for table in tables:
+        last = tree_letters(table)
+        assert last == reference_tree_letters(table)
+        assert tree_numbering(table) == edge_numbering(table, last, frozenset())
+        through = random_subgroup_word(rng, table, max_tries=50)
+        if through is not None:
+            assert tree_letters(table, through) == reference_tree_letters(table, through)
+            seeded += 1
+    assert len(tables) > 600
+    assert seeded > 300

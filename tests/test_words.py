@@ -196,6 +196,8 @@ def test_alphabet_equality_hash_and_repr_ignore_letter_tables():
     assert repr(first) == "Alphabet(names=('a', 'b'))"
     assert [f.name for f in fields(Alphabet) if f.compare or f.repr or f.init] == ["names"]
     assert first != Alphabet.of("ba")
+    assert first == first and not first != first
+    assert first != ("a", "b") and hash(first) == hash((("a", "b"),))
 
 
 raw_letters_strategy = st.lists(
