@@ -64,12 +64,10 @@ from .transversal import (
     basis_through_word,
     basis_to_text,
     crossings,
-    edge_numbering,
     fold_verify,
     schreier_basis,
     schreier_transversal,
     transversal_to_text,
-    tree_letters,
     tree_numbering,
 )
 from .words import (

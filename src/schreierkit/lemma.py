@@ -592,7 +592,7 @@ def _int_rows(doc: dict, key: str, what: str) -> tuple[tuple[int, ...], ...]:
 
 def certificate_from_json(text: str) -> LemmaCertificate:
     """Parse a certificate document.  Structural problems (bad JSON, missing
-    fields, malformed words or permutations) raise
+    fields, malformed words or permutations, an edge listed twice) raise
     :class:`CertificateFormatError`; semantic tampering is representable and
     left for :func:`verify_certificate` to flag.
 
@@ -644,6 +644,10 @@ def certificate_from_json(text: str) -> LemmaCertificate:
             if not (isinstance(entry, list) and len(entry) == 3 and set(map(type, entry)) <= _INT):
                 raise CertificateFormatError("edge_index entries must be [coset, gen, pos]")
             coset, gen, position = entry
+            if (coset, gen) in edge_index:
+                raise CertificateFormatError(
+                    f"edge_index lists edge ({coset}, {gen}) more than once"
+                )
             edge_index[(coset, gen)] = position
         basis = SubgroupBasis(
             table,

@@ -71,9 +71,6 @@ class FiniteQuotientHom:
     def degree(self) -> int:
         return len(self.gen_images[0])
 
-    def image(self, gen: int, sign: int) -> tuple[int, ...]:
-        return self.gen_images[gen] if sign > 0 else self.inverse_images[gen]
-
     def step(self, point: int, gen: int, sign: int) -> int:
         """Image of ``point`` under one signed generator."""
         perm = self.gen_images[gen] if sign > 0 else self.inverse_images[gen]
@@ -84,9 +81,10 @@ def eval_word(h: FiniteQuotientHom, w: FreeWord) -> tuple[int, ...]:
     """Image of a word: the right-action product of its letters' images."""
     if w.alphabet != h.alphabet:
         raise AlphabetMismatch("word and homomorphism use different alphabets")
+    images, inverses = h.gen_images, h.inverse_images
     acc = tuple(range(h.degree))
     for gen, sign in w.letters:
-        acc = compose(acc, h.image(gen, sign))
+        acc = compose(acc, images[gen] if sign > 0 else inverses[gen])
     return acc
 
 

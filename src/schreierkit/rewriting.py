@@ -10,9 +10,9 @@ spanning tree and contributes nothing, so the conjugate is never built.
 The same walk ends at the coset that shows whether ``rho`` fixes ``c``,
 so each relator is walked once from each coset.
 Only the spanning tree's numbering of the non-tree edges is needed, and
-:func:`~schreierkit.transversal.tree_numbering` marks it during the tree's
-one search, so no word is spelled: the basis elements are spelled on
-demand, when printed.
+:func:`~schreierkit.transversal.tree_numbering` numbers them during the
+breadth-first search that spells the transversal, without spelling any
+word: the basis elements are spelled on demand, when printed.
 Rewritten relators are kept raw (freely reduced over the fresh basis
 symbols, but never simplified further) so the counting identities are exact:
 ``generators = n·(m-1) + 1`` and ``relators = n·k`` make the presentation

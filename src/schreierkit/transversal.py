@@ -8,12 +8,13 @@ remaining (non-tree) edge contributes one basis element
 subgroup, with exactly ``n·(m-1) + 1`` elements for index ``n`` over
 ``m`` generators.
 
-The spanning tree needs no words: :func:`tree_letters` gives each
-coset's last tree letter and :func:`edge_numbering` numbers the non-tree
-edges; :func:`tree_numbering` numbers those of the plain tree during its
-one search, which is all that :func:`crossings` (and so rewriting) reads.
-The representative and element words are spelled from the same tree only
-when they are asked for.
+One breadth-first search finds the spanning tree.
+:func:`schreier_transversal` spells each representative from its
+parent's as the search reaches it; :func:`tree_numbering` numbers the
+non-tree edges of the plain tree during the same search, which is all
+that :func:`crossings` (and so rewriting) reads; :func:`schreier_basis`
+reads the tree back off the representatives' last letters, so it also
+takes a transversal it did not build.
 
 The last-letter swap is a ``flipped`` set of generators: the basis is read
 off with each of them replaced by its inverse.
@@ -56,53 +57,11 @@ class SubgroupBasis:
     edge_index: dict[tuple[int, int], int]
 
 
-def tree_letters(
-    t: CosetTable, through: FreeWord | None = None
-) -> tuple[tuple[int, int] | None, ...]:
-    """The breadth-first search of a Schreier transversal, without words:
-    the last letter of each coset's representative as a ``(generator,
-    sign)`` pair, ``None`` at the base.  The letter ``(g, s)`` of coset
-    ``c`` is its spanning-tree edge from its parent ``c · g^-s``, whose
-    representative is one letter shorter.
-
-    The transversal is seeded by the path of ``through``: its initial
-    segments (the empty word up to all but its last letter) become the
-    representatives of the cosets they reach, found in one walk from the
-    base; they must reach pairwise distinct cosets.  Remaining cosets are
-    filled breadth-first from the base and then the path's cosets in path
-    order, extending existing representatives by one letter and visiting
-    letters by generator index ascending, sign +1 before -1; the first
-    arrival fixes the representative.  Unseeded representatives are
-    therefore of minimal length among the words reaching their coset.
-    """
-    n = t.n
-    last: list[tuple[int, int] | None] = [None] * n
-    reached = [False] * n
-    reached[BASE] = True
-    queue = [BASE]
-    if through is not None:
-        if through.alphabet != t.alphabet:
-            raise AlphabetMismatch("word and table use different alphabets")
-        c = BASE
-        for letter in through.letters[:-1]:
-            c = t.step(c, letter.gen, letter.sign)
-            if reached[c]:
-                raise PrefixesNotSeparated(
-                    f"the initial segments of {through} do not reach distinct cosets"
-                )
-            reached[c] = True
-            last[c] = letter
-            queue.append(c)
-    for _, g, s, d in _tree_edges(t, queue, reached):
-        last[d] = (g, s)
-    return tuple(last)
-
-
 def _tree_edges(
     t: CosetTable, queue: list[int], reached: list[bool]
 ) -> Iterator[tuple[int, int, int, int]]:
-    """The search of :func:`tree_letters` from ``queue``: each tree edge
-    ``(parent, g, s, child)`` as it is found, ``child`` then marked in
+    """The search of :func:`schreier_transversal` from ``queue``: each tree
+    edge ``(parent, g, s, child)`` as it is found, ``child`` then marked in
     ``reached`` and queued."""
     columns = list(enumerate(zip(t.gen_images, t.inverse_images)))
     # the loop also visits the cosets it appends, in order
@@ -120,34 +79,14 @@ def _tree_edges(
                 yield c, g, -1, d
 
 
-def edge_numbering(
-    t: CosetTable,
-    last: Sequence[tuple[int, int] | None],
-    flipped: frozenset[int],
-) -> list[int | None]:
-    """Number the edges of the coset graph that the spanning tree given by
-    ``last`` (as from :func:`tree_letters`) leaves out.  The edge leaving
-    coset ``c`` along generator ``g`` (along ``g^-1`` when ``g`` is in
-    ``flipped``) has slot ``c·m + g`` (``m`` generators); the result
-    holds, slot by slot, its number or ``None`` for a tree edge.  Numbers
-    therefore run coset ascending, then generator ascending, and there are
-    exactly ``n·(m-1) + 1`` of them."""
-    m = t.alphabet.size
-    numbering: list[int | None] = [0] * (t.n * m)
-    for c, letter in enumerate(last):
-        if letter is None:
-            continue
-        g, s = letter
-        if (s > 0) != (g in flipped):
-            # the tree edge runs forward from the parent
-            c = t.step(c, g, -s)
-        numbering[c * m + g] = None
-    return _number_slots(numbering)
-
-
 def tree_numbering(t: CosetTable) -> list[int | None]:
-    """``edge_numbering(t, tree_letters(t), frozenset())``, marking each
-    tree edge as the search finds it."""
+    """Number the edges of the coset graph that the unseeded spanning tree
+    of :func:`schreier_transversal` leaves out.  The edge leaving coset
+    ``c`` along generator ``g`` has slot ``c·m + g`` (``m`` generators);
+    the result holds, slot by slot, its number or ``None`` for a tree edge.
+    Numbers therefore run coset ascending, then generator ascending, and
+    there are exactly ``n·(m-1) + 1`` of them, as in the unflipped
+    ``edge_index`` of :func:`schreier_basis`."""
     m = t.alphabet.size
     numbering: list[int | None] = [0] * (t.n * m)
     reached = [False] * t.n
@@ -155,11 +94,6 @@ def tree_numbering(t: CosetTable) -> list[int | None]:
     for c, g, s, d in _tree_edges(t, [BASE], reached):
         # the tree edge leaves the parent along g, or the child along g^-1
         numbering[(c if s > 0 else d) * m + g] = None
-    return _number_slots(numbering)
-
-
-def _number_slots(numbering: list[int | None]) -> list[int | None]:
-    """Number the slots not marked ``None`` in place, in slot order."""
     position = 0
     for slot, mark in enumerate(numbering):
         if mark is not None:
@@ -206,44 +140,64 @@ def schreier_transversal(
     t: CosetTable, through: FreeWord | None = None
 ) -> SchreierTransversal:
     """Build a Schreier transversal, optionally seeded by the path of the
-    word ``through``: the representatives are spelled along the spanning
-    tree of :func:`tree_letters`, which states the seed rules and the
-    visiting order."""
-    last = tree_letters(t, through)
-    spelled: list[tuple[Letter, ...] | None] = [None] * t.n
-    spelled[BASE] = ()
-    for c in range(t.n):
-        # climb to the nearest spelled ancestor, then spell back down
-        chain = []
-        d = c
-        while spelled[d] is None:
-            chain.append(d)
-            g, s = last[d]  # type: ignore[misc]
-            d = t.step(d, g, -s)
-        for e in reversed(chain):
-            spelled[e] = spelled[d] + (Letter(*last[e]),)  # type: ignore[operator,misc]
-            d = e
-    return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))  # type: ignore[arg-type]
+    word ``through``.
+
+    The seed: the initial segments of ``through`` (the empty word up to all
+    but its last letter) become the representatives of the cosets they
+    reach, found in one walk from the base; they must reach pairwise
+    distinct cosets.  Remaining cosets are filled breadth-first from the
+    base and then the path's cosets in path order, extending existing
+    representatives by one letter and visiting letters by generator index
+    ascending, sign +1 before -1; the first arrival fixes the
+    representative.  Unseeded representatives are therefore of minimal
+    length among the words reaching their coset.
+    """
+    spelled: list[tuple[Letter, ...]] = [()] * t.n
+    reached = [False] * t.n
+    reached[BASE] = True
+    queue = [BASE]
+    if through is not None:
+        if through.alphabet != t.alphabet:
+            raise AlphabetMismatch("word and table use different alphabets")
+        c = BASE
+        for letter in through.letters[:-1]:
+            d = t.step(c, letter.gen, letter.sign)
+            if reached[d]:
+                raise PrefixesNotSeparated(
+                    f"the initial segments of {through} do not reach distinct cosets"
+                )
+            reached[d] = True
+            spelled[d] = spelled[c] + (letter,)
+            queue.append(d)
+            c = d
+    for c, g, s, d in _tree_edges(t, queue, reached):
+        spelled[d] = spelled[c] + (Letter(g, s),)
+    return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))
 
 
 def basis_letters(
     tr: SchreierTransversal, flipped: frozenset[int]
 ) -> tuple[dict[tuple[int, int], int], list[tuple[Letter, ...]]]:
     """The edge index and the element letters of :func:`schreier_basis`,
-    read off the tree without building words: ``rep(c)``, ``g^e``, then
-    ``rep(c · g^e)^-1``, each representative inverted once.  Raises
-    :class:`AlphabetMismatch` for a representative over another alphabet."""
+    read off the representatives without building words: ``rep(c)``,
+    ``g^e``, then ``rep(c · g^e)^-1``, each representative inverted once.
+    Raises :class:`AlphabetMismatch` for a representative over another
+    alphabet."""
     t = tr.table
     if any(w.alphabet != t.alphabet for w in tr.reps):
         raise AlphabetMismatch("representative alphabet differs from table alphabet")
     m = t.alphabet.size
     reps = [w.letters for w in tr.reps]
-    numbering = edge_numbering(t, [w[-1] if w else None for w in reps], flipped)
-    edge_index = {
-        divmod(slot, m): position
-        for slot, position in enumerate(numbering)
-        if position is not None
-    }
+    in_tree = [False] * (t.n * m)
+    for c, w in enumerate(reps):
+        if w:
+            g, s = w[-1]
+            if (s > 0) != (g in flipped):
+                # the tree edge runs forward from the parent
+                c = t.step(c, g, -s)
+            in_tree[c * m + g] = True
+    edges = (divmod(slot, m) for slot, tree_edge in enumerate(in_tree) if not tree_edge)
+    edge_index = {edge: position for position, edge in enumerate(edges)}
     inverse_of = t.alphabet.inverse_of
     backs = [tuple(map(inverse_of.__getitem__, reversed(w))) for w in reps]
     elements = []
@@ -258,16 +212,19 @@ def schreier_basis(
 ) -> SubgroupBasis:
     """Read off the subgroup basis from a transversal.
 
-    The representatives' last letters give the spanning tree.  Each edge
-    ``(c, g)`` numbered by :func:`edge_numbering` contributes the element
+    The representatives' last letters give the spanning tree: coset ``c``
+    whose representative ends in ``(g, s)`` has its tree edge keyed
+    ``(c · g^-s, g)`` at its parent when ``(s > 0) != (g in flipped)``, and
+    ``(c, g)`` otherwise.  Each other ``(c, g)``, numbered in ``edge_index``
+    coset ascending, then generator ascending, contributes the element
     ``rep(c) · g^e · rep(c · g^e)^-1``, with ``e = -1`` when ``g`` is in
-    ``flipped`` and ``e = 1`` otherwise, in the order of its number (:func:`basis_letters`).  All such
+    ``flipped`` and ``e = 1`` otherwise (:func:`basis_letters`).  All such
     elements are nonempty and pairwise distinct, and there are exactly
     ``n·(m-1) + 1`` of them.
 
     Each element is a plain concatenation, as nothing cancels: if ``rep(c)``
     ended in ``g^-e``, or ``rep(c · g^e)`` in ``g^e``, then ``(c, g)`` would
-    be the tree edge, which :func:`edge_numbering` leaves out.  Should that
+    be a tree edge, which gets no element.  Should that
     fail, the :class:`FreeWord` check raises :class:`UnreducedWord`.
     """
     t = tr.table

@@ -19,7 +19,6 @@ from schreierkit import (
     compose,
     contains,
     crossings,
-    edge_numbering,
     empty_word,
     eval_word,
     fold_verify,
@@ -34,7 +33,7 @@ from schreierkit import (
     surface_presentation,
     surface_survey,
     trace,
-    tree_letters,
+    tree_numbering,
     verify_certificate,
 )
 from schreierkit.cli import main
@@ -222,7 +221,7 @@ def test_criterion_7_rewriting_soundness():
         table = random_table(rng, Alphabet.first(m), n)
         tr = schreier_transversal(table)
         basis = schreier_basis(tr)
-        numbering = edge_numbering(table, tree_letters(table), frozenset())
+        numbering = tree_numbering(table)
         for _ in range(5):
             u = random_word(rng, table.alphabet, 12)
             rep = tr.reps[trace(table, 0, u)]

@@ -251,6 +251,16 @@ def test_verify_rejects_table_without_cosets(capsys, tmp_path):
     )
 
 
+def test_verify_rejects_repeated_edge(capsys, tmp_path):
+    edges = json.loads(AA_CERTIFICATE)["basis"]["edge_index"]
+    assert edges[0] == [0, 1, 0]
+    code, out, err = verify_golden_edited(
+        capsys, tmp_path, "basis", "edge_index", [[0, 1, 2]] + edges
+    )
+    assert_input_error(code, out, err)
+    assert err == "error: edge_index lists edge (0, 1) more than once\n"
+
+
 def verify_golden_edited(capsys, tmp_path, field, key, value):
     doc = json.loads(AA_CERTIFICATE)
     doc[field][key] = value

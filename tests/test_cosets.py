@@ -359,7 +359,7 @@ def assert_leaf_tables_validate(tables):
         checked = CosetTable(t.alphabet, t.gen_images)
         assert t == checked and hash(t) == hash(checked)
         for g in range(t.alphabet.size):
-            assert t.image(g, -1) == inverse(t.gen_images[g])
+            assert t.inverse_images[g] == inverse(t.gen_images[g])
 
 
 @pytest.mark.parametrize(

@@ -405,6 +405,19 @@ def test_certificate_rejects_non_int_edge_index_entry():
         certificate_from_json(json.dumps(doc))
 
 
+def test_certificate_rejects_repeated_edge_index_entry():
+    """An edge listed twice contradicts itself; a dict would keep only the
+    last entry, so the parser rejects it rather than pick one."""
+    doc = json.loads(certificate_to_json(run_lemma(AA_PRES, AA_REL, 4)))
+    edges = doc["basis"]["edge_index"]
+    edges.insert(0, edges[0][:2] + [len(edges)])
+    with pytest.raises(CertificateFormatError, match="edge_index") as exc:
+        certificate_from_json(json.dumps(doc))
+    assert str(exc.value) == (
+        f"edge_index lists edge ({edges[1][0]}, {edges[1][1]}) more than once"
+    )
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [

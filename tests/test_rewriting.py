@@ -19,7 +19,6 @@ from schreierkit import (
     SubgroupPresentation,
     compose,
     crossings,
-    edge_numbering,
     eval_word,
     free_reduce,
     invert,
@@ -31,7 +30,7 @@ from schreierkit import (
     surface_presentation,
     surface_survey,
     table_from_text,
-    tree_letters,
+    tree_numbering,
 )
 from test_transversal import reference_evaluate_positions
 
@@ -171,7 +170,7 @@ def assert_relators_are_conjugates(pres, table, sp):
     conjugate's crossings from the base), is freely reduced over the basis
     symbols, and multiplies out to the conjugate."""
     tr = sp.basis.transversal
-    numbering = edge_numbering(table, tree_letters(table), frozenset())
+    numbering = tree_numbering(table)
     i = 0
     for c in range(table.n):
         for rel in pres.relators:

@@ -23,7 +23,6 @@ from schreierkit import (
     basis_to_text,
     contains,
     crossings,
-    edge_numbering,
     empty_word,
     fold_verify,
     free_reduce,
@@ -37,7 +36,6 @@ from schreierkit import (
     surface_presentation,
     trace,
     transversal_to_text,
-    tree_letters,
     tree_numbering,
 )
 from schreierkit.lemma import _basis_invariants, _transversal_valid
@@ -208,7 +206,7 @@ def test_index_rank_formula_randomized():
 def rewrite(table, w):
     """``w`` over the basis of ``schreier_basis(schreier_transversal(table))``:
     its crossings from the base, and the coset where it ends."""
-    numbering = edge_numbering(table, tree_letters(table), frozenset())
+    numbering = tree_numbering(table)
     return crossings(table, numbering, BASE, w)
 
 
@@ -888,8 +886,7 @@ def test_words_match_eager_reference():
     """Representatives, elements and edge numbering agree with the eager
     construction on random tables, seeded and unseeded, unflipped and with
     random flips, and for the flipped bases that ``basis_through_word``
-    builds for a negative last letter; ``tree_letters`` gives the
-    representatives' last letters."""
+    builds for a negative last letter."""
     rng = random.Random(6161)
     seeded = through_flipped = 0
     for _ in range(150):
@@ -905,9 +902,6 @@ def test_words_match_eager_reference():
             seed = None if through is None else initial_segments(through)
             expected = reference_schreier_transversal(table, seed)
             assert tr.reps == expected.reps
-            assert tree_letters(table, through) == tuple(
-                u.letters[-1] if u.letters else None for u in expected.reps
-            )
             flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
             flip_sets = [frozenset(), flipped]
             if through is not None and through.letters[-1].sign < 0:
@@ -922,16 +916,6 @@ def test_words_match_eager_reference():
                 assert basis.elements == oracle.elements
                 assert basis.edge_index == oracle.edge_index
                 assert list(basis.edge_index) == list(oracle.edge_index)
-                numbering = edge_numbering(table, tree_letters(table, through), flips)
-                assert len(numbering) == table.n * m
-                assert {
-                    divmod(slot, m): position
-                    for slot, position in enumerate(numbering)
-                    if position is not None
-                } == oracle.edge_index
-                assert [x for x in numbering if x is not None] == list(
-                    range(len(oracle.edge_index))
-                )
     assert seeded > 50
     assert through_flipped > 20
 
@@ -963,8 +947,7 @@ def test_crossings_match_reference_walker():
     """The walker over the flat numbering gives the reference's positions
     and end coset for random reduced words from every coset, over the
     unflipped basis of the plain tree and of a tree seeded by a subgroup
-    word.  (Flipped numberings are checked against ``edge_index`` in
-    :func:`test_words_match_eager_reference`.)"""
+    word, each numbered slot by slot from the basis's ``edge_index``."""
     rng = random.Random(4242)
     seeded = 0
     for _ in range(120):
@@ -977,8 +960,7 @@ def test_crossings_match_reference_walker():
             bases.append(schreier_basis(schreier_transversal(table, w)))
             seeded += 1
         for basis in bases:
-            last = [u.letters[-1] if u.letters else None for u in basis.transversal.reps]
-            numbering = edge_numbering(table, last, frozenset())
+            numbering = flat_numbering(table, basis.edge_index)
             for start in range(table.n):
                 for _ in range(4):
                     raw = [
@@ -990,6 +972,21 @@ def test_crossings_match_reference_walker():
                         table, basis.edge_index, start, word
                     )
     assert seeded > 40
+
+
+def flat_numbering(
+    t: CosetTable, edge_index: dict[tuple[int, int], int]
+) -> list[int | None]:
+    """``edge_index`` laid out as :func:`tree_numbering` lays out its
+    numbers: slot ``c·m + g`` holds the number of edge ``(c, g)``, or
+    ``None`` for a tree edge."""
+    m = t.alphabet.size
+    return [edge_index.get(divmod(slot, m)) for slot in range(t.n * m)]
+
+
+def last_letters(tr: SchreierTransversal):
+    """The last letter of each representative, ``None`` at the base."""
+    return tuple(w.letters[-1] if w.letters else None for w in tr.reps)
 
 
 def reference_tree_letters(t: CosetTable, through: FreeWord | None = None):
@@ -1028,11 +1025,12 @@ def renumbered(rng, t: CosetTable) -> CosetTable:
 
 
 def test_tree_numbering_matches_three_call_idiom():
-    """``tree_numbering`` equals ``edge_numbering(t, tree_letters(t),
-    frozenset())``, and ``tree_letters``, seeded or not, equals a plain
-    breadth-first search, on enumerated tables (surface genus 2 at index 3,
-    the free group of rank 2 at index 4), regular tables of random
-    homomorphisms, and renumbered copies of both."""
+    """``tree_numbering`` lays out the ``edge_index`` of the reference
+    basis of the reference transversal, and the representatives' last
+    letters, seeded or not, are those of a plain breadth-first search, on
+    enumerated tables (surface genus 2 at index 3, the free group of rank 2
+    at index 4), regular tables of random homomorphisms, and renumbered
+    copies of both."""
     rng = random.Random(2323)
     tables = list(iter_low_index_tables(surface_presentation(2), 3, max_index=3))
     tables += iter_low_index_tables(Presentation(AB, ()), 4)
@@ -1044,12 +1042,14 @@ def test_tree_numbering_matches_three_call_idiom():
     tables += [renumbered(rng, t) for t in tables if t.n > 2]
     seeded = 0
     for table in tables:
-        last = tree_letters(table)
-        assert last == reference_tree_letters(table)
-        assert tree_numbering(table) == edge_numbering(table, last, frozenset())
+        oracle = reference_schreier_basis(reference_schreier_transversal(table))
+        assert tree_numbering(table) == flat_numbering(table, oracle.edge_index)
+        assert last_letters(schreier_transversal(table)) == reference_tree_letters(table)
         through = random_subgroup_word(rng, table, max_tries=50)
         if through is not None:
-            assert tree_letters(table, through) == reference_tree_letters(table, through)
+            assert last_letters(schreier_transversal(table, through)) == (
+                reference_tree_letters(table, through)
+            )
             seeded += 1
     assert len(tables) > 600
     assert seeded > 300
