@@ -80,12 +80,8 @@ class VerificationResult:
 
     failures: tuple[str, ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
     def __bool__(self) -> bool:
-        return self.ok
+        return not self.failures
 
 
 def _separated(

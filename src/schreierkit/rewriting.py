@@ -1,5 +1,6 @@
 """Rewriting relators to presentations of finite-index subgroups, plus the
-surface-group rank-deficiency checks.
+surface-group rank-deficiency checks: a :class:`SurfaceReport` stores
+``genus``, ``index``, ``euler_G1`` and ``symbols_paired`` and derives the rest.
 
 For a table on which every relator acts trivially, each coset ``c`` and
 each source relator ``rho`` contribute one rewritten relator: the word
@@ -99,26 +100,36 @@ class SubgroupPresentation:
 
 @dataclass(frozen=True)
 class SurfaceReport:
-    """Rank-deficiency bookkeeping for one finite-index subgroup of an
-    orientable surface group."""
+    """Rank-deficiency bookkeeping for one index-``index`` subgroup of the
+    genus-``genus`` surface group.  Stores ``euler_G1``, counted off the
+    rewritten presentation, and ``symbols_paired``; derives the rest."""
 
     genus: int
     index: int
-    rho_G: int
-    rho_G1_formula: int
-    rho_G1_counts: int
-    euler_G: int
     euler_G1: int
     symbols_paired: bool
 
     @property
+    def rho_G(self) -> int:
+        return 2 * self.genus - 1
+
+    @property
+    def euler_G(self) -> int:
+        return 2 - 2 * self.genus
+
+    @property
+    def rho_G1_formula(self) -> int:
+        return self.index * self.rho_G + (1 - self.index)
+
+    @property
+    def rho_G1_counts(self) -> int:
+        return 1 - self.euler_G1
+
+    @property
     def checks_pass(self) -> bool:
-        return (
-            self.rho_G1_formula == self.index * self.rho_G + (1 - self.index)
-            and self.euler_G1 == self.index * self.euler_G
-            and self.rho_G1_counts == self.rho_G1_formula
-            and self.symbols_paired
-        )
+        """``rho_G1_counts == rho_G1_formula`` needs no check of its own:
+        ``1 - e = n(2g - 1) + 1 - n`` exactly when ``e = n(2 - 2g)``."""
+        return self.euler_G1 == self.index * self.euler_G and self.symbols_paired
 
 
 def surface_presentation(g: int) -> Presentation:
@@ -178,19 +189,8 @@ def surface_survey(
     if not 1 <= n <= max_index:
         raise BadBound(f"index {n} outside 1..{max_index}")
     presentation = surface_presentation(g)
-    rho_g = 2 * g - 1
-    euler_g = 2 - 2 * g
     for table in iter_low_index_tables(presentation, n, max_index=n):
         sp = rewrite_presentation(presentation, table)
-        euler_g1 = 1 - sp.generator_count + len(sp.relators)
-        report = SurfaceReport(
-            genus=g,
-            index=n,
-            rho_G=rho_g,
-            rho_G1_formula=n * rho_g + (1 - n),
-            rho_G1_counts=1 - euler_g1,
-            euler_G=euler_g,
-            euler_G1=euler_g1,
-            symbols_paired=sp.symbols_paired(),
-        )
-        yield report, sp
+        yield SurfaceReport(
+            g, n, 1 - sp.generator_count + len(sp.relators), sp.symbols_paired()
+        ), sp

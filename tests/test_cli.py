@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from schreierkit import FiniteQuotientHom, cli, lemma
+from schreierkit import FiniteQuotientHom, cli, lemma, rewriting
 from schreierkit.perms import DEFAULT_IMAGE_CEILING
 from schreierkit.cli import build_parser, main
 from test_lemma import golden_with_extra_elements
@@ -215,6 +215,44 @@ def oversized_certificate(capsys, tmp_path, edit):
     return run(capsys, "verify", "--certificate", str(cert))
 
 
+OVERLONG_WORD = "ab" * 100_000  # 200,000 letters, freely reduced
+
+
+@pytest.mark.parametrize(
+    "path, failures",
+    [
+        (
+            ("basis", "elements", 0),
+            ["basis_matches_schreier_method", "fold_verify_passes"],
+        ),
+        (("transversal", 1), ["transversal_valid"]),
+        (
+            ("relator",),
+            [
+                "prefixes_separated",
+                "transversal_seeded",
+                "r_position_valid",
+                "matched_inverse_consistent",
+                "basis_matches_schreier_method",
+            ],
+        ),
+    ],
+    ids=["basis-element", "representative", "relator"],
+)
+def test_verify_names_the_failures_of_an_overlong_word(
+    capsys, tmp_path, path, failures
+):
+    *outer, last = path
+
+    def edit(doc):
+        for key in outer:
+            doc = doc[key]
+        doc[last] = OVERLONG_WORD
+
+    code, out, err = oversized_certificate(capsys, tmp_path, edit)
+    assert (code, out.splitlines(), err) == (1, failures, "")
+
+
 def test_verify_rejects_degree_beyond_limit(capsys, tmp_path):
     def edit(doc):
         doc["hom"]["degree"] = lemma.MAX_CERTIFICATE_DEGREE + 1
@@ -360,6 +398,26 @@ def test_surface(capsys):
         assert "rho_G1_counts=5" in record
         assert "euler_G1=-4" in record
         assert "checks=pass" in record
+
+
+def test_surface_reports_a_failing_table(capsys, monkeypatch):
+    paired = rewriting.SubgroupPresentation.symbols_paired
+    calls = []
+
+    def second_fails(sp):
+        calls.append(sp)
+        return paired(sp) and len(calls) != 2
+
+    monkeypatch.setattr(rewriting.SubgroupPresentation, "symbols_paired", second_fails)
+    code, out, _ = run(capsys, "surface", "--genus", "2", "--index", "2")
+    assert code == 1
+    lines = out.splitlines()
+    records = [line for line in lines if line.startswith("subgroup=")]
+    assert len(records) == 15
+    failing = [record for record in records if record.endswith("checks=fail")]
+    assert [record.split()[0] for record in failing] == ["subgroup=1"]
+    assert sum(record.endswith("checks=pass") for record in records) == 14
+    assert lines[-1] == "subgroups=15 all_checks=fail"
 
 
 def test_surface_genus1(capsys):

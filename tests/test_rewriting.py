@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from dataclasses import replace
@@ -17,6 +18,7 @@ from schreierkit import (
     Presentation,
     RelatorNotKilled,
     SubgroupPresentation,
+    SurfaceReport,
     compose,
     crossings,
     eval_word,
@@ -286,6 +288,67 @@ def test_corrupted_crossings_fail_the_pairing_check():
             bad = replace(sp, relators=tuple(map(tuple, corrupted)))
             assert not bad.symbols_paired()
             assert not replace(report, symbols_paired=bad.symbols_paired()).checks_pass
+
+
+def reference_report_values(genus, index, euler_G1, symbols_paired):
+    """The eight printed values and the verdict of a surface report, each by
+    its defining formula; the verdict keeps all four checks, the two implied
+    ones included."""
+    rho_G = 2 * genus - 1
+    euler_G = 2 - 2 * genus
+    rho_G1_formula = index * rho_G + (1 - index)
+    rho_G1_counts = 1 - euler_G1
+    values = {
+        "genus": genus,
+        "index": index,
+        "rho_G": rho_G,
+        "rho_G1_formula": rho_G1_formula,
+        "rho_G1_counts": rho_G1_counts,
+        "euler_G": euler_G,
+        "euler_G1": euler_G1,
+        "symbols_paired": symbols_paired,
+    }
+    verdict = (
+        rho_G1_formula == index * rho_G + (1 - index)
+        and euler_G1 == index * euler_G
+        and rho_G1_counts == rho_G1_formula
+        and symbols_paired
+    )
+    return values, verdict
+
+
+def report_inputs(report):
+    return report.genus, report.index, report.euler_G1, report.symbols_paired
+
+
+def test_slim_report_matches_the_eight_value_formulas():
+    assert [f.name for f in dataclasses.fields(SurfaceReport)] == [
+        "genus",
+        "index",
+        "euler_G1",
+        "symbols_paired",
+    ]
+    surveys = [(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)]
+    seen = 0
+    for g, n in surveys:
+        for report, sp in surface_survey(g, n):
+            seen += 1
+            assert report_inputs(report)[:2] == (g, n)
+            assert report.euler_G1 == 1 - sp.generator_count + len(sp.relators)
+            values, _ = reference_report_values(*report_inputs(report))
+            assert {name: getattr(report, name) for name in values} == values
+            tampered = (
+                replace(report, symbols_paired=False),
+                replace(report, euler_G1=report.euler_G1 + 1),
+                replace(report, euler_G1=report.euler_G1 - 1),
+            )
+            for r in (report, *tampered):
+                _, verdict = reference_report_values(*report_inputs(r))
+                assert r.checks_pass == verdict
+            assert report.checks_pass
+            assert not any(r.checks_pass for r in tampered)
+    # 1 + 3 + 4 + 7 torus subgroups, 15 + 220 at genus 2, 63 at genus 3
+    assert seen == 313
 
 
 def test_symbols_paired_on_hand_built_presentations():
