@@ -46,7 +46,6 @@ from .lemma import (
 from .perms import (
     FiniteQuotientHom,
     compose,
-    eval_word,
     image_closure,
     inverse,
     kills_relators,

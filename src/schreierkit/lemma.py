@@ -37,7 +37,14 @@ from .errors import (
     EmptyWord,
     ImageTooLarge,
 )
-from .perms import DEFAULT_IMAGE_CEILING, FiniteQuotientHom, compose, inverse, kills_relators
+from .perms import (
+    DEFAULT_IMAGE_CEILING,
+    FiniteQuotientHom,
+    compose,
+    inverse,
+    kills,
+    kills_relators,
+)
 from .transversal import (
     SchreierTransversal,
     SubgroupBasis,
@@ -98,23 +105,6 @@ def _separated(
         if acc in seen:
             return False
         seen.add(acc)
-    return True
-
-
-def _kills(
-    letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
-    degree: int,
-) -> bool:
-    """True iff the word spelled by ``letters`` maps to the identity.  Each
-    point is traced through the letters' columns, integer lookups only; a
-    word that does not die usually moves point 0 already."""
-    columns = [imgs[g] if s > 0 else invs[g] for g, s in letters]
-    for x in range(degree):
-        y = x
-        for column in columns:
-            y = column[y]
-        if y != x:
-            return False
     return True
 
 
@@ -350,9 +340,9 @@ def find_separating_quotient(
             for cand in candidates:
                 imgs.append(cand)
                 invs.append(sym.inverses[cand])
-                if not relators or all(_kills(rel, imgs, invs, degree) for rel in relators):
+                if not relators or all(kills(rel, imgs, invs) for rel in relators):
                     if last:
-                        if _kills(r.letters, imgs, invs, degree) and _separated(
+                        if kills(r.letters, imgs, invs) and _separated(
                             r.letters[:-1], imgs, invs, sym.identity
                         ):
                             return True

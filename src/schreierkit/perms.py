@@ -77,22 +77,33 @@ class FiniteQuotientHom:
         return perm[point]
 
 
-def eval_word(h: FiniteQuotientHom, w: FreeWord) -> tuple[int, ...]:
-    """Image of a word: the right-action product of its letters' images."""
-    if w.alphabet != h.alphabet:
-        raise AlphabetMismatch("word and homomorphism use different alphabets")
-    images, inverses = h.gen_images, h.inverse_images
-    acc = tuple(range(h.degree))
-    for gen, sign in w.letters:
-        acc = compose(acc, images[gen] if sign > 0 else inverses[gen])
-    return acc
+def kills(letters: Sequence, images: Sequence, inverses: Sequence) -> bool:
+    """True iff the word spelled by ``letters`` maps to the identity, given
+    the generators' columns ``images`` and their ``inverses``; the degree is
+    the columns' length.  Each point is traced through the letters'
+    columns, integer lookups only; a word that does not die usually moves
+    point 0 already."""
+    columns = [images[g] if s > 0 else inverses[g] for g, s in letters]
+    for x in range(len(images[0])):
+        y = x
+        for column in columns:
+            y = column[y]
+        if y != x:
+            return False
+    return True
 
 
 def kills_relators(h: FiniteQuotientHom, relators: Sequence[FreeWord]) -> bool:
     """True iff every relator maps to the identity permutation, so that the
-    homomorphism factors through the presented group."""
-    identity = tuple(range(h.degree))
-    return all(eval_word(h, rel) == identity for rel in relators)
+    homomorphism factors through the presented group.  Raises
+    :class:`AlphabetMismatch` at the first relator reached over another
+    alphabet."""
+    for rel in relators:
+        if rel.alphabet != h.alphabet:
+            raise AlphabetMismatch("word and homomorphism use different alphabets")
+        if not kills(rel.letters, h.gen_images, h.inverse_images):
+            return False
+    return True
 
 
 def image_closure(h: FiniteQuotientHom) -> list[tuple[int, ...]]:

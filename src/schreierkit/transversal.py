@@ -303,7 +303,6 @@ def fold_verify(b: SubgroupBasis) -> bool:
         return False
     if any(w.alphabet != t.alphabet for w in b.elements):
         raise AlphabetMismatch("basis element and table use different alphabets")
-    images, inverses = t.gen_images, t.inverse_images
     width = 2 * m  # slot 2g: out along g; slot 2g+1: in along g
     parent = [0]  # union-find over vertices; vertex 0 is the first base
     nbr = [-1] * width
@@ -318,12 +317,9 @@ def fold_verify(b: SubgroupBasis) -> bool:
         return root
 
     for w in b.elements:
-        letters = w.letters
-        coset = BASE
-        for g, s in letters:
-            coset = images[g][coset] if s > 0 else inverses[g][coset]
-        if coset != BASE:
+        if not contains(t, w):
             return False
+        letters = w.letters
         if not letters:
             continue
         v = u = find(0)  # a merge may have absorbed vertex 0

@@ -20,7 +20,6 @@ from schreierkit import (
     contains,
     crossings,
     empty_word,
-    eval_word,
     fold_verify,
     free_reduce,
     invert,
@@ -37,6 +36,7 @@ from schreierkit import (
     verify_certificate,
 )
 from schreierkit.cli import main
+from test_perms import word_image
 from test_transversal import reference_evaluate_positions
 
 DATA = Path(__file__).parent / "data"
@@ -190,7 +190,7 @@ def _random_killed_relator(rng, table):
         u = random_word(rng, alphabet, 3)
         if len(u) == 0:
             continue
-        k = _perm_order(eval_word(table, u))
+        k = _perm_order(word_image(table, u))
         relator = u
         for _ in range(k - 1):
             relator = free_reduce(alphabet, relator.letters + u.letters)

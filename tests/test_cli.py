@@ -299,6 +299,18 @@ def test_verify_rejects_repeated_edge(capsys, tmp_path):
     assert err == "error: edge_index lists edge (0, 1) more than once\n"
 
 
+def test_verify_names_the_failures_of_an_empty_relator(capsys, tmp_path):
+    doc = json.loads(AA_CERTIFICATE)
+    doc["relator"] = "1"
+    cert = tmp_path / "empty_relator.json"
+    cert.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "--certificate", str(cert))[:2] == (
+        1,
+        "relator_in_subgroup\nprefixes_separated\nr_position_valid\n"
+        "matched_inverse_consistent\nbasis_matches_schreier_method\n",
+    )
+
+
 def verify_golden_edited(capsys, tmp_path, field, key, value):
     doc = json.loads(AA_CERTIFICATE)
     doc[field][key] = value
@@ -431,6 +443,15 @@ def test_surface_genus1(capsys):
 def test_surface_bounds(capsys):
     code, _, err = run(capsys, "surface", "--genus", "5", "--index", "2")
     assert code == 2
+    code, out, err = run(capsys, "surface", "--genus", "5", "--index", "1")
+    assert_input_error(code, out, err)
+    assert err == "error: genus 5 outside 1..4\n"
+
+
+def test_surface_default_bounds_take_genus_4(capsys):
+    code, out, _ = run(capsys, "surface", "--genus", "4", "--index", "2")
+    assert code == 0
+    assert out.splitlines()[-1] == "subgroups=255 all_checks=pass"
 
 
 def test_surface_beyond_the_table_edge_bound_is_input_error(capsys):
@@ -586,6 +607,14 @@ def test_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "witness", "--presentation", str(tmp_path / "nope"),
                        "--relator", "aa")
     assert code == 2
+
+
+def test_witness_rejects_a_line_that_is_neither_gens_nor_rel(capsys, tmp_path):
+    pres = tmp_path / "bad.pres"
+    pres.write_text("gens: a b\nfoo: aa\n")
+    code, out, err = run(capsys, "witness", "--presentation", str(pres), "--relator", "aa")
+    assert_input_error(code, out, err)
+    assert err == "error: expected a rel: line, got 'foo: aa'\n"
 
 
 def assert_input_error(code, out, err):

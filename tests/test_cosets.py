@@ -19,7 +19,6 @@ from schreierkit import (
     Letter,
     Presentation,
     contains,
-    eval_word,
     free_reduce,
     image_closure,
     inverse,
@@ -35,6 +34,7 @@ from schreierkit import (
     table_to_text,
     trace,
 )
+from test_perms import word_image
 
 AB = Alphabet.of("ab")
 
@@ -139,7 +139,7 @@ def test_regular_table_membership_matches_kernel():
     table = regular_table(h)
     for _ in range(200):
         w = random_word(rng, AB, 12)
-        assert contains(table, w) == (eval_word(h, w) == (0, 1, 2))
+        assert contains(table, w) == (word_image(h, w) == (0, 1, 2))
 
 
 def test_trace_examples():

@@ -14,7 +14,6 @@ from schreierkit import (
     Letter,
     Presentation,
     compose,
-    eval_word,
     free_reduce,
     image_closure,
     inverse,
@@ -22,13 +21,24 @@ from schreierkit import (
     kills_relators,
     parse_word,
 )
-from schreierkit.perms import DEFAULT_IMAGE_CEILING
+from schreierkit.perms import DEFAULT_IMAGE_CEILING, kills
 
 AB = Alphabet.of("ab")
 
 
 def hom(a_images, b_images):
     return FiniteQuotientHom(AB, (tuple(a_images), tuple(b_images)))
+
+
+def word_image(h, w):
+    """Oracle: the image of ``w`` under ``h`` (a homomorphism or a coset
+    table), the right-action product of its letters' columns, composed one
+    letter at a time."""
+    acc = tuple(range(h.degree))
+    for g, s in w.letters:
+        column = h.gen_images[g] if s > 0 else h.inverse_images[g]
+        acc = tuple(column[i] for i in acc)
+    return acc
 
 
 def random_word(rng, alphabet, max_len):
@@ -77,29 +87,13 @@ def test_hom_shape_validation():
 
 
 def test_eval_word_examples():
+    # a word's image under the swap a -> (0 1): the empty word and aa die, a does not
     h = hom((1, 0), (0, 1))
-    assert eval_word(h, parse_word("1", AB)) == (0, 1)
-    assert eval_word(h, parse_word("aa", AB)) == (0, 1)
-    assert eval_word(h, parse_word("a", AB)) == (1, 0)
-
-
-def test_eval_word_alphabet_mismatch():
-    h = hom((1, 0), (0, 1))
-    with pytest.raises(AlphabetMismatch):
-        eval_word(h, parse_word("c", Alphabet.of("abc")))
-
-
-def test_eval_word_laws():
-    rng = random.Random(42)
-    degree = 4
-    perms = list(itertools.permutations(range(degree)))
-    for _ in range(100):
-        h = hom(rng.choice(perms), rng.choice(perms))
-        u = random_word(rng, AB, 10)
-        v = random_word(rng, AB, 10)
-        assert eval_word(h, invert(u)) == inverse(eval_word(h, u))
-        uv = free_reduce(AB, u.letters + v.letters)
-        assert eval_word(h, uv) == compose(eval_word(h, u), eval_word(h, v))
+    for text, image in (("1", (0, 1)), ("aa", (0, 1)), ("a", (1, 0))):
+        w = parse_word(text, AB)
+        assert word_image(h, w) == image
+        assert kills_relators(h, [w]) == (image == (0, 1))
+        assert kills(w.letters, h.gen_images, h.inverse_images) == (image == (0, 1))
 
 
 def test_kills_relators():
@@ -109,6 +103,33 @@ def test_kills_relators():
     assert kills_relators(h, aa.relators)
     h3 = hom((1, 2, 0), (0, 1, 2))
     assert not kills_relators(h3, aa.relators)
+
+
+def test_kills_relators_alphabet_mismatch():
+    # raised at the first relator reached over another alphabet
+    h = hom((1, 0), (0, 1))
+    foreign = parse_word("c", Alphabet.of("abc"))
+    with pytest.raises(AlphabetMismatch):
+        kills_relators(h, [parse_word("aa", AB), foreign])
+    assert not kills_relators(h, [parse_word("a", AB), foreign])
+
+
+def test_kills_relators_matches_word_image():
+    rng = random.Random(42)
+    for degree in (1, 2, 3, 4):
+        perms = list(itertools.permutations(range(degree)))
+        identity = tuple(range(degree))
+        for _ in range(50):
+            h = hom(rng.choice(perms), rng.choice(perms))
+            u = random_word(rng, AB, 10)
+            v = random_word(rng, AB, 10)
+            assert word_image(h, invert(u)) == inverse(word_image(h, u))
+            uv = free_reduce(AB, u.letters + v.letters)
+            assert word_image(h, uv) == compose(word_image(h, u), word_image(h, v))
+            assert kills_relators(h, [u]) == (word_image(h, u) == identity)
+            assert kills_relators(h, [u, v]) == (
+                word_image(h, u) == identity and word_image(h, v) == identity
+            )
 
 
 def test_image_closure_examples():

@@ -21,7 +21,6 @@ from schreierkit import (
     SurfaceReport,
     compose,
     crossings,
-    eval_word,
     free_reduce,
     invert,
     is_reduced,
@@ -34,6 +33,7 @@ from schreierkit import (
     table_from_text,
     tree_numbering,
 )
+from test_perms import word_image
 from test_transversal import reference_evaluate_positions
 
 AB = Alphabet.of("ab")
@@ -71,7 +71,7 @@ def random_killed_relator(rng, table):
         u = free_reduce(alphabet, raw)
         if len(u) == 0:
             continue
-        k = perm_order(eval_word(table, u))
+        k = perm_order(word_image(table, u))
         relator = u
         for _ in range(k - 1):
             relator = free_reduce(alphabet, relator.letters + u.letters)
