@@ -9,7 +9,6 @@ from .cosets import (
     iter_low_index_tables,
     presentation_from_text,
     regular_table,
-    separates_prefixes,
     table_from_text,
     table_to_text,
     trace,

@@ -61,7 +61,7 @@ def _inferred_alphabet(text: str) -> Alphabet:
 
 
 def cmd_reduce(args: argparse.Namespace) -> int:
-    alphabet = Alphabet.of(args.gens) if args.gens else _inferred_alphabet(args.word)
+    alphabet = Alphabet.of(args.gens) if args.gens is not None else _inferred_alphabet(args.word)
     print(parse_word(args.word, alphabet))
     return 0
 

@@ -130,20 +130,16 @@ def contains(t: CosetTable, w: FreeWord) -> bool:
     return trace(t, BASE, w) == BASE
 
 
-def separates_prefixes(t: CosetTable, w: FreeWord) -> bool:
-    """True iff the initial segments of ``w`` trace to pairwise distinct
-    cosets from the base."""
-    if len(w) == 0:
-        raise EmptyWord("the empty word has no initial-segment list")
+def prefix_cosets(t: CosetTable, w: FreeWord) -> list[int]:
+    """The cosets that the initial segments of ``w`` reach from the base, in
+    one walk: the empty segment's first and ``w``'s own last, so
+    ``len(w) + 1`` of them."""
     if w.alphabet != t.alphabet:
         raise AlphabetMismatch("word and table use different alphabets")
-    images, inverses = t.gen_images, t.inverse_images
-    c = BASE
-    cosets = {c}
-    for gen, sign in w.letters[:-1]:
-        c = images[gen][c] if sign > 0 else inverses[gen][c]
-        cosets.add(c)
-    return len(cosets) == len(w)
+    path = [BASE]
+    for gen, sign in w.letters:
+        path.append(t.step(path[-1], gen, sign))
+    return path
 
 
 def _scan_rotation(

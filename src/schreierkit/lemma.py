@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -27,8 +28,8 @@ from .cosets import (
     CosetTable,
     Presentation,
     contains,
+    prefix_cosets,
     regular_table,
-    separates_prefixes,
 )
 from .errors import (
     AlphabetMismatch,
@@ -462,9 +463,11 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         failures.append("table_matches_regular")
     if not all(contains(c.table, rel) for rel in p.relators):
         failures.append("relators_in_subgroup")
-    if len(r) == 0 or not contains(c.table, r):
+    # one walk along r: the cosets of its initial segments, then its own
+    path = prefix_cosets(c.table, r)
+    if len(r) == 0 or path[-1] != BASE:
         failures.append("relator_in_subgroup")
-    if len(r) == 0 or not separates_prefixes(c.table, r):
+    if len(r) == 0 or len(set(path[:-1])) != len(r):
         failures.append("prefixes_separated")
 
     # the Schreier recomputation needs a valid transversal over this table
@@ -475,15 +478,15 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         failures.append("transversal_valid")
         tree_ok = False
     elif tree_ok and len(r) > 0:
-        # one walk along r: the representatives are prefix-closed and trace
-        # to their cosets, so if rep(d) spells r[:i-1], rep(d·x) spells
-        # r[:i] exactly when it has i letters and ends in x
-        coset, reps = BASE, c.transversal.reps
-        for i, letter in enumerate(r.letters[:-1], 1):
-            coset = c.table.step(coset, *letter)
-            if len(reps[coset]) != i or reps[coset].letters[-1] != letter:
-                failures.append("transversal_seeded")
-                break
+        # the representatives are prefix-closed and trace to their cosets,
+        # so if rep(path[i-1]) spells r[:i-1], rep(path[i]) spells r[:i]
+        # exactly when it has i letters and ends in r's i-th letter
+        reps = c.transversal.reps
+        if any(
+            len(reps[d]) != i or reps[d].letters[-1] != letter
+            for i, (d, letter) in enumerate(zip(path[1:-1], r.letters), 1)
+        ):
+            failures.append("transversal_seeded")
 
     if not _basis_invariants(c.basis):
         failures.append("basis_invariants")
@@ -622,6 +625,9 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         flipped = _require(basis_doc, "flipped", list)
         if not (set(map(type, flipped)) <= _INT and all(0 <= g < alphabet.size for g in flipped)):
             raise CertificateFormatError("flipped must list generator indices")
+        repeated = [g for g, count in Counter(flipped).items() if count > 1]
+        if repeated:
+            raise CertificateFormatError(f"flipped lists generator {repeated[0]} more than once")
         elements = tuple(
             parse_word(w, alphabet) for w in _require(basis_doc, "elements", list)
         )

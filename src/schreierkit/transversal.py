@@ -25,9 +25,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .cosets import BASE, CosetTable, contains
+from .cosets import BASE, CosetTable, contains, prefix_cosets
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
-from .words import FreeWord, Letter
+from .words import FreeWord, Letter, empty_word
 
 
 @dataclass(frozen=True)
@@ -144,32 +144,27 @@ def schreier_transversal(
 
     The seed: the initial segments of ``through`` (the empty word up to all
     but its last letter) become the representatives of the cosets they
-    reach, found in one walk from the base; they must reach pairwise
-    distinct cosets.  Remaining cosets are filled breadth-first from the
-    base and then the path's cosets in path order, extending existing
-    representatives by one letter and visiting letters by generator index
-    ascending, sign +1 before -1; the first arrival fixes the
-    representative.  Unseeded representatives are therefore of minimal
+    reach, read off :func:`~schreierkit.cosets.prefix_cosets`; they must
+    reach pairwise distinct cosets.  An empty ``through`` seeds the base
+    alone, as ``None`` does.  Remaining cosets are filled breadth-first
+    from the base and then the path's cosets in path order, extending
+    existing representatives by one letter and visiting letters by
+    generator index ascending, sign +1 before -1; the first arrival fixes
+    the representative.  Unseeded representatives are therefore of minimal
     length among the words reaching their coset.
     """
+    if through is None:
+        through = empty_word(t.alphabet)
+    queue = prefix_cosets(t, through)[:-1] or [BASE]
     spelled: list[tuple[Letter, ...]] = [()] * t.n
     reached = [False] * t.n
-    reached[BASE] = True
-    queue = [BASE]
-    if through is not None:
-        if through.alphabet != t.alphabet:
-            raise AlphabetMismatch("word and table use different alphabets")
-        c = BASE
-        for letter in through.letters[:-1]:
-            d = t.step(c, letter.gen, letter.sign)
-            if reached[d]:
-                raise PrefixesNotSeparated(
-                    f"the initial segments of {through} do not reach distinct cosets"
-                )
-            reached[d] = True
-            spelled[d] = spelled[c] + (letter,)
-            queue.append(d)
-            c = d
+    for i, c in enumerate(queue):
+        if reached[c]:
+            raise PrefixesNotSeparated(
+                f"the initial segments of {through} do not reach distinct cosets"
+            )
+        reached[c] = True
+        spelled[c] = through.letters[:i]
     for c, g, s, d in _tree_edges(t, queue, reached):
         spelled[d] = spelled[c] + (Letter(g, s),)
     return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))
@@ -245,17 +240,17 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
     from the coset ``c`` of ``w`` less ``y``, emits
     ``rep(c) · y · rep(BASE)^-1``; the seed makes ``rep(c)`` that prefix
     and ``rep(BASE)`` is empty, so the element is ``w`` itself, never its
-    inverse.  As ``w`` fixes the base, that coset ``c`` is the base stepped
-    back along ``y``.
+    inverse.  That coset ``c`` is the last but one on the path of ``w``.
     """
     if len(w) == 0:
         raise EmptyWord("cannot build a basis through the empty word")
-    if not contains(t, w):
+    path = prefix_cosets(t, w)
+    if path[-1] != BASE:
         raise NotInSubgroup(f"{w} does not fix the base coset")
     tr = schreier_transversal(t, w)
     g_last, s_last = w.letters[-1]
     basis = schreier_basis(tr, frozenset() if s_last > 0 else frozenset({g_last}))
-    return basis, basis.edge_index[(t.step(BASE, g_last, -s_last), g_last)]
+    return basis, basis.edge_index[(path[-2], g_last)]
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,26 @@ def test_reduce_with_explicit_gens(capsys):
     assert (code, out) == (0, "abc\n")
 
 
+def test_reduce_with_empty_gens_is_input_error(capsys):
+    # an empty --gens is an empty alphabet, not a request to infer one
+    code, out, err = run(capsys, "reduce", "--gens", "", "a")
+    assert_input_error(code, out, err)
+    assert err == "error: alphabet needs at least one generator\n"
+
+
+def test_console_script_entry_exits_with_main_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["schreierkit", "reduce", "aA"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "1\n"
+    monkeypatch.setattr(sys, "argv", ["schreierkit", "reduce", "a$b"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert_input_error(2, *capsys.readouterr())
+
+
 def test_witness_and_verify_roundtrip(capsys, tmp_path):
     pres = tmp_path / "aa.pres"
     pres.write_text(AA_PRESENTATION)
@@ -297,6 +317,23 @@ def test_verify_rejects_repeated_edge(capsys, tmp_path):
     )
     assert_input_error(code, out, err)
     assert err == "error: edge_index lists edge (0, 1) more than once\n"
+
+
+def test_verify_rejects_repeated_flipped_generator(capsys, tmp_path):
+    pres = tmp_path / "free.pres"
+    pres.write_text("gens: a b\n")
+    code, out, _ = run(
+        capsys, "witness", "--presentation", str(pres), "--relator", "aB",
+        "--max-degree", "3",
+    )
+    doc = json.loads(out)
+    assert (code, doc["basis"]["flipped"]) == (0, [1])
+    doc["basis"]["flipped"] = [1, 1]
+    cert = tmp_path / "flipped_twice.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert_input_error(code, out, err)
+    assert err == "error: flipped lists generator 1 more than once\n"
 
 
 def test_verify_names_the_failures_of_an_empty_relator(capsys, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from schreierkit import (
+    BASE,
     Alphabet,
     AlphabetMismatch,
     BadBound,
@@ -28,12 +29,12 @@ from schreierkit import (
     parse_word,
     presentation_from_text,
     regular_table,
-    separates_prefixes,
     surface_presentation,
     table_from_text,
     table_to_text,
     trace,
 )
+from schreierkit.cosets import prefix_cosets
 from test_perms import word_image
 
 AB = Alphabet.of("ab")
@@ -193,24 +194,26 @@ def test_contains_subgroup_closure():
             assert contains(TWO, free_reduce(AB, u.letters + v.letters))
 
 
-def test_separates_prefixes():
+def test_prefix_cosets():
     one = regular_table(hom((0,), (0,)))
-    assert not separates_prefixes(one, parse_word("aa", AB))
-    assert separates_prefixes(TWO, parse_word("aa", AB))
-    assert not separates_prefixes(TWO, parse_word("aaa", AB))  # pigeonhole
-    with pytest.raises(EmptyWord):
-        separates_prefixes(TWO, parse_word("1", AB))
+    assert prefix_cosets(one, parse_word("aa", AB)) == [0, 0, 0]
+    assert prefix_cosets(TWO, parse_word("aa", AB)) == [0, 1, 0]
+    assert prefix_cosets(TWO, parse_word("aaa", AB)) == [0, 1, 0, 1]  # pigeonhole
+    assert prefix_cosets(TWO, parse_word("1", AB)) == [BASE]
     with pytest.raises(AlphabetMismatch):
-        separates_prefixes(TWO, parse_word("aa", Alphabet.of("abc")))
-    # against the definition: trace every initial segment from the base
+        prefix_cosets(TWO, parse_word("aa", Alphabet.of("abc")))
+    with pytest.raises(AlphabetMismatch):
+        prefix_cosets(TWO, parse_word("1", Alphabet.of("abc")))
+    # against the definition: each initial segment's image, composed letter
+    # by letter by the test-side oracle, applied to the base
     rng = random.Random(733)
     for _ in range(200):
         table = random_table(rng, AB, rng.randrange(1, 6))
         w = random_word(rng, AB, 8)
-        if len(w) == 0:
-            continue
-        cosets = {trace(table, 0, FreeWord(AB, w.letters[:i])) for i in range(len(w))}
-        assert separates_prefixes(table, w) == (len(cosets) == len(w))
+        expected = [
+            word_image(table, FreeWord(AB, w.letters[:i]))[BASE] for i in range(len(w) + 1)
+        ]
+        assert prefix_cosets(table, w) == expected
 
 
 def test_is_regular():

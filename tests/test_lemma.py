@@ -25,6 +25,7 @@ from schreierkit import (
     Presentation,
     SchreierTransversal,
     SubgroupBasis,
+    VerificationResult,
     certificate_from_json,
     certificate_to_json,
     compose,
@@ -344,6 +345,14 @@ def test_run_lemma_free_presentation():
     assert verify_certificate(cert)
 
 
+def test_run_lemma_checks_its_own_certificate(monkeypatch):
+    monkeypatch.setattr(
+        lemma, "verify_certificate", lambda c: VerificationResult(("fold_verify_passes",))
+    )
+    with pytest.raises(AssertionError, match="fold_verify_passes"):
+        run_lemma(AA_PRES, AA_REL, 4)
+
+
 def test_run_lemma_notfound_passthrough():
     assert run_lemma(HIGMAN, HIGMAN_RELATORS[0], 3) is None
 
@@ -418,6 +427,18 @@ def test_certificate_rejects_repeated_edge_index_entry():
     assert str(exc.value) == (
         f"edge_index lists edge ({edges[1][0]}, {edges[1][1]}) more than once"
     )
+
+
+def test_certificate_rejects_repeated_flipped_generator():
+    """A set would read a generator flipped twice as flipped once, so the
+    parser rejects the list, as it does an edge listed twice."""
+    r = parse_word("aB", AB)
+    doc = json.loads(certificate_to_json(run_lemma(Presentation(AB, (r,)), r, 4)))
+    assert doc["basis"]["flipped"] == [1]
+    doc["basis"]["flipped"] = [1, 0, 1]
+    with pytest.raises(CertificateFormatError) as exc:
+        certificate_from_json(json.dumps(doc))
+    assert str(exc.value) == "flipped lists generator 1 more than once"
 
 
 @pytest.mark.parametrize(

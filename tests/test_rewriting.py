@@ -118,6 +118,15 @@ def test_rewrite_rank_one_power_relator():
     assert sp.relator_text(sp.relators[0]) == "x0 x0"
 
 
+def test_hand_built_empty_relator_prints_as_the_identity():
+    # rewrite never yields an empty relator (a closed reduced walk in a
+    # folded coset graph leaves the spanning tree), but a presentation built
+    # by hand may hold one
+    sp = SubgroupPresentation(regular_table(FiniteQuotientHom(AB, ((0,), (0,)))), 2, ((),))
+    assert sp.relator_text(()) == "1"
+    assert [sp.relator_text(rel) for rel in sp.relators] == ["1"]
+
+
 def test_rewrite_requires_relators_killed_everywhere():
     # b fixes the base coset but moves coset 1, so it is in the subgroup
     # without its conjugates being there

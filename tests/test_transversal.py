@@ -32,7 +32,6 @@ from schreierkit import (
     regular_table,
     schreier_basis,
     schreier_transversal,
-    separates_prefixes,
     surface_presentation,
     trace,
     transversal_to_text,
@@ -84,9 +83,19 @@ def random_subgroup_word(rng, table, max_tries=2000):
         w = free_reduce(alphabet, raw)
         if len(w) == 0:
             continue
-        if contains(table, w) and separates_prefixes(table, w):
+        if contains(table, w) and separated(table, w):
             return w
     return None
+
+
+def separated(table, w):
+    """Oracle: the initial segments of ``w`` reach pairwise distinct cosets,
+    walked here one column lookup at a time."""
+    c, seen = 0, {0}
+    for g, s in w.letters[:-1]:
+        c = table.gen_images[g][c] if s > 0 else table.inverse_images[g][c]
+        seen.add(c)
+    return len(seen) == len(w)
 
 
 def initial_segments(w):
@@ -127,6 +136,13 @@ def test_seed_errors():
         schreier_transversal(TWO, parse_word("aaa", AB))
     with pytest.raises(AlphabetMismatch):
         schreier_transversal(TWO, parse_word("aa", Alphabet.of("abc")))
+
+
+def test_empty_seed_is_the_unseeded_transversal():
+    # the empty word has no initial segment but itself: the base alone
+    assert schreier_transversal(TWO, empty_word(AB)) == schreier_transversal(TWO)
+    with pytest.raises(AlphabetMismatch):
+        schreier_transversal(TWO, empty_word(Alphabet.of("abc")))
 
 
 def test_seeded_transversal_random():
@@ -372,7 +388,7 @@ def test_long_through_word():
     cases = [(cyclic, parse_word("a" * n, cyclic.alphabet))]
     cases.append(closed_path_table(random.Random(4242), AB, 300))
     for table, w in cases:
-        assert contains(table, w) and separates_prefixes(table, w)
+        assert contains(table, w) and separated(table, w)
         tr = schreier_transversal(table, w)
         assert tr.reps == reference_schreier_transversal(table, initial_segments(w)).reps
         basis, position = basis_through_word(table, w)
