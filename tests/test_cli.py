@@ -348,6 +348,47 @@ def test_verify_names_the_failures_of_an_empty_relator(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "edit, failures",
+    [
+        (
+            lambda doc: doc.update(table={"n": 1, "action": [[0], [0]]}, transversal=["1"]),
+            [
+                "image_order_matches",
+                "table_matches_regular",
+                "prefixes_separated",
+                "transversal_seeded",
+                "basis_invariants",
+                "matched_inverse_consistent",
+                "basis_matches_schreier_method",
+                "generator_bound_matches",
+                "fold_verify_passes",
+            ],
+        ),
+        (
+            lambda doc: doc["table"]["action"].__setitem__(1, [1, 0]),
+            [
+                "table_matches_regular",
+                "basis_invariants",
+                "basis_matches_schreier_method",
+                "fold_verify_passes",
+            ],
+        ),
+    ],
+    ids=["one-coset-table", "other-two-coset-table"],
+)
+def test_verify_names_the_failures_of_a_table_other_than_the_regular_one(
+    capsys, tmp_path, edit, failures
+):
+    # the transversal and the basis are read over the certificate's own table
+    doc = json.loads(AA_CERTIFICATE)
+    edit(doc)
+    cert = tmp_path / "other_table.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert (code, out.splitlines(), err) == (1, failures, "")
+
+
 def verify_golden_edited(capsys, tmp_path, field, key, value):
     doc = json.loads(AA_CERTIFICATE)
     doc[field][key] = value

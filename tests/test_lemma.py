@@ -888,6 +888,25 @@ DIFFERENTIAL_WORDS = (
 )
 
 
+def _outcomes(tampered_text):
+    """What the reference parser and verifier, then the library's, make of
+    one certificate text: a format error's message or the failure tuple."""
+    outcomes = []
+    for parse, verify in (
+        (reference_parse_word, reference_verify_certificate),
+        (parse_word, lambda c: verify_certificate(c).failures),
+    ):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lemma, "parse_word", parse)
+            try:
+                loaded = certificate_from_json(tampered_text)
+            except CertificateFormatError as exc:
+                outcomes.append(("format", str(exc)))
+                continue
+        outcomes.append(("verdict", verify(loaded)))
+    return outcomes
+
+
 def test_verify_matches_reference_verifier_on_tampered_json():
     rng = random.Random(15)
     seen = set()
@@ -900,24 +919,56 @@ def test_verify_matches_reference_verifier_on_tampered_json():
             for _ in range(rng.choice((1, 1, 2))):
                 _tamper_doc(rng, doc)
             tampered_text = json.dumps(doc)
-            outcomes = []
-            for parse, verify in (
-                (reference_parse_word, reference_verify_certificate),
-                (parse_word, lambda c: verify_certificate(c).failures),
-            ):
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(lemma, "parse_word", parse)
-                    try:
-                        loaded = certificate_from_json(tampered_text)
-                    except CertificateFormatError as exc:
-                        outcomes.append(("format", str(exc)))
-                        continue
-                outcomes.append(("verdict", verify(loaded)))
+            outcomes = _outcomes(tampered_text)
             assert outcomes[0] == outcomes[1], (word, tampered_text)
             kind, detail = outcomes[1]
             seen.update(detail if kind == "verdict" else ["format"])
     for name in (
         "basis_matches_schreier_method", "matched_inverse_consistent", "transversal_valid",
         "transversal_seeded", "basis_invariants", "fold_verify_passes", "format",
+    ):
+        assert name in seen, name
+
+
+def _tamper_table_doc(rng, doc):
+    """Apply one random JSON-level edit to the table, the hom or the image
+    order, the fields :func:`_tamper_doc` leaves alone."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        action = doc["table"]["action"]
+        row = action[rng.randrange(len(action))]
+        a, b = rng.randrange(len(row)), rng.randrange(len(row))
+        row[a], row[b] = row[b], row[a]
+    elif kind == 1:
+        images = doc["hom"]["gen_images"]
+        row = list(range(doc["hom"]["degree"]))
+        rng.shuffle(row)
+        images[rng.randrange(len(images))] = row
+    elif kind == 2:
+        doc["table"]["n"] += rng.choice((-1, 1))
+    else:
+        doc["image_order"] += rng.choice((-1, 1))
+
+
+def test_verify_matches_reference_verifier_on_tampered_table_and_hom():
+    rng = random.Random(28)
+    seen = set()
+    for names, word in DIFFERENTIAL_WORDS:
+        alphabet = Alphabet.of(names)
+        cert = run_lemma(Presentation(alphabet, ()), parse_word(word, alphabet), 5)
+        text = certificate_to_json(cert)
+        for _ in range(60):
+            doc = json.loads(text)
+            for _ in range(rng.choice((1, 1, 2))):
+                _tamper_table_doc(rng, doc)
+            tampered_text = json.dumps(doc)
+            outcomes = _outcomes(tampered_text)
+            assert outcomes[0] == outcomes[1], (word, tampered_text)
+            kind, detail = outcomes[1]
+            seen.update(detail if kind == "verdict" else ["format"])
+    for name in (
+        "image_order_matches", "table_matches_regular", "relator_in_subgroup",
+        "prefixes_separated", "transversal_valid", "basis_invariants",
+        "basis_matches_schreier_method", "fold_verify_passes", "format",
     ):
         assert name in seen, name
