@@ -67,19 +67,27 @@ CERTIFICATE_SCHEMA = "lemma-certificate/1"
 
 @dataclass(frozen=True)
 class LemmaCertificate:
-    """Full witness bundle: the separating quotient, the regular coset
-    table, the seeded transversal, and a basis containing the relator."""
+    """Full witness bundle: the separating quotient and a basis containing
+    the relator, read through its seeded transversal over the regular coset
+    table; the certificate reads the table and the transversal through the
+    basis."""
 
     presentation: Presentation
     relator: FreeWord
     hom: FiniteQuotientHom
     image_order: int
-    table: CosetTable
-    transversal: SchreierTransversal
     basis: SubgroupBasis
     r_position: int
     matched_inverse: bool
     generator_bound: int
+
+    @property
+    def table(self) -> CosetTable:
+        return self.basis.table
+
+    @property
+    def transversal(self) -> SchreierTransversal:
+        return self.basis.transversal
 
 
 @dataclass(frozen=True)
@@ -384,8 +392,6 @@ def run_lemma(
         relator=r,
         hom=hom,
         image_order=n,
-        table=table,
-        transversal=basis.transversal,
         basis=basis,
         r_position=position,
         matched_inverse=False,
@@ -470,14 +476,11 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     if len(r) == 0 or len(set(path[:-1])) != len(r):
         failures.append("prefixes_separated")
 
-    # the Schreier recomputation needs a valid transversal over this table
-    tree_ok = c.transversal.table == c.table
+    # the Schreier recomputation needs a valid transversal
+    tree_ok = _transversal_valid(c.transversal)
     if not tree_ok:
-        failures.append("transversal_over_table")
-    if not _transversal_valid(c.transversal):
         failures.append("transversal_valid")
-        tree_ok = False
-    elif tree_ok and len(r) > 0:
+    elif len(r) > 0:
         # the representatives are prefix-closed and trace to their cosets,
         # so if rep(path[i-1]) spells r[:i-1], rep(path[i]) spells r[:i]
         # exactly when it has i letters and ends in r's i-th letter
@@ -641,21 +644,12 @@ def certificate_from_json(text: str) -> LemmaCertificate:
                     f"edge_index lists edge ({coset}, {gen}) more than once"
                 )
             edge_index[(coset, gen)] = position
-        basis = SubgroupBasis(
-            table,
-            transversal,
-            frozenset(flipped),
-            elements,
-            edge_index,
-        )
         return LemmaCertificate(
             presentation=presentation,
             relator=relator,
             hom=hom,
             image_order=_require(doc, "image_order", int),
-            table=table,
-            transversal=transversal,
-            basis=basis,
+            basis=SubgroupBasis(transversal, frozenset(flipped), elements, edge_index),
             r_position=_require(doc, "r_position", int),
             matched_inverse=_require(doc, "matched_inverse", bool),
             generator_bound=_require(doc, "generator_bound", int),

@@ -41,7 +41,8 @@ class SchreierTransversal:
 
 @dataclass(frozen=True)
 class SubgroupBasis:
-    """An ordered free basis of the subgroup of a coset table.
+    """An ordered free basis of the subgroup of a coset table, read
+    through the transversal it was built from.
 
     ``flipped`` holds the generators whose basis letter is replaced by its
     inverse; ``elements`` are spelled over the original alphabet all the
@@ -50,11 +51,14 @@ class SubgroupBasis:
     is flipped), to the position of its element.
     """
 
-    table: CosetTable
     transversal: SchreierTransversal
     flipped: frozenset[int]
     elements: tuple[FreeWord, ...]
     edge_index: dict[tuple[int, int], int]
+
+    @property
+    def table(self) -> CosetTable:
+        return self.transversal.table
 
 
 def _tree_edges(
@@ -222,10 +226,9 @@ def schreier_basis(
     be a tree edge, which gets no element.  Should that
     fail, the :class:`FreeWord` check raises :class:`UnreducedWord`.
     """
-    t = tr.table
     edge_index, elements = basis_letters(tr, flipped)
-    words = tuple(FreeWord(t.alphabet, u) for u in elements)
-    return SubgroupBasis(t, tr, flipped, words, edge_index)
+    words = tuple(FreeWord(tr.table.alphabet, u) for u in elements)
+    return SubgroupBasis(tr, flipped, words, edge_index)
 
 
 def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:

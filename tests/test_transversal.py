@@ -398,7 +398,6 @@ def test_long_through_word():
 def test_fold_verify_rejects_tampered_lists():
     basis = schreier_basis(schreier_transversal(TWO))
     duplicated = SubgroupBasis(
-        basis.table,
         basis.transversal,
         basis.flipped,
         basis.elements[:-1] + (basis.elements[0],),
@@ -407,13 +406,12 @@ def test_fold_verify_rejects_tampered_lists():
     assert not fold_verify(duplicated)
 
     shrunk = SubgroupBasis(
-        basis.table, basis.transversal, basis.flipped,
+        basis.transversal, basis.flipped,
         basis.elements[:-1], basis.edge_index,
     )
     assert not fold_verify(shrunk)
 
     squared = SubgroupBasis(
-        basis.table,
         basis.transversal,
         basis.flipped,
         basis.elements[:-1] + (free_reduce(AB, basis.elements[-1].letters * 2),),
@@ -541,7 +539,7 @@ def reference_fold_verify(b: SubgroupBasis) -> bool:
 
 def with_elements(basis, elements):
     return SubgroupBasis(
-        basis.table, basis.transversal, basis.flipped, tuple(elements),
+        basis.transversal, basis.flipped, tuple(elements),
         basis.edge_index,
     )
 
@@ -706,7 +704,7 @@ def test_check_basis_conditions():
     assert not _basis_invariants(elements("b", "aa", "1"))
     assert not _basis_invariants(elements("b", "aa", "a"))
     renumbered = SubgroupBasis(
-        basis.table, basis.transversal, basis.flipped, basis.elements,
+        basis.transversal, basis.flipped, basis.elements,
         {**basis.edge_index, (1, 1): 5},
     )
     assert not _basis_invariants(renumbered)
@@ -895,7 +893,7 @@ def reference_schreier_basis(
             )
             edge_index[(c, g)] = len(elements)
             elements.append(u)
-    return SubgroupBasis(t, tr, flipped, tuple(elements), edge_index)
+    return SubgroupBasis(tr, flipped, tuple(elements), edge_index)
 
 
 def test_words_match_eager_reference():
