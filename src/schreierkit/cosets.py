@@ -27,7 +27,7 @@ from .errors import (
     ParseError,
 )
 from .perms import FiniteQuotientHom, compose, image_closure
-from .words import Alphabet, FreeWord, parse_word
+from .words import Alphabet, FreeWord, letter_codes, parse_word
 
 BASE = 0
 DEFAULT_MAX_INDEX = 8
@@ -193,9 +193,9 @@ def iter_low_index_tables(
     and keeps one packed key per table, not the table; each table is built
     from its key when it is consumed.
 
-    The search is plain backtracking over partial tables.  A signed letter
-    is numbered ``k = 2*g`` (``g``) or ``2*g + 1`` (``g``⁻¹), so ``k ^ 1`` is
-    its inverse and column ``k`` holds its partial action.  It runs in two
+    The search is plain backtracking over partial tables.  Column ``k``
+    holds the partial action of the letter with code ``k`` (see
+    :mod:`~schreierkit.words`), ``k ^ 1`` being its inverse.  It runs in two
     phases.  While fewer than ``n`` cosets are in, a cursor moves forward
     over the undefined slots in (coset, generator, sign) order, i.e.
     (coset, ``k``) order; candidate targets are the already-introduced
@@ -278,9 +278,9 @@ def iter_low_index_tables(
     starting: list[list[tuple[list, list, tuple[int, ...]]]] = [[] for _ in range(width)]
     rotations: dict[tuple[int, ...], None] = {}
     for rel in p.relators:
-        letters = tuple(2 * g + (s < 0) for g, s in rel.letters)
-        for i in range(len(letters)):
-            rotations[letters[i:] + letters[:i]] = None
+        codes = letter_codes(rel.letters)
+        for i in range(len(codes)):
+            rotations[codes[i:] + codes[:i]] = None
     for rot in rotations:
         fc = [cols[k] for k in rot]
         bc = [cols[k ^ 1] for k in rot]

@@ -53,7 +53,7 @@ from .transversal import (
     basis_through_word,
     fold_verify,
 )
-from .words import Alphabet, FreeWord, invert, parse_word
+from .words import Alphabet, FreeWord, invert, letter_codes, parse_word
 
 DEFAULT_MAX_DEGREE = 6
 
@@ -100,17 +100,14 @@ class VerificationResult:
         return not self.failures
 
 
-def _separated(
-    letters: tuple, imgs: list[tuple[int, ...]], invs: list[tuple[int, ...]],
-    identity: tuple[int, ...],
-) -> bool:
-    """True iff all initial segments of the word spelled by ``letters``,
-    the empty one and the whole word included, have pairwise distinct
-    images."""
+def _separated(codes: Sequence[int], cols: list, identity: tuple[int, ...]) -> bool:
+    """True iff all initial segments of the word with letter codes
+    ``codes``, the empty one and the whole word included, have pairwise
+    distinct images, where ``cols[k]`` is the column of code ``k``."""
     acc = identity
     seen = {acc}
-    for g, s in letters:
-        acc = compose(acc, imgs[g] if s > 0 else invs[g])
+    for k in codes:
+        acc = compose(acc, cols[k])
         if acc in seen:
             return False
         seen.add(acc)
@@ -218,7 +215,8 @@ class _Symmetric:
         keep = len(centraliser) == len(self.perms)
         if keep and key in self._kept:
             return self._kept[key]
-        centraliser = _centraliser(centraliser, image)
+        if image != self.identity:  # all of it commutes with the identity
+            centraliser = _centraliser(centraliser, image)
         fixed = tuple(x for x in fixed if image[x] == x)
         whole = len(centraliser) == len(self.perms)
         candidates: Sequence[tuple[int, ...]] = self.class_minima if whole else self.perms
@@ -291,19 +289,16 @@ def find_separating_quotient(
     are then all the identity), and the candidates left are the cycle-type
     minima of the derangements.
 
-    What depends only on the degree is built once per process for each
-    ``d <= DEFAULT_MAX_DEGREE`` and kept: the list of S_d, the inverse of
-    each element, the cycle-type minima, and, by one rule, every level
-    below a node whose earlier images have all of S_d as joint
-    centraliser: that level depends only on the node's image, the common
-    fixed points above it and whether it is the last, and is kept under
-    those three.  That covers the root, read as a node whose image is the
-    identity, generator 1 under each generator-0 image, and every level at
-    ``d = 2``.  The last generator's pool is filtered by the fixed points
-    before its orbit minima are taken, cheaper than filtering one list of
-    orbit minima over all of S_d afterwards.  Other levels are worked out
-    per call.  Above ``DEFAULT_MAX_DEGREE`` the same tables are built per
-    call and dropped, since S_10's alone would hold about 1 GB for good.
+    What depends only on the degree is kept per process for each ``d <=
+    DEFAULT_MAX_DEGREE``: the list of S_d, the inverse of each element, the
+    cycle-type minima, and every level below a node whose earlier images
+    have all of S_d as joint centraliser, such as the root, read as a node
+    whose image is the identity (:class:`_Symmetric`).  Above that bound the
+    tables are built per call and dropped, since S_10's alone would hold
+    about 1 GB for good.  The images and their inverses sit in one list,
+    image then inverse for each generator, indexed by letter code (see
+    :mod:`~schreierkit.words`), and the codes of ``r`` and of each relator
+    are computed once per call.
     """
     if max_degree < 1:
         raise BadBound(f"max_degree must be at least 1, got {max_degree}")
@@ -312,29 +307,26 @@ def find_separating_quotient(
     if r.alphabet != p.alphabet:
         raise AlphabetMismatch("relator alphabet differs from presentation alphabet")
     m = p.alphabet.size
-    by_level: list[list[tuple]] = [[] for _ in range(m + 1)]
+    by_level: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
     for rel in p.relators:
-        top = max(g for g, _ in rel.letters)
-        by_level[top + 1].append(rel.letters)
-    # early[k]: r's longest leading run over generators 0..k, at most
-    # |r| - 1 letters; its initial segments are checked for separation once
-    # generator k has an image.  It is () where it is no longer than at
-    # level k - 1, and at the last level, which checks all of r.
-    early: list[tuple] = []
+        codes = letter_codes(rel.letters)
+        by_level[max(codes) // 2 + 1].append(codes)
+    r_codes = letter_codes(r.letters)
+    # early[k]: the codes of r's longest leading run over generators 0..k,
+    # at most |r| - 1 letters; its initial segments are checked for
+    # separation once generator k has an image.  It is () where it is no
+    # longer than at level k - 1, whose check covered it already.
+    early: list[tuple[int, ...]] = []
     covered = 0
-    for k in range(m - 1):
+    for k in range(m):
         start = covered
-        while covered < len(r) - 1 and r.letters[covered].gen <= k:
+        while covered < len(r) - 1 and r_codes[covered] // 2 <= k:
             covered += 1
-        early.append(r.letters[:covered] if covered > start else ())
-    early.append(())
+        early.append(r_codes[:covered] if covered > start else ())
 
     for degree in range(1, max_degree + 1):
-        # above the default bound the tables are built per call and
-        # dropped: S_10's alone would hold about 1 GB for good
         sym = _symmetric(degree) if degree <= DEFAULT_MAX_DEGREE else _Symmetric(degree)
-        imgs: list[tuple[int, ...]] = []
-        invs: list[tuple[int, ...]] = []
+        cols: list[tuple[int, ...]] = []
 
         def assign(
             k: int,
@@ -347,20 +339,16 @@ def find_separating_quotient(
             last = k == m - 1
             relators = by_level[k + 1]
             for cand in candidates:
-                imgs.append(cand)
-                invs.append(sym.inverses[cand])
-                if not relators or all(kills(rel, imgs, invs) for rel in relators):
-                    if last:
-                        if kills(r.letters, imgs, invs) and _separated(
-                            r.letters[:-1], imgs, invs, sym.identity
-                        ):
-                            return True
-                    elif (
-                        not early[k] or _separated(early[k], imgs, invs, sym.identity)
-                    ) and assign(k + 1, *sym.below(centraliser, fixed, cand, k + 1 == m - 1)):
-                        return True
-                imgs.pop()
-                invs.pop()
+                cols.append(cand)
+                cols.append(sym.inverses[cand])
+                if (
+                    (not relators or all(kills(rel, cols) for rel in relators))
+                    and (not last or kills(r_codes, cols))
+                    and (not early[k] or _separated(early[k], cols, sym.identity))
+                    and (last or assign(k + 1, *sym.below(centraliser, fixed, cand, k + 2 == m)))
+                ):
+                    return True
+                del cols[-2:]
             return False
 
         # the root is a node whose image is the identity
@@ -369,7 +357,7 @@ def find_separating_quotient(
         # collector frees; unbinding sym frees the tables on return
         del sym
         if found:
-            return FiniteQuotientHom(p.alphabet, tuple(imgs))
+            return FiniteQuotientHom(p.alphabet, tuple(cols[::2]))
     return None
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 from .errors import AlphabetMismatch, ImageTooLarge, InvalidHom, InvalidPermutation
-from .words import Alphabet, FreeWord
+from .words import Alphabet, FreeWord, letter_codes
 
 DEFAULT_IMAGE_CEILING = 10000
 
@@ -77,16 +77,20 @@ class FiniteQuotientHom:
         return perm[point]
 
 
-def kills(letters: Sequence, images: Sequence, inverses: Sequence) -> bool:
-    """True iff the word spelled by ``letters`` maps to the identity, given
-    the generators' columns ``images`` and their ``inverses``; the degree is
-    the columns' length.  Each point is traced through the letters'
-    columns, integer lookups only; a word that does not die usually moves
-    point 0 already."""
-    columns = [images[g] if s > 0 else inverses[g] for g, s in letters]
-    for x in range(len(images[0])):
+def kills(codes: Sequence[int], columns: Sequence) -> bool:
+    """True iff the word with letter codes ``codes`` maps to the identity,
+    where ``columns[k]`` is the column of code ``k`` (see
+    :mod:`~schreierkit.words`).  Point 0 is traced first, before the path is
+    built: a word that does not die usually moves it already."""
+    y = 0
+    for k in codes:
+        y = columns[k][y]
+    if y:
+        return False
+    path = [columns[k] for k in codes]
+    for x in range(1, len(columns[0])):
         y = x
-        for column in columns:
+        for column in path:
             y = column[y]
         if y != x:
             return False
@@ -98,10 +102,11 @@ def kills_relators(h: FiniteQuotientHom, relators: Sequence[FreeWord]) -> bool:
     homomorphism factors through the presented group.  Raises
     :class:`AlphabetMismatch` at the first relator reached over another
     alphabet."""
+    columns = [c for pair in zip(h.gen_images, h.inverse_images) for c in pair]
     for rel in relators:
         if rel.alphabet != h.alphabet:
             raise AlphabetMismatch("word and homomorphism use different alphabets")
-        if not kills(rel.letters, h.gen_images, h.inverse_images):
+        if not kills(letter_codes(rel.letters), columns):
             return False
     return True
 

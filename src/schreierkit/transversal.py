@@ -272,15 +272,15 @@ def fold_verify(b: SubgroupBasis) -> bool:
     count, an element over another alphabet raises :class:`AlphabetMismatch`.
 
     Folds as it goes (Stallings, 1983; Kapovich–Myasnikov, 2002), with
-    union-find on the vertices and one neighbour slot per vertex and
-    signed letter.  Each element is read forward from the base along
-    existing edges (all but its last letter), then backward from the base
-    (leaving at least one letter); only the unread middle gets fresh
-    vertices.  The closing edge goes through a worklist over half-edges: a
-    free slot files it, an occupied one merges the two far ends, and a
-    merge re-files the at most ``2m`` slots of the absorbed vertex, which
-    may cascade.  A merge can absorb the base, so each read starts at its
-    root.  The work is near-linear in the total letter count.
+    union-find on the vertices and one neighbour slot per vertex and letter
+    code (see :mod:`~schreierkit.words`).  Each element is read forward from
+    the base along existing edges (all but its last letter), then backward
+    from the base (leaving at least one letter); only the unread middle gets
+    fresh vertices.  The closing edge goes through a worklist over
+    half-edges: a free slot files it, an occupied one merges the two far
+    ends, and a merge re-files the at most ``2m`` slots of the absorbed
+    vertex, which may cascade.  A merge can absorb the base, so each read
+    starts at its root.  The work is near-linear in the total letter count.
 
     Reading along an existing edge folds the element's loop onto it before
     it is laid out, so this is the fold of all loops wedged at the base,

@@ -1,6 +1,8 @@
 """Freely reduced words over a finite symmetrized alphabet.
 
-A word is a sequence of letters, each a generator together with a sign.
+A word is a sequence of letters, each a generator ``g`` together with a
+sign ``s``; the letter's code is ``2g + (s < 0)`` (:func:`letter_codes`), so
+``k ^ 1`` is the code of its inverse, and lists of columns are indexed by it.
 Every :class:`FreeWord` is stored fully reduced: no letter is adjacent to
 its own inverse.  Every word is built by the one validating constructor,
 which checks the letters against the alphabet and raises
@@ -129,6 +131,11 @@ class FreeWord:
 
 def empty_word(alphabet: Alphabet) -> FreeWord:
     return FreeWord(alphabet, ())
+
+
+def letter_codes(letters: Iterable[Letter]) -> tuple[int, ...]:
+    """The code ``2g + (s < 0)`` of each letter ``(g, s)``, in order."""
+    return tuple([2 * g + (s < 0) for g, s in letters])
 
 
 def _cancel(inverse_of: dict[Letter, Letter], raw: Iterable[Letter]) -> tuple[Letter, ...]:

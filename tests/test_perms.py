@@ -22,6 +22,7 @@ from schreierkit import (
     parse_word,
 )
 from schreierkit.perms import DEFAULT_IMAGE_CEILING, kills
+from schreierkit.words import letter_codes
 
 AB = Alphabet.of("ab")
 
@@ -39,6 +40,11 @@ def word_image(h, w):
         column = h.gen_images[g] if s > 0 else h.inverse_images[g]
         acc = tuple(column[i] for i in acc)
     return acc
+
+
+def columns_by_code(h):
+    """The columns of ``h`` indexed by letter code: image, inverse, ..."""
+    return [c for g in range(h.alphabet.size) for c in (h.gen_images[g], h.inverse_images[g])]
 
 
 def random_word(rng, alphabet, max_len):
@@ -93,7 +99,41 @@ def test_eval_word_examples():
         w = parse_word(text, AB)
         assert word_image(h, w) == image
         assert kills_relators(h, [w]) == (image == (0, 1))
-        assert kills(w.letters, h.gen_images, h.inverse_images) == (image == (0, 1))
+        assert kills(letter_codes(w.letters), columns_by_code(h)) == (image == (0, 1))
+
+
+def test_letter_codes():
+    assert letter_codes(parse_word("aBAb", AB).letters) == (0, 3, 1, 2)
+    assert letter_codes(()) == ()
+
+
+def test_kills_edge_cases():
+    # a -> (0 2 1) fixes point 0 but moves 1 and 2: point 0 alone would pass it
+    h = hom((0, 2, 1), (1, 2, 0))
+    columns = columns_by_code(h)
+    assert kills((), columns)
+    for text, dies in (("a", False), ("A", False), ("aa", True), ("aB", False), ("bbb", True)):
+        codes = letter_codes(parse_word(text, AB).letters)
+        assert kills(codes, columns) == dies
+    # one point: every word dies
+    assert kills((0, 3, 1), columns_by_code(hom((0,), (0,))))
+
+
+def test_kills_matches_word_image():
+    # seeded random words over random homs of degree 1..5, against the
+    # composed image; some words must fix point 0 and still not die
+    rng = random.Random(29)
+    fixes_0_only = 0
+    for _ in range(400):
+        degree = rng.randrange(1, 6)
+        perms = list(itertools.permutations(range(degree)))
+        h = hom(rng.choice(perms), rng.choice(perms))
+        w = random_word(rng, AB, rng.choice((1, 12)))
+        image = word_image(h, w)
+        dies = image == tuple(range(degree))
+        fixes_0_only += image[0] == 0 and not dies
+        assert kills(letter_codes(w.letters), columns_by_code(h)) == dies
+    assert fixes_0_only >= 20
 
 
 def test_kills_relators():
