@@ -11,12 +11,10 @@ from .cosets import (
     regular_table,
     table_from_text,
     table_to_text,
-    trace,
 )
 from .errors import (
     AlphabetMismatch,
     BadBound,
-    BadCoset,
     BadGenus,
     CertificateFormatError,
     EmptyWord,

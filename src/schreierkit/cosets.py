@@ -13,7 +13,6 @@ each table only when it is consumed.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterator
@@ -21,7 +20,6 @@ from typing import Iterator
 from .errors import (
     AlphabetMismatch,
     BadBound,
-    BadCoset,
     EmptyWord,
     InvalidTable,
     ParseError,
@@ -48,18 +46,11 @@ class CosetTable(FiniteQuotientHom):
         super().__post_init__()
         if self.n == 0:
             raise InvalidTable("a coset table needs at least one coset, got index 0")
-        # an inverse is a positive power of its permutation, so the forward
-        # columns reach every coset that the group reaches
-        reached = {BASE}
-        frontier = deque([BASE])
-        while frontier:
-            c = frontier.popleft()
-            for d in [col[c] for col in self.gen_images]:
-                if d not in reached:
-                    reached.add(d)
-                    frontier.append(d)
-        if len(reached) != self.n:
-            raise InvalidTable(f"only {len(reached)} of {self.n} cosets reachable from base")
+        reached = [False] * self.n
+        reached[BASE] = True
+        k = 1 + sum(1 for _ in tree_edges(self, [BASE], reached))
+        if k != self.n:
+            raise InvalidTable(f"only {k} of {self.n} cosets reachable from base")
 
     @property
     def n(self) -> int:
@@ -112,34 +103,48 @@ def regular_table(h: FiniteQuotientHom) -> CosetTable:
     return CosetTable(h.alphabet, columns)
 
 
-def trace(t: CosetTable, start: int, w: FreeWord) -> int:
-    """Apply each letter's action to the coset, left to right."""
-    if not 0 <= start < t.n:
-        raise BadCoset(f"coset {start} out of range for index {t.n}")
-    if w.alphabet != t.alphabet:
-        raise AlphabetMismatch("word and table use different alphabets")
-    images, inverses = t.gen_images, t.inverse_images
-    c = start
-    for gen, sign in w.letters:
-        c = images[gen][c] if sign > 0 else inverses[gen][c]
-    return c
-
-
 def contains(t: CosetTable, w: FreeWord) -> bool:
     """Membership in the subgroup: the word fixes the base coset."""
-    return trace(t, BASE, w) == BASE
+    return prefix_cosets(t, w)[-1] == BASE
 
 
 def prefix_cosets(t: CosetTable, w: FreeWord) -> list[int]:
     """The cosets that the initial segments of ``w`` reach from the base, in
-    one walk: the empty segment's first and ``w``'s own last, so
-    ``len(w) + 1`` of them."""
+    one walk, applying each letter's action left to right: the empty
+    segment's first and ``w``'s own last, so ``len(w) + 1`` of them."""
     if w.alphabet != t.alphabet:
         raise AlphabetMismatch("word and table use different alphabets")
+    images, inverses = t.gen_images, t.inverse_images
     path = [BASE]
+    c = BASE
     for gen, sign in w.letters:
-        path.append(t.step(path[-1], gen, sign))
+        c = images[gen][c] if sign > 0 else inverses[gen][c]
+        path.append(c)
     return path
+
+
+def tree_edges(
+    t: CosetTable, queue: list[int], reached: list[bool]
+) -> Iterator[tuple[int, int, int, int]]:
+    """The one breadth-first search of the coset graph, from the cosets in
+    ``queue``, already marked in ``reached``: each tree edge ``(parent, g,
+    s, child)`` as it is found, ``child`` then marked in ``reached`` and
+    queued.  Letters are visited by generator ascending, sign +1 before
+    -1."""
+    columns = list(enumerate(zip(t.gen_images, t.inverse_images)))
+    # the loop also visits the cosets it appends, in order
+    for c in queue:
+        for g, (forward, backward) in columns:
+            d = forward[c]
+            if not reached[d]:
+                reached[d] = True
+                queue.append(d)
+                yield c, g, 1, d
+            d = backward[c]
+            if not reached[d]:
+                reached[d] = True
+                queue.append(d)
+                yield c, g, -1, d
 
 
 def _scan_rotation(

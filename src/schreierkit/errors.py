@@ -49,10 +49,6 @@ class ImageTooLarge(SchreierKitError):
         self.ceiling = ceiling
 
 
-class BadCoset(SchreierKitError):
-    """Coset identifier out of range for the table."""
-
-
 class InvalidTable(SchreierKitError):
     """Coset table data is incomplete, non-bijective, or not transitive."""
 

@@ -8,13 +8,14 @@ remaining (non-tree) edge contributes one basis element
 subgroup, with exactly ``n·(m-1) + 1`` elements for index ``n`` over
 ``m`` generators.
 
-One breadth-first search finds the spanning tree.
-:func:`schreier_transversal` spells each representative from its
-parent's as the search reaches it; :func:`tree_numbering` numbers the
-non-tree edges of the plain tree during the same search, which is all
-that :func:`crossings` (and so rewriting) reads; :func:`schreier_basis`
-reads the tree back off the representatives' last letters, so it also
-takes a transversal it did not build.
+One breadth-first search finds the spanning tree:
+:func:`~schreierkit.cosets.tree_edges`, which also checks that a table
+is transitive.  :func:`schreier_transversal` spells each representative
+from its parent's as the search reaches it; :func:`tree_numbering`
+numbers the non-tree edges of the plain tree during the same search,
+which is all that :func:`crossings` (and so rewriting) reads;
+:func:`schreier_basis` reads the tree back off the representatives' last
+letters, so it also takes a transversal it did not build.
 
 The last-letter swap is a ``flipped`` set of generators: the basis is read
 off with each of them replaced by its inverse.
@@ -23,9 +24,9 @@ off with each of them replaced by its inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
-from .cosets import BASE, CosetTable, contains, prefix_cosets
+from .cosets import BASE, CosetTable, contains, prefix_cosets, tree_edges
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
 from .words import FreeWord, Letter, empty_word
 
@@ -61,28 +62,6 @@ class SubgroupBasis:
         return self.transversal.table
 
 
-def _tree_edges(
-    t: CosetTable, queue: list[int], reached: list[bool]
-) -> Iterator[tuple[int, int, int, int]]:
-    """The search of :func:`schreier_transversal` from ``queue``: each tree
-    edge ``(parent, g, s, child)`` as it is found, ``child`` then marked in
-    ``reached`` and queued."""
-    columns = list(enumerate(zip(t.gen_images, t.inverse_images)))
-    # the loop also visits the cosets it appends, in order
-    for c in queue:
-        for g, (forward, backward) in columns:
-            d = forward[c]
-            if not reached[d]:
-                reached[d] = True
-                queue.append(d)
-                yield c, g, 1, d
-            d = backward[c]
-            if not reached[d]:
-                reached[d] = True
-                queue.append(d)
-                yield c, g, -1, d
-
-
 def tree_numbering(t: CosetTable) -> list[int | None]:
     """Number the edges of the coset graph that the unseeded spanning tree
     of :func:`schreier_transversal` leaves out.  The edge leaving coset
@@ -95,7 +74,7 @@ def tree_numbering(t: CosetTable) -> list[int | None]:
     numbering: list[int | None] = [0] * (t.n * m)
     reached = [False] * t.n
     reached[BASE] = True
-    for c, g, s, d in _tree_edges(t, [BASE], reached):
+    for c, g, s, d in tree_edges(t, [BASE], reached):
         # the tree edge leaves the parent along g, or the child along g^-1
         numbering[(c if s > 0 else d) * m + g] = None
     position = 0
@@ -169,7 +148,7 @@ def schreier_transversal(
             )
         reached[c] = True
         spelled[c] = through.letters[:i]
-    for c, g, s, d in _tree_edges(t, queue, reached):
+    for c, g, s, d in tree_edges(t, queue, reached):
         spelled[d] = spelled[c] + (Letter(g, s),)
     return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))
 

@@ -31,11 +31,11 @@ from schreierkit import (
     schreier_transversal,
     surface_presentation,
     surface_survey,
-    trace,
     tree_numbering,
     verify_certificate,
 )
 from schreierkit.cli import main
+from test_cosets import walk
 from test_perms import word_image
 from test_transversal import reference_evaluate_positions
 
@@ -224,7 +224,7 @@ def test_criterion_7_rewriting_soundness():
         numbering = tree_numbering(table)
         for _ in range(5):
             u = random_word(rng, table.alphabet, 12)
-            rep = tr.reps[trace(table, 0, u)]
+            rep = tr.reps[walk(table, 0, u)]
             w = free_reduce(table.alphabet, u.letters + invert(rep).letters)
             assert contains(table, w)
             positions, end = crossings(table, numbering, BASE, w)

@@ -469,6 +469,13 @@ def test_basis_rejects_bad_table(capsys, tmp_path):
     assert code == 2
 
 
+def test_table_rejects_unreachable_cosets(capsys, tmp_path):
+    table = tmp_path / "split.table"
+    table.write_text("n=3\na: 1 0 2\nb: 1 0 2\n")
+    code, out, err = run(capsys, "table", "--table", str(table))
+    assert (code, out, err) == (2, "", "error: only 2 of 3 cosets reachable from base\n")
+
+
 def test_table_echo(capsys, tmp_path):
     table = tmp_path / "two.table"
     table.write_text("n=2\na:   1 0\nb: 0   1\n")

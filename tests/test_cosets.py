@@ -11,7 +11,6 @@ from schreierkit import (
     Alphabet,
     AlphabetMismatch,
     BadBound,
-    BadCoset,
     CosetTable,
     EmptyWord,
     FiniteQuotientHom,
@@ -32,9 +31,8 @@ from schreierkit import (
     surface_presentation,
     table_from_text,
     table_to_text,
-    trace,
 )
-from schreierkit.cosets import prefix_cosets
+from schreierkit.cosets import prefix_cosets, tree_edges
 from test_perms import word_image
 
 AB = Alphabet.of("ab")
@@ -45,6 +43,14 @@ def hom(a_images, b_images):
 
 
 TWO = regular_table(hom((1, 0), (0, 1)))
+
+
+def walk(t, start, w):
+    """The coset that ``w`` reaches from ``start``, one ``t.step`` a letter."""
+    c = start
+    for gen, sign in w.letters:
+        c = t.step(c, gen, sign)
+    return c
 
 
 def random_word(rng, alphabet, max_len):
@@ -144,12 +150,13 @@ def test_regular_table_membership_matches_kernel():
 
 
 def test_trace_examples():
-    assert trace(TWO, 1, parse_word("1", AB)) == 1
-    assert trace(TWO, 0, parse_word("ab", AB)) == 1
-    with pytest.raises(BadCoset):
-        trace(TWO, 2, parse_word("a", AB))
+    assert prefix_cosets(TWO, parse_word("1", AB)) == [0]
+    assert prefix_cosets(TWO, parse_word("ab", AB)) == [0, 1, 1]
+    assert not contains(TWO, parse_word("ab", AB))
     with pytest.raises(AlphabetMismatch):
-        trace(TWO, 0, parse_word("a", Alphabet.of("abc")))
+        prefix_cosets(TWO, parse_word("a", Alphabet.of("abc")))
+    with pytest.raises(AlphabetMismatch):
+        contains(TWO, parse_word("a", Alphabet.of("abc")))
 
 
 def test_trace_action_law():
@@ -158,9 +165,8 @@ def test_trace_action_law():
     for _ in range(200):
         u = random_word(rng, AB, 8)
         v = random_word(rng, AB, 8)
-        c = rng.randrange(table.n)
         uv = free_reduce(AB, u.letters + v.letters)
-        assert trace(table, c, uv) == trace(table, trace(table, c, u), v)
+        assert prefix_cosets(table, uv)[-1] == walk(table, prefix_cosets(table, u)[-1], v)
 
 
 def test_trace_depends_only_on_group_element():
@@ -175,8 +181,10 @@ def test_trace_depends_only_on_group_element():
             g = rng.randrange(2)
             s = rng.choice((1, -1))
             raw[pos:pos] = [Letter(g, s), Letter(g, -s)]
-        assert free_reduce(AB, raw) == w
-        assert trace(table, 0, free_reduce(AB, raw)) == trace(table, 0, w)
+        reduced = free_reduce(AB, raw)
+        assert reduced == w
+        assert prefix_cosets(table, reduced)[-1] == prefix_cosets(table, w)[-1]
+        assert contains(table, reduced) == contains(table, w)
 
 
 def test_contains_examples():
@@ -631,3 +639,15 @@ def test_presentation_rejects_empty_relator():
 def test_presentation_rejects_relator_over_other_alphabet():
     with pytest.raises(AlphabetMismatch):
         Presentation(AB, (parse_word("aa", Alphabet.of("abc")),))
+
+
+def test_tree_edges_order():
+    t = table_from_text("n=4\na: 1 2 0 3\nb: 3 1 2 0\n")
+    reached = [True, False, False, False]
+    assert list(tree_edges(t, [BASE], reached)) == [
+        (0, 0, 1, 1), (0, 0, -1, 2), (0, 1, 1, 3)
+    ]
+    assert reached == [True] * 4
+    # a coset marked reached in advance is searched from but never yielded
+    reached = [True, False, True, False]
+    assert list(tree_edges(t, [0, 2], reached)) == [(0, 0, 1, 1), (0, 1, 1, 3)]

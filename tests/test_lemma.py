@@ -42,7 +42,6 @@ from schreierkit import (
     regular_table,
     run_lemma,
     schreier_basis,
-    trace,
     verify_certificate,
 )
 from schreierkit.lemma import (
@@ -53,6 +52,7 @@ from schreierkit.lemma import (
     _symmetric,
     _Symmetric,
 )
+from test_cosets import walk
 from test_perms import word_image
 from test_transversal import reference_check_transversal
 
@@ -622,7 +622,7 @@ def test_transversal_seeded_matches_initial_segment_definition():
         reps = cert.transversal.reps
         for w in dict.fromkeys(w for w in words if len(w) > 0):
             expected = any(
-                reps[trace(cert.table, BASE, p)] != p
+                reps[walk(cert.table, BASE, p)] != p
                 for p in (FreeWord(AB, w.letters[:i]) for i in range(len(w)))
             )
             failures = verify_certificate(tampered(cert, relator=w)).failures
@@ -709,7 +709,8 @@ def golden_with_extra_elements(count):
 
 def test_verify_decides_the_basis_count_before_tracing(monkeypatch):
     cert = certificate_from_json(golden_with_extra_elements(20_000))
-    untraced = cosets.trace
+    # contains walks through this binding; lemma's own, which walks r, stays
+    untraced = cosets.prefix_cosets
     calls = 0
 
     def counted(*args):
@@ -717,14 +718,14 @@ def test_verify_decides_the_basis_count_before_tracing(monkeypatch):
         calls += 1
         return untraced(*args)
 
-    monkeypatch.setattr(cosets, "trace", counted)
+    monkeypatch.setattr(cosets, "prefix_cosets", counted)
     assert verify_certificate(cert).failures == (
         "basis_invariants",
         "basis_matches_schreier_method",
         "generator_bound_matches",
         "fold_verify_passes",
     )
-    # one trace per relator and one for r: no basis element is traced
+    # one walk per relator, and r at most: no basis element is walked
     assert calls <= len(cert.presentation.relators) + 1
 
 

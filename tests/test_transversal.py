@@ -33,11 +33,11 @@ from schreierkit import (
     schreier_basis,
     schreier_transversal,
     surface_presentation,
-    trace,
     transversal_to_text,
     tree_numbering,
 )
 from schreierkit.lemma import _basis_invariants, _transversal_valid
+from test_cosets import walk
 
 AB = Alphabet.of("ab")
 TWO = regular_table(FiniteQuotientHom(AB, ((1, 0), (0, 1))))
@@ -155,7 +155,7 @@ def test_seeded_transversal_random():
         tr = schreier_transversal(table, w)
         assert _transversal_valid(tr)
         for p in initial_segments(w):
-            assert tr.reps[trace(table, 0, p)] == p
+            assert tr.reps[walk(table, 0, p)] == p
 
 
 def test_seeded_reps_are_minimal_extensions():
@@ -168,7 +168,7 @@ def test_seeded_reps_are_minimal_extensions():
         if w is None:
             continue
         tr = schreier_transversal(table, w)
-        seeded = {trace(table, 0, p): len(p) for p in initial_segments(w)}
+        seeded = {walk(table, 0, p): len(p) for p in initial_segments(w)}
         dist = {c: 0 for c in seeded}
         queue = deque(seeded)
         while queue:
@@ -278,7 +278,7 @@ def random_word_in_subgroup(rng, table):
     ]
     u = free_reduce(alphabet, raw)
     tr = schreier_transversal(table)
-    rep = tr.reps[trace(table, 0, u)]
+    rep = tr.reps[walk(table, 0, u)]
     return free_reduce(alphabet, u.letters + invert(rep).letters)
 
 
@@ -345,7 +345,7 @@ def test_basis_through_word_randomized():
         assert _basis_invariants(basis)
         assert fold_verify(basis)
         # the through-word sits on its final edge
-        final = trace(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
+        final = walk(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
         assert basis.edge_index[(final, w.letters[-1].gen)] == position
 
 
@@ -724,7 +724,7 @@ def reference_check_transversal(tr: SchreierTransversal) -> list[str]:
         if w.alphabet != t.alphabet:
             failures.append(f"representative {c} uses a different alphabet")
             continue
-        if trace(t, BASE, w) != c:
+        if walk(t, BASE, w) != c:
             failures.append(f"representative {w} does not trace to coset {c}")
         if len(w) > 0 and w.letters[:-1] not in pool:
             failures.append(f"representative set is not prefix-closed at {w}")
@@ -826,7 +826,7 @@ def reference_schreier_transversal(
                 f"seed is not prefix-closed: missing prefix of {w}"
             )
         for w in words:
-            c = trace(t, BASE, w)
+            c = walk(t, BASE, w)
             assert reps[c] is None, f"seed words {reps[c]} and {w} both trace to coset {c}"
             reps[c] = w
             queue.append(c)
