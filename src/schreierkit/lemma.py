@@ -570,6 +570,13 @@ def _int_rows(doc: dict, key: str, what: str) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+def _words(doc: dict, key: str, alphabet: Alphabet) -> tuple[FreeWord, ...]:
+    words = _require(doc, key, list)
+    if not set(map(type, words)) <= {str}:
+        raise CertificateFormatError(f"field {key!r} must list word strings")
+    return tuple(parse_word(w, alphabet) for w in words)
+
+
 def certificate_from_json(text: str) -> LemmaCertificate:
     """Parse a certificate document.  Structural problems (bad JSON, missing
     fields, malformed words or permutations, an edge listed twice) raise
@@ -593,9 +600,7 @@ def certificate_from_json(text: str) -> LemmaCertificate:
     try:
         pres_doc = _require(doc, "presentation", dict)
         alphabet = Alphabet.of(_require(pres_doc, "alphabet", str))
-        relators = tuple(
-            parse_word(w, alphabet) for w in _require(pres_doc, "relators", list)
-        )
+        relators = _words(pres_doc, "relators", alphabet)
         presentation = Presentation(alphabet, relators)
         relator = parse_word(_require(doc, "relator", str), alphabet)
         hom_doc = _require(doc, "hom", dict)
@@ -608,10 +613,7 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         table = CosetTable(alphabet, _int_rows(table_doc, "action", "table.action"))
         if table.n != n:
             raise CertificateFormatError("table n does not match its action")
-        reps = tuple(
-            parse_word(w, alphabet) for w in _require(doc, "transversal", list)
-        )
-        transversal = SchreierTransversal(table, reps)
+        transversal = SchreierTransversal(table, _words(doc, "transversal", alphabet))
         basis_doc = _require(doc, "basis", dict)
         flipped = _require(basis_doc, "flipped", list)
         if not (set(map(type, flipped)) <= _INT and all(0 <= g < alphabet.size for g in flipped)):
@@ -619,9 +621,7 @@ def certificate_from_json(text: str) -> LemmaCertificate:
         repeated = [g for g, count in Counter(flipped).items() if count > 1]
         if repeated:
             raise CertificateFormatError(f"flipped lists generator {repeated[0]} more than once")
-        elements = tuple(
-            parse_word(w, alphabet) for w in _require(basis_doc, "elements", list)
-        )
+        elements = _words(basis_doc, "elements", alphabet)
         edge_index: dict[tuple[int, int], int] = {}
         for entry in _require(basis_doc, "edge_index", list):
             if not (isinstance(entry, list) and len(entry) == 3 and set(map(type, entry)) <= _INT):

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .cosets import BASE, CosetTable, contains, prefix_cosets, tree_edges
+from .cosets import BASE, CosetTable, prefix_cosets, tree_edges
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
 from .words import FreeWord, Letter, empty_word
 
@@ -243,9 +243,9 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
 def fold_verify(b: SubgroupBasis) -> bool:
     """Check, independently of the transversal, that the elements are a
     basis of exactly the table's subgroup ``H``: there are exactly
-    ``k = n·(m-1) + 1`` of them (index ``n``, ``m`` generators), each
-    fixing the base coset, and their folded graph has ``V = n`` vertices
-    and ``E = n·m`` edges.  Reads only ``b.elements`` and ``b.table``.  The
+    ``k = n·(m-1) + 1`` of them (index ``n``, ``m`` generators), their
+    folded graph has ``V = n`` vertices and ``E = n·m`` edges, and the
+    table maps onto it.  Reads only ``b.elements`` and ``b.table``.  The
     count is checked first, so a list of the wrong length is ``False``
     before any element is read, whatever its alphabets; with the right
     count, an element over another alphabet raises :class:`AlphabetMismatch`.
@@ -265,9 +265,12 @@ def fold_verify(b: SubgroupBasis) -> bool:
     it is laid out, so this is the fold of all loops wedged at the base,
     in another order; folding is confluent, so the final graph is the
     same.  It is connected and folded; with ``n`` vertices and ``n·m``
-    edges it is complete, so it is the coset graph of
-    ``K = <elements>`` and ``K`` has index ``n``.  ``K ≤ H`` as every
-    element fixes the base, and ``[F:H] = n``, so ``K = H``.  Merging two
+    edges it is complete, so it is the coset graph of ``K = <elements>``
+    and ``K`` has index ``n``.  No element is traced: the table's one
+    breadth-first search (:func:`~schreierkit.cosets.tree_edges`) sends
+    each coset to a vertex along its tree edges, and then every edge of
+    the table must be an edge of the graph.  That holds exactly when
+    ``H ≤ K``, which with equal index means ``K = H``.  Merging two
     edges whose far ends already coincide lowers the rank by one, and
     nothing else changes it, so the list is independent exactly when
     ``E - V + 1 = n·(m-1) + 1`` equals ``k``, as the counts make it.  An
@@ -294,8 +297,6 @@ def fold_verify(b: SubgroupBasis) -> bool:
         return root
 
     for w in b.elements:
-        if not contains(t, w):
-            return False
         letters = w.letters
         if not letters:
             continue
@@ -346,8 +347,18 @@ def fold_verify(b: SubgroupBasis) -> bool:
                     nbr[absorbed + k] = -1
 
     vertices = sum(1 for v, p in enumerate(parent) if v == p)
-    edges = sum(1 for y in nbr if y >= 0) // 2
-    return vertices == n and edges == n * m
+    if vertices != n or (len(nbr) - nbr.count(-1)) // 2 != n * m:
+        return False
+    reached = [False] * n
+    reached[BASE] = True
+    vertex = [find(0)] * n  # the folded vertex of each coset
+    for c, g, s, d in tree_edges(t, [BASE], reached):
+        vertex[d] = find(nbr[vertex[c] * width + 2 * g + (s < 0)])
+    return all(
+        find(nbr[vertex[c] * width + 2 * g]) == vertex[d]
+        for g, column in enumerate(t.gen_images)
+        for c, d in enumerate(column)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ A word is a sequence of letters, each a generator ``g`` together with a
 sign ``s``; the letter's code is ``2g + (s < 0)`` (:func:`letter_codes`), so
 ``k ^ 1`` is the code of its inverse, and lists of columns are indexed by it.
 Every :class:`FreeWord` is stored fully reduced: no letter is adjacent to
-its own inverse.  Every word is built by the one validating constructor,
-which checks the letters against the alphabet and raises
-:class:`UnreducedWord` on an unreduced sequence; :func:`free_reduce` and
-:func:`parse_word` cancel first.
+its own inverse.  The constructor checks the letters against the alphabet
+and rejects an unreduced sequence; :func:`free_reduce` cancels first.  Only
+:func:`parse_word` skips the check: its letters are the alphabet's own, and
+it cancels a text only when it holds an inverse pair such as ``aA``.
 
 Text syntax: a generator prints as its lowercase name, its inverse as the
 same ASCII letter uppercased, juxtaposition is concatenation, and ``"1"``
@@ -27,13 +27,14 @@ _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered, pairwise distinct single-character lowercase generator names,
-    with the ``2m`` letters interned in tables that equality, hashing and
-    repr ignore: character to letter, letter to inverse, letter to character."""
+    with tables that equality, hashing and repr ignore: character to letter,
+    letter to inverse, letter to character, and the inverse pairs (``aA``)."""
 
     names: tuple[str, ...]
     letter_of: dict[str, Letter] = field(init=False, repr=False, compare=False)
     inverse_of: dict[Letter, Letter] = field(init=False, repr=False, compare=False)
     char_of: dict[Letter, str] = field(init=False, repr=False, compare=False)
+    inverse_pairs: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.names:
@@ -52,6 +53,7 @@ class Alphabet:
         object.__setattr__(self, "letter_of", letter_of)
         object.__setattr__(self, "inverse_of", inverse_of)
         object.__setattr__(self, "char_of", {y: ch for ch, y in letter_of.items()})
+        object.__setattr__(self, "inverse_pairs", tuple(ch + ch.swapcase() for ch in letter_of))
 
     def __eq__(self, other: object) -> bool:
         # the dataclass comparison, after the identity test that settles
@@ -120,6 +122,14 @@ class FreeWord:
         if not is_reduced(self.letters):
             raise UnreducedWord(f"letters are not freely reduced: {self.letters!r}")
 
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> FreeWord:
+        """Build unchecked from the alphabet's own letters, proved reduced."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "alphabet", alphabet)
+        object.__setattr__(w, "letters", letters)
+        return w
+
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -167,10 +177,12 @@ def invert(w: FreeWord) -> FreeWord:
 def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
     """Parse word syntax and freely reduce the result.
 
-    ``"1"`` and the empty string parse to the empty word.  A character
-    other than a generator name or its ASCII uppercase raises
-    :class:`ParseError` carrying the position of the first such character.
+    ``"1"`` and the empty string parse to the empty word.  A non-``str``
+    raises :class:`ParseError`, and so does a character other than a
+    generator name or its ASCII uppercase, carrying the first one's position.
     """
+    if not isinstance(text, str):
+        raise ParseError(f"a word must be a string, got {type(text).__name__}")
     if text in ("", "1"):
         return empty_word(alphabet)
     letter_of = alphabet.letter_of
@@ -180,4 +192,6 @@ def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
         pos = next(i for i, ch in enumerate(text) if ch not in letter_of)
         message = f"unknown character {text[pos]!r} at position {pos}"
         raise ParseError(message, position=pos) from None
-    return FreeWord(alphabet, _cancel(alphabet.inverse_of, raw))
+    if any(map(text.__contains__, alphabet.inverse_pairs)):
+        raw = _cancel(alphabet.inverse_of, raw)
+    return FreeWord._trusted(alphabet, raw)

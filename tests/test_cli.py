@@ -406,6 +406,29 @@ def test_verify_rejects_bool_permutation_rows(capsys, tmp_path, field, key):
     assert err == f"error: {field}.{key} rows must be lists of integers\n"
 
 
+@pytest.mark.parametrize(
+    "path",
+    [("presentation", "relators"), ("transversal",), ("basis", "elements")],
+    ids=["relator", "representative", "basis-element"],
+)
+@pytest.mark.parametrize(
+    "spell", [list, lambda word: 7, lambda word: None], ids=["letter-list", "integer", "null"]
+)
+def test_verify_rejects_a_word_that_is_not_a_string(capsys, tmp_path, path, spell):
+    # the word's letters as a JSON list used to verify as the word itself,
+    # and an integer failed with a message that named no field
+    doc = json.loads(AA_CERTIFICATE)
+    words = doc
+    for key in path:
+        words = words[key]
+    words[-1] = spell(words[-1])
+    cert = tmp_path / "edited.json"
+    cert.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--certificate", str(cert))
+    assert_input_error(code, out, err)
+    assert err == f"error: field {path[-1]!r} must list word strings\n"
+
+
 NOT_A_BIJECTION = "error: malformed certificate: not a bijection on [0, 2): (0, 0)\n"
 
 

@@ -32,6 +32,23 @@ def test_no_private_names_imported_across_modules():
     assert offenders == []
 
 
+def test_unchecked_constructors_stay_where_their_input_is_proved():
+    # every read of `X._trusted`, call or not, with its module and the
+    # top-level function it is in
+    reads = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            reads.extend(
+                (path.stem, getattr(top, "name", None), ast.unparse(node.value))
+                for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "_trusted"
+            )
+    assert sorted(reads) == [
+        ("cosets", "iter_low_index_tables", "CosetTable"),
+        ("words", "parse_word", "FreeWord"),
+    ]
+
+
 def test_sibling_imports_are_used():
     unused = []
     for path in sorted(SRC.glob("*.py")):

@@ -750,6 +750,50 @@ def reference_parse_word(text, alphabet):
     return free_reduce(alphabet, raw)
 
 
+def test_parse_word_matches_reference_parse():
+    """``parse_word`` cancels only text holding an inverse pair and builds
+    its word unchecked; the result must be the reference parse's word,
+    equal to and hashing like the checked constructor's, over 1 to 3
+    generators, with pairs at either end and cascades such as ``abBA``."""
+    rng = random.Random(3141)
+    for names in ("a", "ab", "abc"):
+        alphabet = Alphabet.of(names)
+        symbols = names + names.upper()
+        texts = ["", "1", "aA", "Aa", "aAa", "AaA", "aaAA"]
+        if len(names) > 1:
+            texts += ["abBA", "BAab", "abBAb", "aabBAA", "bAaBab", "baABAabb"]
+        for _ in range(400):
+            body = "".join(rng.choice(symbols) for _ in range(rng.randrange(12)))
+            ch = rng.choice(symbols)
+            pair = ch + ch.swapcase()
+            k = rng.randrange(len(body) + 1)
+            texts += [
+                body,
+                pair + body,
+                body + pair,
+                body[:k] + pair + body[k:],
+                body + body[::-1].swapcase(),  # cancels to the empty word
+            ]
+        cancelled = 0
+        for text in texts:
+            word, expected = parse_word(text, alphabet), reference_parse_word(text, alphabet)
+            checked = FreeWord(alphabet, tuple(expected.letters))
+            assert word == expected == checked, text
+            assert hash(word) == hash(checked), text
+            assert type(word.letters) is tuple and str(word) == str(checked)
+            cancelled += len(word) < len(text.replace("1", ""))
+        assert cancelled > 1000
+    # a non-ASCII character stays an error at its position, pair or no pair
+    ak = Alphabet.of("ak")
+    for text, position in (("ak\u212a", 2), ("aAk\u212a", 3), ("\u212akK", 0)):
+        with pytest.raises(ParseError) as info:
+            parse_word(text, ak)
+        assert info.value.position == position
+        with pytest.raises(ParseError) as reference:
+            reference_parse_word(text, ak)
+        assert str(info.value) == str(reference.value)
+
+
 def reference_basis_invariants(b):
     """Oracle: every basis invariant checked in full, with membership read
     off each element's permutation of the cosets."""

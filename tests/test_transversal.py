@@ -430,10 +430,51 @@ def test_fold_verify_rejects_tampered_lists():
     assert not fold_verify(with_elements(rose, [parse_word("aB", AB)] * 2))
 
     # a basis of the other index-2 subgroup, whose coset graph has the same
-    # counts: only the membership of its elements tells them apart
+    # counts: only the walk that maps the table onto the graph tells them apart
     other = schreier_basis(schreier_transversal(CosetTable(AB, ((0, 1), (1, 0)))))
     assert fold_verify(other)
     assert not fold_verify(with_elements(basis, other.elements))
+
+
+def rebased(table, c):
+    """The table of the conjugate subgroup that fixes coset ``c``: the same
+    action with cosets ``0`` and ``c`` swapped."""
+    swap = list(range(table.n))
+    swap[BASE], swap[c] = c, BASE
+    return CosetTable(
+        table.alphabet,
+        tuple(tuple(swap[p[swap[d]]] for d in range(table.n)) for p in table.gen_images),
+    )
+
+
+def test_fold_verify_rejects_a_conjugate_subgroup_by_the_walk_alone():
+    # a swaps cosets 0 and 1, b swaps 1 and 2: the stabiliser of coset 0 is
+    # not normal, and its conjugate fixing coset 1 has the same index
+    table = CosetTable(AB, ((1, 0, 2), (0, 2, 1)))
+    conjugate = rebased(table, 1)
+    assert conjugate != table
+    own = schreier_basis(schreier_transversal(conjugate))
+    # the counts read the elements alone, and over their own table they pass
+    assert fold_verify(own) and reference_fold_verify(own)
+    candidate = with_elements(schreier_basis(schreier_transversal(table)), own.elements)
+    assert not all(contains(table, u) for u in own.elements)
+    assert not fold_verify(candidate)
+    assert not reference_fold_verify(candidate)
+
+    # random conjugates: the verdict is whether the conjugate is the subgroup
+    rng = random.Random(3131)
+    verdicts = {True: 0, False: 0}
+    for _ in range(80):
+        m, n = rng.randrange(1, 4), rng.randrange(2, 13)
+        table = random_table(rng, Alphabet.first(m), n)
+        own = schreier_basis(schreier_transversal(rebased(table, rng.randrange(1, n))))
+        assert fold_verify(own)
+        candidate = with_elements(schreier_basis(schreier_transversal(table)), own.elements)
+        verdict = fold_verify(candidate)
+        assert verdict == all(contains(table, u) for u in own.elements)
+        assert verdict == reference_fold_verify(candidate)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 5
 
 
 class _ReferenceUnionFind:

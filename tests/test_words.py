@@ -163,6 +163,15 @@ def test_parse_rejects_kelvin_sign():
     assert info.value.position == 2
 
 
+@pytest.mark.parametrize("value", [["a", "b"], ("a", "A"), 7, None, b"ab"])
+def test_parse_rejects_anything_but_a_string(value):
+    # a list of letters would pass the inverse-pair test and come out unreduced
+    with pytest.raises(ParseError) as info:
+        parse_word(value, AB)
+    assert info.value.position is None
+    assert str(info.value) == f"a word must be a string, got {type(value).__name__}"
+
+
 def test_parse_matches_free_reduce_on_random_text():
     rng = random.Random(1414)
     for _ in range(500):
