@@ -2,13 +2,16 @@
 
 A :class:`CosetTable` is a :class:`~schreierkit.perms.FiniteQuotientHom`
 acting on coset identifiers ``0 .. n-1``; coset ``0`` is the base coset of
-the subgroup itself.  Tables are validated on construction: every
+the subgroup itself.  The letter of code ``k`` (see
+:mod:`~schreierkit.words`) sends coset ``c`` to ``t.columns[k][c]``, and
+the walks and the breadth-first search here read a word's codes and that
+list as they are.  Tables are validated on construction: every
 generator's column must be a bijection and the action must be transitive
 from the base.  The one exception is the leaf of
-:func:`iter_low_index_tables`, whose complete columns are permutations,
-hold their own inverses and act transitively by construction.  That
-enumeration keeps one packed key per subgroup, sorts the keys, and builds
-each table only when it is consumed.
+:func:`iter_low_index_tables`, whose complete columns, kept in the same
+code order, are permutations held with their inverses and act
+transitively by construction.  That enumeration keeps one packed key per
+subgroup, sorts the keys, and builds each table only when it is consumed.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     ParseError,
 )
 from .perms import FiniteQuotientHom, compose, image_closure
-from .words import Alphabet, FreeWord, letter_codes, parse_word
+from .words import Alphabet, FreeWord, parse_word
 
 BASE = 0
 DEFAULT_MAX_INDEX = 8
@@ -58,20 +61,15 @@ class CosetTable(FiniteQuotientHom):
         return self.degree
 
     @classmethod
-    def _trusted(
-        cls,
-        alphabet: Alphabet,
-        gen_images: tuple[tuple[int, ...], ...],
-        inverses: tuple[tuple[int, ...], ...],
-    ) -> CosetTable:
-        """Build without any check from tuple columns and their inverse
-        columns that the caller has already proved to be a table, as
+    def _trusted(cls, alphabet: Alphabet, columns: tuple[tuple[int, ...], ...]) -> CosetTable:
+        """Build without any check from tuple columns listed by letter code
+        that the caller has already proved to be a table, as
         :func:`iter_low_index_tables` does for its leaves; the result equals
         and hashes like the validated construction."""
         t = object.__new__(cls)
         object.__setattr__(t, "alphabet", alphabet)
-        object.__setattr__(t, "gen_images", gen_images)
-        object.__setattr__(t, "inverse_images", inverses)
+        object.__setattr__(t, "gen_images", columns[::2])
+        object.__setattr__(t, "columns", columns)
         return t
 
 
@@ -114,37 +112,32 @@ def prefix_cosets(t: CosetTable, w: FreeWord) -> list[int]:
     segment's first and ``w``'s own last, so ``len(w) + 1`` of them."""
     if w.alphabet != t.alphabet:
         raise AlphabetMismatch("word and table use different alphabets")
-    images, inverses = t.gen_images, t.inverse_images
+    columns = t.columns
     path = [BASE]
     c = BASE
-    for gen, sign in w.letters:
-        c = images[gen][c] if sign > 0 else inverses[gen][c]
+    for k in w.codes:
+        c = columns[k][c]
         path.append(c)
     return path
 
 
 def tree_edges(
     t: CosetTable, queue: list[int], reached: list[bool]
-) -> Iterator[tuple[int, int, int, int]]:
+) -> Iterator[tuple[int, int, int]]:
     """The one breadth-first search of the coset graph, from the cosets in
-    ``queue``, already marked in ``reached``: each tree edge ``(parent, g,
-    s, child)`` as it is found, ``child`` then marked in ``reached`` and
-    queued.  Letters are visited by generator ascending, sign +1 before
-    -1."""
-    columns = list(enumerate(zip(t.gen_images, t.inverse_images)))
+    ``queue``, already marked in ``reached``: each tree edge ``(parent, k,
+    child)``, ``k`` the code of the letter it is read by, as it is found,
+    ``child`` then marked in ``reached`` and queued.  Letters are visited
+    by code ascending: generator ascending, sign +1 before -1."""
+    columns = list(enumerate(t.columns))
     # the loop also visits the cosets it appends, in order
     for c in queue:
-        for g, (forward, backward) in columns:
-            d = forward[c]
+        for k, column in columns:
+            d = column[c]
             if not reached[d]:
                 reached[d] = True
                 queue.append(d)
-                yield c, g, 1, d
-            d = backward[c]
-            if not reached[d]:
-                reached[d] = True
-                queue.append(d)
-                yield c, g, -1, d
+                yield c, k, d
 
 
 def _scan_rotation(
@@ -283,7 +276,7 @@ def iter_low_index_tables(
     starting: list[list[tuple[list, list, tuple[int, ...]]]] = [[] for _ in range(width)]
     rotations: dict[tuple[int, ...], None] = {}
     for rel in p.relators:
-        codes = letter_codes(rel.letters)
+        codes = rel.codes
         for i in range(len(codes)):
             rotations[codes[i:] + codes[:i]] = None
     for rot in rotations:
@@ -354,13 +347,12 @@ def iter_low_index_tables(
     else:
         keys.sort(key=lambda key: " ".join(map(str, chain(*_key_columns(key, n)[::2]))))
     for key in keys:
-        columns = _key_columns(key, n)
-        yield CosetTable._trusted(p.alphabet, tuple(columns[::2]), tuple(columns[1::2]))
+        yield CosetTable._trusted(p.alphabet, _key_columns(key, n))
 
 
-def _key_columns(key: bytes | tuple[int, ...], n: int) -> list[tuple[int, ...]]:
+def _key_columns(key: bytes | tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
     """The columns of a packed leaf key, ``n`` ids each."""
-    return list(zip(*[iter(key)] * n))
+    return tuple(zip(*[iter(key)] * n))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ class InvalidHom(SchreierKitError, ValueError):
 
 
 class InvalidLetter(SchreierKitError):
-    """A letter references a generator outside its alphabet, or has a bad sign."""
+    """A letter code is not an integer in ``0 .. 2m-1`` for an alphabet of
+    ``m`` generators, or a ``Letter`` has a bad generator or sign."""
 
 
 class AlphabetMismatch(SchreierKitError):

@@ -53,7 +53,7 @@ from .transversal import (
     basis_through_word,
     fold_verify,
 )
-from .words import Alphabet, FreeWord, invert, letter_codes, parse_word
+from .words import Alphabet, FreeWord, invert, parse_word
 
 DEFAULT_MAX_DEGREE = 6
 
@@ -297,8 +297,9 @@ def find_separating_quotient(
     tables are built per call and dropped, since S_10's alone would hold
     about 1 GB for good.  The images and their inverses sit in one list,
     image then inverse for each generator, indexed by letter code (see
-    :mod:`~schreierkit.words`), and the codes of ``r`` and of each relator
-    are computed once per call.
+    :mod:`~schreierkit.words`), as ``FiniteQuotientHom.columns`` lists
+    them, and the codes of ``r`` and of each relator are read as the words
+    hold them.
     """
     if max_degree < 1:
         raise BadBound(f"max_degree must be at least 1, got {max_degree}")
@@ -309,9 +310,8 @@ def find_separating_quotient(
     m = p.alphabet.size
     by_level: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
     for rel in p.relators:
-        codes = letter_codes(rel.letters)
-        by_level[max(codes) // 2 + 1].append(codes)
-    r_codes = letter_codes(r.letters)
+        by_level[max(rel.codes) // 2 + 1].append(rel.codes)
+    r_codes = r.codes
     # early[k]: the codes of r's longest leading run over generators 0..k,
     # at most |r| - 1 letters; its initial segments are checked for
     # separation once generator k has an image.  It is () where it is no
@@ -399,15 +399,16 @@ def _transversal_valid(tr: SchreierTransversal) -> bool:
     each representative then traces from the base to its own coset, and
     the set is prefix-closed."""
     t, reps = tr.table, tr.reps
-    if len(reps) != t.n or any(w.alphabet != t.alphabet for w in reps) or reps[BASE].letters:
+    if len(reps) != t.n or any(w.alphabet != t.alphabet for w in reps) or reps[BASE].codes:
         return False
+    columns = t.columns
     for c, w in enumerate(reps):
         if c == BASE:
             continue
-        if not w.letters:
+        codes = w.codes
+        if not codes:
             return False
-        g, s = w.letters[-1]
-        if reps[t.step(c, g, -s)].letters != w.letters[:-1]:
+        if reps[columns[codes[-1] ^ 1][c]].codes != codes[:-1]:
             return False
     return True
 
@@ -422,15 +423,15 @@ def _basis_invariants(b: SubgroupBasis) -> bool:
         len(elements) == t.n * (t.alphabet.size - 1) + 1
         and sorted(b.edge_index.values()) == list(range(len(elements)))
         and len(set(elements)) == len(elements)
-        and all(u.letters and contains(t, u) for u in elements)
+        and all(u.codes and contains(t, u) for u in elements)
     )
 
 
 def verify_certificate(c: LemmaCertificate) -> VerificationResult:
     """Re-derive every certificate invariant from raw data, trusting nothing
     from the producer.  Collects all failures instead of stopping early so
-    the result names each broken invariant.  The basis is compared, letter
-    by letter and with its ``edge_index``, with what :func:`basis_letters`
+    the result names each broken invariant.  The basis is compared, code
+    by code and with its ``edge_index``, with what :func:`basis_letters`
     reads off the tree; certificate elements are validated reduced words,
     so an unreduced tree spelling never compares equal."""
     failures: list[str] = []
@@ -474,8 +475,8 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         # exactly when it has i letters and ends in r's i-th letter
         reps = c.transversal.reps
         if any(
-            len(reps[d]) != i or reps[d].letters[-1] != letter
-            for i, (d, letter) in enumerate(zip(path[1:-1], r.letters), 1)
+            len(reps[d]) != i or reps[d].codes[-1] != k
+            for i, (d, k) in enumerate(zip(path[1:-1], r.codes), 1)
         ):
             failures.append("transversal_seeded")
 
@@ -488,11 +489,11 @@ def verify_certificate(c: LemmaCertificate) -> VerificationResult:
         edge_index, raw_elements = basis_letters(c.transversal, c.basis.flipped)
         if 0 <= c.r_position < len(raw_elements):
             expected_raw = invert(r) if c.matched_inverse else r
-            if raw_elements[c.r_position] != expected_raw.letters:
+            if raw_elements[c.r_position] != expected_raw.codes:
                 failures.append("matched_inverse_consistent")
-            raw_elements[c.r_position] = r.letters
+            raw_elements[c.r_position] = r.codes
         if (
-            raw_elements != [u.letters for u in c.basis.elements]
+            raw_elements != [u.codes for u in c.basis.elements]
             or edge_index != c.basis.edge_index
         ):
             failures.append("basis_matches_schreier_method")

@@ -5,6 +5,11 @@ A permutation of ``[0, n)`` is its image tuple ``p``: ``i`` goes to
 ``p[i]``.  Permutations act on the right: ``compose(p, q)`` sends ``i`` to
 ``q[p[i]]``, i.e. applies ``p`` first.  This matches the coset-table
 convention (coset times generator) used throughout the package.
+
+A homomorphism is given by ``gen_images``, one column per generator, and
+holds ``columns``, its columns listed by letter code (see
+:mod:`~schreierkit.words`): the letter of code ``k`` sends ``x`` to
+``columns[k][x]``, so every walker reads a word's codes straight into it.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
 from .errors import AlphabetMismatch, ImageTooLarge, InvalidHom, InvalidPermutation
-from .words import Alphabet, FreeWord, letter_codes
+from .words import Alphabet, FreeWord
 
 DEFAULT_IMAGE_CEILING = 10000
 
@@ -36,19 +41,18 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
 @dataclass(frozen=True)
 class FiniteQuotientHom:
     """A homomorphism from the free group on ``alphabet`` into S_degree,
-    given by one image tuple per generator.  ``inverse_images`` holds the
-    inverse columns, computed on construction and read-only like the rest;
-    equality and hashing ignore it, since ``gen_images`` determines it.
-    Columns given as other sequences are stored as tuples, so equal
-    homomorphisms compare equal and hash alike.  A column that is not a
-    bijection raises :class:`InvalidPermutation`; count and degree errors
-    raise :attr:`invalid`."""
+    given by one image tuple per generator.  ``columns`` lists the columns
+    by letter code (see :mod:`~schreierkit.words`): generator ``g``'s image
+    at ``2g`` and its inverse at ``2g + 1``.  It is computed on construction
+    and read-only like the rest; equality and hashing ignore it, since
+    ``gen_images`` determines it.  Columns given as other sequences are
+    stored as tuples, so equal homomorphisms compare equal and hash alike.
+    A column that is not a bijection raises :class:`InvalidPermutation`;
+    count and degree errors raise :attr:`invalid`."""
 
     alphabet: Alphabet
     gen_images: tuple[tuple[int, ...], ...]
-    inverse_images: tuple[tuple[int, ...], ...] = field(
-        init=False, repr=False, compare=False
-    )
+    columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     invalid: ClassVar[type[Exception]] = InvalidHom
 
@@ -65,16 +69,12 @@ class FiniteQuotientHom:
         degrees = {len(p) for p in self.gen_images}
         if len(degrees) != 1:
             raise self.invalid(f"generator images have mixed degrees: {sorted(degrees)}")
-        object.__setattr__(self, "inverse_images", tuple(map(inverse, self.gen_images)))
+        columns = tuple(c for p in self.gen_images for c in (p, inverse(p)))
+        object.__setattr__(self, "columns", columns)
 
     @property
     def degree(self) -> int:
         return len(self.gen_images[0])
-
-    def step(self, point: int, gen: int, sign: int) -> int:
-        """Image of ``point`` under one signed generator."""
-        perm = self.gen_images[gen] if sign > 0 else self.inverse_images[gen]
-        return perm[point]
 
 
 def kills(codes: Sequence[int], columns: Sequence) -> bool:
@@ -102,11 +102,10 @@ def kills_relators(h: FiniteQuotientHom, relators: Sequence[FreeWord]) -> bool:
     homomorphism factors through the presented group.  Raises
     :class:`AlphabetMismatch` at the first relator reached over another
     alphabet."""
-    columns = [c for pair in zip(h.gen_images, h.inverse_images) for c in pair]
     for rel in relators:
         if rel.alphabet != h.alphabet:
             raise AlphabetMismatch("word and homomorphism use different alphabets")
-        if not kills(letter_codes(rel.letters), columns):
+        if not kills(rel.codes, h.columns):
             return False
     return True
 
@@ -120,7 +119,7 @@ def image_closure(h: FiniteQuotientHom) -> list[tuple[int, ...]]:
     certificates index cosets by it.  Raises :class:`ImageTooLarge` when
     the group has more than :data:`DEFAULT_IMAGE_CEILING` elements.
     """
-    steps = h.gen_images + h.inverse_images
+    steps = h.columns[::2] + h.columns[1::2]
     identity = tuple(range(h.degree))
     seen: dict[tuple[int, ...], None] = {identity: None}
     queue: deque[tuple[int, ...]] = deque([identity])

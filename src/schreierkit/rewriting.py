@@ -36,7 +36,7 @@ from .transversal import (
     schreier_transversal,
     tree_numbering,
 )
-from .words import Alphabet, Letter, free_reduce
+from .words import Alphabet, FreeWord
 
 MAX_GENUS = 12
 DEFAULT_REPORT_MAX_GENUS = 4
@@ -138,13 +138,10 @@ def surface_presentation(g: int) -> Presentation:
     if not 1 <= g <= MAX_GENUS:
         raise BadGenus(f"genus must be in 1..{MAX_GENUS}, got {g}")
     alphabet = Alphabet.first(2 * g)
-    letters: list[Letter] = []
-    for i in range(g):
-        a, b = 2 * i, 2 * i + 1
-        letters.extend([Letter(a, 1), Letter(b, 1), Letter(a, -1), Letter(b, -1)])
-    relator = free_reduce(alphabet, letters)
-    assert len(relator) == 4 * g
-    return Presentation(alphabet, (relator,))
+    # the commutator of generators 2i and 2i + 1: their codes 4i and
+    # 4i + 2, then their inverses' 4i + 1 and 4i + 3
+    codes = tuple(4 * i + k for i in range(g) for k in (0, 2, 1, 3))
+    return Presentation(alphabet, (FreeWord(alphabet, codes),))
 
 
 def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation:

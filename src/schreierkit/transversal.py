@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .cosets import BASE, CosetTable, prefix_cosets, tree_edges
 from .errors import AlphabetMismatch, EmptyWord, NotInSubgroup, PrefixesNotSeparated
-from .words import FreeWord, Letter, empty_word
+from .words import FreeWord, empty_word
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,9 @@ def tree_numbering(t: CosetTable) -> list[int | None]:
     numbering: list[int | None] = [0] * (t.n * m)
     reached = [False] * t.n
     reached[BASE] = True
-    for c, g, s, d in tree_edges(t, [BASE], reached):
+    for c, k, d in tree_edges(t, [BASE], reached):
         # the tree edge leaves the parent along g, or the child along g^-1
-        numbering[(c if s > 0 else d) * m + g] = None
+        numbering[(d if k & 1 else c) * m + (k >> 1)] = None
     position = 0
     for slot, mark in enumerate(numbering):
         if mark is not None:
@@ -103,18 +103,15 @@ def crossings(
     walk would be a closed non-backtracking path in the spanning tree,
     which is empty, and then ``w`` itself would cancel."""
     m = t.alphabet.size
-    images, inverses = t.gen_images, t.inverse_images
+    columns = t.columns
     out: list[tuple[int, int]] = []
     c = start
-    for g, s in w.letters:
-        if s > 0:
-            d = images[g][c]
-            position = numbering[c * m + g]
-        else:
-            d = inverses[g][c]
-            position = numbering[d * m + g]
+    for k in w.codes:
+        d = columns[k][c]
+        # the edge is keyed at the coset it leaves along its generator
+        position = numbering[(d if k & 1 else c) * m + (k >> 1)]
         if position is not None:
-            out.append((position, s))
+            out.append((position, -1 if k & 1 else 1))
         c = d
     return out, c
 
@@ -139,7 +136,7 @@ def schreier_transversal(
     if through is None:
         through = empty_word(t.alphabet)
     queue = prefix_cosets(t, through)[:-1] or [BASE]
-    spelled: list[tuple[Letter, ...]] = [()] * t.n
+    spelled: list[tuple[int, ...]] = [()] * t.n
     reached = [False] * t.n
     for i, c in enumerate(queue):
         if reached[c]:
@@ -147,16 +144,16 @@ def schreier_transversal(
                 f"the initial segments of {through} do not reach distinct cosets"
             )
         reached[c] = True
-        spelled[c] = through.letters[:i]
-    for c, g, s, d in tree_edges(t, queue, reached):
-        spelled[d] = spelled[c] + (Letter(g, s),)
+        spelled[c] = through.codes[:i]
+    for c, k, d in tree_edges(t, queue, reached):
+        spelled[d] = spelled[c] + (k,)
     return SchreierTransversal(t, tuple(FreeWord(t.alphabet, w) for w in spelled))
 
 
 def basis_letters(
     tr: SchreierTransversal, flipped: frozenset[int]
-) -> tuple[dict[tuple[int, int], int], list[tuple[Letter, ...]]]:
-    """The edge index and the element letters of :func:`schreier_basis`,
+) -> tuple[dict[tuple[int, int], int], list[tuple[int, ...]]]:
+    """The edge index and the element codes of :func:`schreier_basis`,
     read off the representatives without building words: ``rep(c)``,
     ``g^e``, then ``rep(c · g^e)^-1``, each representative inverted once.
     Raises :class:`AlphabetMismatch` for a representative over another
@@ -164,24 +161,24 @@ def basis_letters(
     t = tr.table
     if any(w.alphabet != t.alphabet for w in tr.reps):
         raise AlphabetMismatch("representative alphabet differs from table alphabet")
-    m = t.alphabet.size
-    reps = [w.letters for w in tr.reps]
+    m, columns = t.alphabet.size, t.columns
+    reps = [w.codes for w in tr.reps]
     in_tree = [False] * (t.n * m)
     for c, w in enumerate(reps):
         if w:
-            g, s = w[-1]
-            if (s > 0) != (g in flipped):
+            k = w[-1]
+            g = k >> 1
+            if (k & 1) == (g in flipped):
                 # the tree edge runs forward from the parent
-                c = t.step(c, g, -s)
+                c = columns[k ^ 1][c]
             in_tree[c * m + g] = True
     edges = (divmod(slot, m) for slot, tree_edge in enumerate(in_tree) if not tree_edge)
     edge_index = {edge: position for position, edge in enumerate(edges)}
-    inverse_of = t.alphabet.inverse_of
-    backs = [tuple(map(inverse_of.__getitem__, reversed(w))) for w in reps]
+    backs = [tuple([k ^ 1 for k in reversed(w)]) for w in reps]
     elements = []
     for c, g in edge_index:
-        e = -1 if g in flipped else 1
-        elements.append(reps[c] + (Letter(g, e),) + backs[t.step(c, g, e)])
+        k = 2 * g + (g in flipped)  # the code of g^e
+        elements.append(reps[c] + (k,) + backs[columns[k][c]])
     return edge_index, elements
 
 
@@ -230,9 +227,9 @@ def basis_through_word(t: CosetTable, w: FreeWord) -> tuple[SubgroupBasis, int]:
     if path[-1] != BASE:
         raise NotInSubgroup(f"{w} does not fix the base coset")
     tr = schreier_transversal(t, w)
-    g_last, s_last = w.letters[-1]
-    basis = schreier_basis(tr, frozenset() if s_last > 0 else frozenset({g_last}))
-    return basis, basis.edge_index[(path[-2], g_last)]
+    k = w.codes[-1]
+    basis = schreier_basis(tr, frozenset({k >> 1}) if k & 1 else frozenset())
+    return basis, basis.edge_index[(path[-2], k >> 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +280,7 @@ def fold_verify(b: SubgroupBasis) -> bool:
         return False
     if any(w.alphabet != t.alphabet for w in b.elements):
         raise AlphabetMismatch("basis element and table use different alphabets")
-    width = 2 * m  # slot 2g: out along g; slot 2g+1: in along g
+    width = 2 * m  # slot k: out along the letter of code k
     parent = [0]  # union-find over vertices; vertex 0 is the first base
     nbr = [-1] * width
     work: list[int] = []  # flat (vertex, slot, far vertex) half-edges
@@ -297,35 +294,31 @@ def fold_verify(b: SubgroupBasis) -> bool:
         return root
 
     for w in b.elements:
-        letters = w.letters
-        if not letters:
+        codes = w.codes
+        if not codes:
             continue
         v = u = find(0)  # a merge may have absorbed vertex 0
-        i, j = 0, len(letters) - 1
+        i, j = 0, len(codes) - 1
         while i < j:  # forward from the base
-            g, s = letters[i]
-            held = nbr[v * width + 2 * g + (s < 0)]
+            held = nbr[v * width + codes[i]]
             if held < 0:
                 break
             v = find(held)
             i += 1
         while j > i:  # backward from the base
-            g, s = letters[j]
-            held = nbr[u * width + 2 * g + (s > 0)]
+            held = nbr[u * width + (codes[j] ^ 1)]
             if held < 0:
                 break
             u = find(held)
             j -= 1
-        for g, s in letters[i:j]:  # the unread middle, on fresh vertices
+        for slot in codes[i:j]:  # the unread middle, on fresh vertices
             x = len(parent)
             parent.append(x)
             nbr += [-1] * width
-            slot = 2 * g + (s < 0)
             nbr[v * width + slot] = x
             nbr[x * width + (slot ^ 1)] = v
             v = x
-        g, s = letters[j]
-        slot = 2 * g + (s < 0)
+        slot = codes[j]
         work += (v, slot, u, u, slot ^ 1, v)
         while work:
             far = find(work.pop())
@@ -352,8 +345,8 @@ def fold_verify(b: SubgroupBasis) -> bool:
     reached = [False] * n
     reached[BASE] = True
     vertex = [find(0)] * n  # the folded vertex of each coset
-    for c, g, s, d in tree_edges(t, [BASE], reached):
-        vertex[d] = find(nbr[vertex[c] * width + 2 * g + (s < 0)])
+    for c, k, d in tree_edges(t, [BASE], reached):
+        vertex[d] = find(nbr[vertex[c] * width + k])
     return all(
         find(nbr[vertex[c] * width + 2 * g]) == vertex[d]
         for g, column in enumerate(t.gen_images)

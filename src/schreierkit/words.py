@@ -1,13 +1,13 @@
 """Freely reduced words over a finite symmetrized alphabet.
 
-A word is a sequence of letters, each a generator ``g`` together with a
-sign ``s``; the letter's code is ``2g + (s < 0)`` (:func:`letter_codes`), so
-``k ^ 1`` is the code of its inverse, and lists of columns are indexed by it.
-Every :class:`FreeWord` is stored fully reduced: no letter is adjacent to
-its own inverse.  The constructor checks the letters against the alphabet
-and rejects an unreduced sequence; :func:`free_reduce` cancels first.  Only
-:func:`parse_word` skips the check: its letters are the alphabet's own, and
-it cancels a text only when it holds an inverse pair such as ``aA``.
+A word is a sequence of letter codes: generator ``g`` with sign ``s`` has
+the code ``2g + (s < 0)``, so ``k >> 1`` is the generator of code ``k``,
+``k ^ 1`` is the code of its inverse, and lists of columns are indexed by
+it.  Every :class:`FreeWord` is stored fully reduced: no code is followed
+by its inverse's.  The constructor checks the codes against the alphabet
+and rejects an unreduced sequence; :func:`free_reduce` cancels first.
+Only :func:`parse_word` skips the check: its codes are the alphabet's own,
+and it cancels a text only when it holds an inverse pair such as ``aA``.
 
 Text syntax: a generator prints as its lowercase name, its inverse as the
 same ASCII letter uppercased, juxtaposition is concatenation, and ``"1"``
@@ -17,7 +17,8 @@ is the empty word.  There is no whitespace or exponent syntax.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from operator import xor
+from typing import Iterable
 
 from .errors import InvalidAlphabet, InvalidLetter, ParseError, UnreducedWord
 
@@ -27,14 +28,13 @@ _LOWERCASE = "abcdefghijklmnopqrstuvwxyz"
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered, pairwise distinct single-character lowercase generator names,
-    with tables that equality, hashing and repr ignore: character to letter,
-    letter to inverse, letter to character, and the inverse pairs (``aA``)."""
+    with the two tables that equality, hashing and repr ignore: ``code_of``,
+    character to code, and ``chars``, whose ``k``-th character is that of
+    code ``k``."""
 
     names: tuple[str, ...]
-    letter_of: dict[str, Letter] = field(init=False, repr=False, compare=False)
-    inverse_of: dict[Letter, Letter] = field(init=False, repr=False, compare=False)
-    char_of: dict[Letter, str] = field(init=False, repr=False, compare=False)
-    inverse_pairs: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    code_of: dict[str, int] = field(init=False, repr=False, compare=False)
+    chars: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.names:
@@ -46,14 +46,9 @@ class Alphabet:
                 raise InvalidAlphabet(
                     f"generator name must be a single lowercase ASCII letter: {name!r}"
                 )
-        letter_of = {}
-        for g, name in enumerate(self.names):
-            letter_of[name], letter_of[name.upper()] = Letter(g, 1), Letter(g, -1)
-        inverse_of = {y: letter_of[ch.swapcase()] for ch, y in letter_of.items()}
-        object.__setattr__(self, "letter_of", letter_of)
-        object.__setattr__(self, "inverse_of", inverse_of)
-        object.__setattr__(self, "char_of", {y: ch for ch, y in letter_of.items()})
-        object.__setattr__(self, "inverse_pairs", tuple(ch + ch.swapcase() for ch in letter_of))
+        chars = "".join(name + name.upper() for name in self.names)
+        object.__setattr__(self, "chars", chars)
+        object.__setattr__(self, "code_of", {ch: k for k, ch in enumerate(chars)})
 
     def __eq__(self, other: object) -> bool:
         # the dataclass comparison, after the identity test that settles
@@ -79,99 +74,106 @@ class Alphabet:
         return len(self.names)
 
 
-class Letter(NamedTuple):
-    """One generator occurrence: generator index plus sign (+1 or -1)."""
+class Letter(int):
+    """The code of a letter given by generator and sign, for callers that
+    spell words that way: ``Letter(g, s) == 2*g + (s < 0)``.  The library
+    itself reads plain codes."""
 
-    gen: int
-    sign: int
+    def __new__(cls, gen: int, sign: int) -> Letter:
+        if type(gen) is not int or gen < 0 or type(sign) is not int or sign not in (1, -1):
+            raise InvalidLetter(
+                f"a letter is a generator index >= 0 and a sign +1 or -1, got {gen!r}, {sign!r}"
+            )
+        return super().__new__(cls, 2 * gen + (sign < 0))
 
-    def inverse(self) -> "Letter":
-        return Letter(self.gen, -self.sign)
+    def inverse(self) -> Letter:
+        return Letter(self >> 1, 1 if self & 1 else -1)
+
+    def __getnewargs__(self) -> tuple[int, int]:
+        # pickle and copy rebuild a letter from its generator and sign
+        return self >> 1, -1 if self & 1 else 1
 
 
-def _check_letters(alphabet: Alphabet, letters: Iterable[Letter]) -> None:
-    size = alphabet.size
-    for gen, sign in letters:
-        if not 0 <= gen < size:
-            raise InvalidLetter(f"generator index {gen} outside alphabet of size {size}")
-        if sign not in (1, -1):
-            raise InvalidLetter(f"letter sign must be +1 or -1, got {sign}")
+def _is_code_type(kind: type) -> bool:
+    # an int, or an int subclass such as Letter; bool is not a code
+    return issubclass(kind, int) and kind is not bool
 
 
-def is_reduced(letters: Iterable[Letter]) -> bool:
-    """True when no letter is immediately followed by its inverse."""
-    prev_gen = prev_sign = None
-    for gen, sign in letters:
-        if gen == prev_gen and sign == -prev_sign:  # type: ignore[operator]
-            return False
-        prev_gen, prev_sign = gen, sign
-    return True
+def _check_codes(alphabet: Alphabet, codes: tuple) -> None:
+    width = 2 * alphabet.size
+    # the types first, as min() and max() need them ordered
+    if not all(map(_is_code_type, set(map(type, codes)))) or (
+        codes and not (min(codes) >= 0 and max(codes) < width)
+    ):
+        bad = next(k for k in codes if not _is_code_type(type(k)) or not 0 <= k < width)
+        raise InvalidLetter(f"letter code {bad!r} is not an integer in 0..{width - 1}")
+
+
+def is_reduced(codes: Iterable[int]) -> bool:
+    """True when no code is immediately followed by its inverse's."""
+    codes = tuple(codes)
+    return 1 not in map(xor, codes, codes[1:])
 
 
 @dataclass(frozen=True)
 class FreeWord:
-    """An immutable freely reduced word.  The constructor validates the
-    letters and their reducedness, so a caller that concatenates parts it
-    has argued cannot cancel (as the Schreier basis does) is still checked."""
+    """An immutable freely reduced word, held as its letter codes.  The
+    constructor validates the codes and their reducedness, so a caller that
+    concatenates parts it has argued cannot cancel (as the Schreier basis
+    does) is still checked."""
 
     alphabet: Alphabet
-    letters: tuple[Letter, ...] = ()
+    codes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_letters(self.alphabet, self.letters)
-        if not is_reduced(self.letters):
-            raise UnreducedWord(f"letters are not freely reduced: {self.letters!r}")
+        _check_codes(self.alphabet, self.codes)
+        if not is_reduced(self.codes):
+            raise UnreducedWord(f"codes are not freely reduced: {self.codes!r}")
 
     @classmethod
-    def _trusted(cls, alphabet: Alphabet, letters: tuple[Letter, ...]) -> FreeWord:
-        """Build unchecked from the alphabet's own letters, proved reduced."""
+    def _trusted(cls, alphabet: Alphabet, codes: tuple[int, ...]) -> FreeWord:
+        """Build unchecked from the alphabet's own codes, proved reduced."""
         w = object.__new__(cls)
         object.__setattr__(w, "alphabet", alphabet)
-        object.__setattr__(w, "letters", letters)
+        object.__setattr__(w, "codes", codes)
         return w
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self.codes)
 
     def __str__(self) -> str:
-        if not self.letters:
+        if not self.codes:
             return "1"
-        return "".join(map(self.alphabet.char_of.__getitem__, self.letters))
+        return "".join(map(self.alphabet.chars.__getitem__, self.codes))
 
 
 def empty_word(alphabet: Alphabet) -> FreeWord:
     return FreeWord(alphabet, ())
 
 
-def letter_codes(letters: Iterable[Letter]) -> tuple[int, ...]:
-    """The code ``2g + (s < 0)`` of each letter ``(g, s)``, in order."""
-    return tuple([2 * g + (s < 0) for g, s in letters])
-
-
-def _cancel(inverse_of: dict[Letter, Letter], raw: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for ell in raw:
-        if out and out[-1] == inverse_of[ell]:
+def _cancel(raw: Iterable[int]) -> tuple[int, ...]:
+    out: list[int] = []
+    for k in raw:
+        if out and out[-1] == k ^ 1:
             out.pop()
         else:
-            out.append(ell)
+            out.append(k)
     return tuple(out)
 
 
-def free_reduce(alphabet: Alphabet, raw: Iterable[Letter]) -> FreeWord:
-    """Reduce a raw letter sequence to the unique reduced word for the same
+def free_reduce(alphabet: Alphabet, raw: Iterable[int]) -> FreeWord:
+    """Reduce a raw code sequence to the unique reduced word for the same
     group element.  Idempotent; a stack pass cancels all adjacent inverse
     pairs, including those exposed by earlier cancellations."""
     raw = tuple(raw)
     # a raw invalid pair that cancels must still raise
-    _check_letters(alphabet, raw)
-    return FreeWord(alphabet, _cancel(alphabet.inverse_of, raw))
+    _check_codes(alphabet, raw)
+    return FreeWord(alphabet, _cancel(raw))
 
 
 def invert(w: FreeWord) -> FreeWord:
     """Reverse the word and flip every sign; the result is again reduced."""
-    inverse_of = w.alphabet.inverse_of
-    return FreeWord(w.alphabet, tuple(map(inverse_of.__getitem__, reversed(w.letters))))
+    return FreeWord(w.alphabet, tuple([k ^ 1 for k in reversed(w.codes)]))
 
 
 def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
@@ -185,13 +187,13 @@ def parse_word(text: str, alphabet: Alphabet) -> FreeWord:
         raise ParseError(f"a word must be a string, got {type(text).__name__}")
     if text in ("", "1"):
         return empty_word(alphabet)
-    letter_of = alphabet.letter_of
+    code_of = alphabet.code_of
     try:
-        raw = tuple(map(letter_of.__getitem__, text))
+        raw = tuple(map(code_of.__getitem__, text))
     except KeyError:
-        pos = next(i for i, ch in enumerate(text) if ch not in letter_of)
+        pos = next(i for i, ch in enumerate(text) if ch not in code_of)
         message = f"unknown character {text[pos]!r} at position {pos}"
         raise ParseError(message, position=pos) from None
-    if any(map(text.__contains__, alphabet.inverse_pairs)):
-        raw = _cancel(alphabet.inverse_of, raw)
+    if not is_reduced(raw):
+        raw = _cancel(raw)
     return FreeWord._trusted(alphabet, raw)

@@ -193,7 +193,7 @@ def _random_killed_relator(rng, table):
         k = _perm_order(word_image(table, u))
         relator = u
         for _ in range(k - 1):
-            relator = free_reduce(alphabet, relator.letters + u.letters)
+            relator = free_reduce(alphabet, relator.codes + u.codes)
         return relator
 
 
@@ -225,7 +225,7 @@ def test_criterion_7_rewriting_soundness():
         for _ in range(5):
             u = random_word(rng, table.alphabet, 12)
             rep = tr.reps[walk(table, 0, u)]
-            w = free_reduce(table.alphabet, u.letters + invert(rep).letters)
+            w = free_reduce(table.alphabet, u.codes + invert(rep).codes)
             assert contains(table, w)
             positions, end = crossings(table, numbering, BASE, w)
             assert end == BASE
@@ -239,8 +239,8 @@ def test_criterion_7_rewriting_soundness():
             i = 0
             for c in range(sp.table.n):
                 for rel in pres.relators:
-                    letters = tr.reps[c].letters + rel.letters + invert(tr.reps[c]).letters
-                    expected = free_reduce(pres.alphabet, letters)
+                    codes = tr.reps[c].codes + rel.codes + invert(tr.reps[c]).codes
+                    expected = free_reduce(pres.alphabet, codes)
                     assert reference_evaluate_positions(sp.basis, sp.relators[i]) == expected
                     i += 1
     print("ACCEPTANCE 7 rewriting soundness (round trip + back-substitution): PASS")
@@ -254,19 +254,19 @@ def test_criterion_8_word_algebra_laws():
         v = random_word(rng, alphabet, 24)
         w = random_word(rng, alphabet, 24)
         # reduction idempotence
-        assert free_reduce(alphabet, u.letters) == u
+        assert free_reduce(alphabet, u.codes) == u
         # inverse laws
         assert invert(invert(u)) == u
-        assert free_reduce(alphabet, u.letters + invert(u).letters) == empty_word(alphabet)
-        # concat laws, a product being the reduced concatenation of letters
-        uv = free_reduce(alphabet, u.letters + v.letters)
-        vw = free_reduce(alphabet, v.letters + w.letters)
-        assert free_reduce(alphabet, u.letters + empty_word(alphabet).letters) == u
-        assert free_reduce(alphabet, uv.letters + w.letters) == free_reduce(
-            alphabet, u.letters + vw.letters
+        assert free_reduce(alphabet, u.codes + invert(u).codes) == empty_word(alphabet)
+        # concat laws, a product being the reduced concatenation of codes
+        uv = free_reduce(alphabet, u.codes + v.codes)
+        vw = free_reduce(alphabet, v.codes + w.codes)
+        assert free_reduce(alphabet, u.codes + empty_word(alphabet).codes) == u
+        assert free_reduce(alphabet, uv.codes + w.codes) == free_reduce(
+            alphabet, u.codes + vw.codes
         )
         assert (len(uv) - len(u) - len(v)) % 2 == 0
         # prefix count: each of the len(u) proper initial segments is reduced
-        segments = [free_reduce(alphabet, u.letters[:i]) for i in range(len(u))]
+        segments = [free_reduce(alphabet, u.codes[:i]) for i in range(len(u))]
         assert [len(p) for p in segments] == list(range(len(u)))
     print("ACCEPTANCE 8 word-algebra laws, 1000 randomized cases: PASS")

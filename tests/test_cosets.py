@@ -21,7 +21,6 @@ from schreierkit import (
     contains,
     free_reduce,
     image_closure,
-    inverse,
     invert,
     iter_low_index_tables,
     kills_relators,
@@ -33,7 +32,8 @@ from schreierkit import (
     table_to_text,
 )
 from schreierkit.cosets import prefix_cosets, tree_edges
-from test_perms import word_image
+from test_perms import columns_by_code, step, word_image
+from test_words import letters, signed
 
 AB = Alphabet.of("ab")
 
@@ -46,10 +46,11 @@ TWO = regular_table(hom((1, 0), (0, 1)))
 
 
 def walk(t, start, w):
-    """The coset that ``w`` reaches from ``start``, one ``t.step`` a letter."""
+    """The coset that ``w`` reaches from ``start``, one oracle ``step`` a
+    letter."""
     c = start
-    for gen, sign in w.letters:
-        c = t.step(c, gen, sign)
+    for gen, sign in letters(w):
+        c = step(t, c, gen, sign)
     return c
 
 
@@ -84,7 +85,7 @@ def reference_canonical_form(t):
     for c in order:
         for g in range(m):
             for s in (1, -1):
-                d = t.step(c, g, s)
+                d = step(t, c, g, s)
                 if d not in new_id:
                     new_id[d] = len(order)
                     order.append(d)
@@ -92,7 +93,7 @@ def reference_canonical_form(t):
     for g in range(m):
         images = [0] * t.n
         for old, new in new_id.items():
-            images[new] = new_id[t.step(old, g, 1)]
+            images[new] = new_id[step(t, old, g, 1)]
         columns.append(tuple(images))
     return CosetTable(t.alphabet, tuple(columns))
 
@@ -165,7 +166,7 @@ def test_trace_action_law():
     for _ in range(200):
         u = random_word(rng, AB, 8)
         v = random_word(rng, AB, 8)
-        uv = free_reduce(AB, u.letters + v.letters)
+        uv = free_reduce(AB, u.codes + v.codes)
         assert prefix_cosets(table, uv)[-1] == walk(table, prefix_cosets(table, u)[-1], v)
 
 
@@ -175,7 +176,7 @@ def test_trace_depends_only_on_group_element():
     for _ in range(100):
         w = random_word(rng, AB, 8)
         # insert cancelling pairs, reduce, compare
-        raw = list(w.letters)
+        raw = list(w.codes)
         for _ in range(3):
             pos = rng.randrange(len(raw) + 1)
             g = rng.randrange(2)
@@ -199,7 +200,7 @@ def test_contains_subgroup_closure():
         u = random_word(rng, AB, 10)
         v = random_word(rng, AB, 10)
         if contains(TWO, u) and contains(TWO, v):
-            assert contains(TWO, free_reduce(AB, u.letters + v.letters))
+            assert contains(TWO, free_reduce(AB, u.codes + v.codes))
 
 
 def test_prefix_cosets():
@@ -219,7 +220,7 @@ def test_prefix_cosets():
         table = random_table(rng, AB, rng.randrange(1, 6))
         w = random_word(rng, AB, 8)
         expected = [
-            word_image(table, FreeWord(AB, w.letters[:i]))[BASE] for i in range(len(w) + 1)
+            word_image(table, FreeWord(AB, w.codes[:i]))[BASE] for i in range(len(w) + 1)
         ]
         assert prefix_cosets(table, w) == expected
 
@@ -307,14 +308,14 @@ def test_low_index_surface_genus2_index2():
 def _reduced_words(draw, alphabet, max_len=8):
     """A freely reduced word of 1..max_len letters: a drawn letter that
     would cancel the one before is flipped to repeat it."""
-    letters = []
+    codes = []
     for _ in range(draw(st.integers(1, max_len))):
         g = draw(st.integers(0, alphabet.size - 1))
         s = draw(st.sampled_from((1, -1)))
-        if letters and (g, s) == (letters[-1].gen, -letters[-1].sign):
+        if codes and (g, s) == (signed(codes[-1])[0], -signed(codes[-1])[1]):
             s = -s
-        letters.append(Letter(g, s))
-    return free_reduce(alphabet, letters)
+        codes.append(Letter(g, s))
+    return free_reduce(alphabet, codes)
 
 
 @st.composite
@@ -334,11 +335,11 @@ def _low_index_cases(draw):
         base = draw(st.sampled_from(relators))
         if kind == "rotation":
             i = draw(st.integers(0, len(base) - 1))
-            relators.append(free_reduce(alphabet, base.letters[i:] + base.letters[:i]))
+            relators.append(free_reduce(alphabet, base.codes[i:] + base.codes[:i]))
         elif kind == "inverse":
             relators.append(invert(base))
         else:
-            relators.append(free_reduce(alphabet, base.letters + base.letters))
+            relators.append(free_reduce(alphabet, base.codes + base.codes))
     return Presentation(alphabet, tuple(relators)), n
 
 
@@ -369,8 +370,8 @@ def assert_leaf_tables_validate(tables):
     for t in tables:
         checked = CosetTable(t.alphabet, t.gen_images)
         assert t == checked and hash(t) == hash(checked)
-        for g in range(t.alphabet.size):
-            assert t.inverse_images[g] == inverse(t.gen_images[g])
+        assert t.columns == checked.columns and list(t.columns) == columns_by_code(t)
+        assert type(t.gen_images) is tuple and all(type(c) is tuple for c in t.columns)
 
 
 @pytest.mark.parametrize(
@@ -441,8 +442,8 @@ def reference_low_index(p, n):
     cols = [[-1] * n for _ in range(width)]
     rotations = set()
     for rel in p.relators:
-        letters = tuple(2 * g + (s < 0) for g, s in rel.letters)
-        rotations.update(letters[i:] + letters[:i] for i in range(len(letters)))
+        codes = tuple(2 * g + (s < 0) for g, s in letters(rel))
+        rotations.update(codes[i:] + codes[:i] for i in range(len(codes)))
     found = []
     used = 1
 
@@ -526,11 +527,11 @@ def _random_presentation(seed):
         if rng.random() < 0.5:
             relator = u
             for _ in range(rng.choice((1, 2))):
-                relator = free_reduce(AB, relator.letters + u.letters)
+                relator = free_reduce(AB, relator.codes + u.codes)
         else:
             v = short()
             relator = free_reduce(
-                AB, u.letters + v.letters + invert(u).letters + invert(v).letters
+                AB, u.codes + v.codes + invert(u).codes + invert(v).codes
             )
         if len(relator):
             relators.append(relator)
@@ -644,10 +645,12 @@ def test_presentation_rejects_relator_over_other_alphabet():
 def test_tree_edges_order():
     t = table_from_text("n=4\na: 1 2 0 3\nb: 3 1 2 0\n")
     reached = [True, False, False, False]
-    assert list(tree_edges(t, [BASE], reached)) == [
-        (0, 0, 1, 1), (0, 0, -1, 2), (0, 1, 1, 3)
+    # each edge carries its letter's code: a is 0, A is 1, b is 2
+    assert list(tree_edges(t, [BASE], reached)) == [(0, 0, 1), (0, 1, 2), (0, 2, 3)]
+    assert [signed(k) for _, k, _ in tree_edges(t, [BASE], [True] + [False] * 3)] == [
+        (0, 1), (0, -1), (1, 1)
     ]
     assert reached == [True] * 4
     # a coset marked reached in advance is searched from but never yielded
     reached = [True, False, True, False]
-    assert list(tree_edges(t, [0, 2], reached)) == [(0, 0, 1, 1), (0, 1, 1, 3)]
+    assert list(tree_edges(t, [0, 2], reached)) == [(0, 0, 1), (0, 2, 3)]

@@ -117,6 +117,29 @@ def test_every_verifier_failure_name_is_tested():
     assert sorted(name for name in emitted if f'"{name}"' not in tests) == []
 
 
+def test_src_never_reads_letter_outside_its_definition():
+    # a word is its letter codes; Letter stays only for callers that spell
+    # letters by generator and sign, so no module reads it
+    definitions, reads = [], []
+
+    def visit(node, path, inside):
+        if isinstance(node, ast.ClassDef) and node.name == "Letter":
+            definitions.append(path.name)
+            inside = True
+        if not inside and (
+            isinstance(node, ast.Name) and node.id == "Letter"
+            or isinstance(node, ast.Attribute) and node.attr == "Letter"
+        ):
+            reads.append(f"{path.name}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, inside)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, False)
+    assert definitions == ["words.py"]
+    assert reads == []
+
+
 def test_every_export_is_used_in_src_or_shown_in_the_tour():
     # a public function or class that only tests call does not belong in src/,
     # exported or not; main finds the cmd_* handlers by name
@@ -155,7 +178,7 @@ def test_every_export_is_used_in_src_or_shown_in_the_tour():
         if inspect.isfunction(obj := getattr(schreierkit, name)) or inspect.isclass(obj)
     }
     assert len(exported) >= 60
-    assert {"prefix_cosets", "tree_edges", "kills", "letter_codes", "basis_letters"} <= defined
+    assert {"prefix_cosets", "tree_edges", "kills", "Letter", "basis_letters"} <= defined
     assert sorted((exported | defined) - referenced - tour) == []
 
 

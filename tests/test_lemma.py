@@ -53,7 +53,8 @@ from schreierkit.lemma import (
     _Symmetric,
 )
 from test_cosets import walk
-from test_perms import word_image
+from test_perms import step, word_image
+from test_words import letters, signed
 from test_transversal import reference_check_transversal
 
 AB = Alphabet.of("ab")
@@ -77,7 +78,7 @@ def brute_force_first_hom(p, r, max_degree):
             h = FiniteQuotientHom(p.alphabet, assignment)
             if any(word_image(h, w) != tuple(range(degree)) for w in p.relators + (r,)):
                 continue
-            images = [word_image(h, FreeWord(r.alphabet, r.letters[:i])) for i in range(len(r))]
+            images = [word_image(h, FreeWord(r.alphabet, r.codes[:i])) for i in range(len(r))]
             if len(set(images)) == len(images):
                 return h
     return None
@@ -158,11 +159,11 @@ def test_first_hom_has_no_common_fixed_point():
 
 
 def _words(alphabet, min_size, max_size):
-    letters = st.tuples(
+    codes = st.tuples(
         st.integers(0, alphabet.size - 1), st.sampled_from((1, -1))
     ).map(lambda t: Letter(*t))
     return (
-        st.lists(letters, max_size=max_size)
+        st.lists(codes, max_size=max_size)
         .map(lambda raw: free_reduce(alphabet, raw))
         .filter(lambda w: len(w) >= min_size)
     )
@@ -613,9 +614,9 @@ def test_verify_long_relator_failures():
 
 def test_transversal_seeded_matches_initial_segment_definition():
     free = Presentation(AB, ())
-    letters = [Letter(g, s) for g in (0, 1) for s in (1, -1)]
+    codes = [Letter(g, s) for g in (0, 1) for s in (1, -1)]
     words = [
-        free_reduce(AB, raw) for k in range(1, 5) for raw in itertools.product(letters, repeat=k)
+        free_reduce(AB, raw) for k in range(1, 5) for raw in itertools.product(codes, repeat=k)
     ]
     for r in ("abaB", "aabAb"):
         cert = run_lemma(free, parse_word(r, AB), 5)
@@ -623,7 +624,7 @@ def test_transversal_seeded_matches_initial_segment_definition():
         for w in dict.fromkeys(w for w in words if len(w) > 0):
             expected = any(
                 reps[walk(cert.table, BASE, p)] != p
-                for p in (FreeWord(AB, w.letters[:i]) for i in range(len(w)))
+                for p in (FreeWord(AB, w.codes[:i]) for i in range(len(w)))
             )
             failures = verify_certificate(tampered(cert, relator=w)).failures
             assert ("transversal_seeded" in failures) == expected, (r, str(w))
@@ -777,10 +778,11 @@ def test_parse_word_matches_reference_parse():
         cancelled = 0
         for text in texts:
             word, expected = parse_word(text, alphabet), reference_parse_word(text, alphabet)
-            checked = FreeWord(alphabet, tuple(expected.letters))
+            checked = FreeWord(alphabet, tuple(expected.codes))
             assert word == expected == checked, text
             assert hash(word) == hash(checked), text
-            assert type(word.letters) is tuple and str(word) == str(checked)
+            assert type(word.codes) is tuple and str(word) == str(checked)
+            assert all(type(k) is int for k in word.codes), text
             cancelled += len(word) < len(text.replace("1", ""))
         assert cancelled > 1000
     # a non-ASCII character stays an error at its position, pair or no pair
@@ -838,7 +840,7 @@ def reference_verify_certificate(c):
         failures.append("relators_in_subgroup")
     if len(r) == 0 or coset(r) != BASE:
         failures.append("relator_in_subgroup")
-    segments = {coset(FreeWord(r.alphabet, r.letters[:i])) for i in range(len(r))}
+    segments = {coset(FreeWord(r.alphabet, r.codes[:i])) for i in range(len(r))}
     if len(r) == 0 or len(segments) != len(r):
         failures.append("prefixes_separated")
     tree_ok = not reference_check_transversal(c.transversal)
@@ -846,9 +848,9 @@ def reference_verify_certificate(c):
         failures.append("transversal_valid")
     elif len(r) > 0:
         coset, reps = BASE, c.transversal.reps
-        for i, letter in enumerate(r.letters[:-1], 1):
-            coset = c.table.step(coset, *letter)
-            if len(reps[coset]) != i or reps[coset].letters[-1] != letter:
+        for i, letter in enumerate(letters(r)[:-1], 1):
+            coset = step(c.table, coset, *letter)
+            if len(reps[coset]) != i or signed(reps[coset].codes[-1]) != letter:
                 failures.append("transversal_seeded")
                 break
     if not reference_basis_invariants(c.basis):

@@ -22,7 +22,7 @@ from schreierkit import (
     parse_word,
 )
 from schreierkit.perms import DEFAULT_IMAGE_CEILING, kills
-from schreierkit.words import letter_codes
+from test_words import letters, signed
 
 AB = Alphabet.of("ab")
 
@@ -31,20 +31,32 @@ def hom(a_images, b_images):
     return FiniteQuotientHom(AB, (tuple(a_images), tuple(b_images)))
 
 
+def step(h, point, g, s):
+    """Oracle: the image of ``point`` under the letter ``(g, s)``, read off
+    ``gen_images`` alone (an inverse image is found by search)."""
+    column = h.gen_images[g]
+    return column[point] if s > 0 else column.index(point)
+
+
 def word_image(h, w):
     """Oracle: the image of ``w`` under ``h`` (a homomorphism or a coset
     table), the right-action product of its letters' columns, composed one
     letter at a time."""
     acc = tuple(range(h.degree))
-    for g, s in w.letters:
-        column = h.gen_images[g] if s > 0 else h.inverse_images[g]
+    for g, s in letters(w):
+        column = h.gen_images[g]
+        if s < 0:
+            column = {j: i for i, j in enumerate(column)}
         acc = tuple(column[i] for i in acc)
     return acc
 
 
 def columns_by_code(h):
-    """The columns of ``h`` indexed by letter code: image, inverse, ..."""
-    return [c for g in range(h.alphabet.size) for c in (h.gen_images[g], h.inverse_images[g])]
+    """Oracle: the columns of ``h`` indexed by letter code, image then
+    inverse per generator, each inverse found by search."""
+    return [
+        c for p in h.gen_images for c in (p, tuple(p.index(i) for i in range(len(p))))
+    ]
 
 
 def random_word(rng, alphabet, max_len):
@@ -99,12 +111,29 @@ def test_eval_word_examples():
         w = parse_word(text, AB)
         assert word_image(h, w) == image
         assert kills_relators(h, [w]) == (image == (0, 1))
-        assert kills(letter_codes(w.letters), columns_by_code(h)) == (image == (0, 1))
+        assert kills(w.codes, columns_by_code(h)) == (image == (0, 1))
 
 
 def test_letter_codes():
-    assert letter_codes(parse_word("aBAb", AB).letters) == (0, 3, 1, 2)
-    assert letter_codes(()) == ()
+    w = parse_word("aBAb", AB)
+    assert w.codes == (0, 3, 1, 2)
+    assert letters(w) == [(0, 1), (1, -1), (0, -1), (1, 1)]
+    assert w.codes == tuple(Letter(g, s) for g, s in letters(w))
+    assert parse_word("1", AB).codes == ()
+
+
+def test_hom_columns_are_listed_by_code():
+    rng = random.Random(32)
+    for degree in (1, 2, 3, 5):
+        perms = list(itertools.permutations(range(degree)))
+        h = hom(rng.choice(perms), rng.choice(perms))
+        assert list(h.columns) == columns_by_code(h)
+        assert h.columns[::2] == h.gen_images
+        assert all(type(c) is tuple for c in h.columns)
+        w = random_word(rng, AB, 12)
+        point = rng.randrange(degree)
+        for k in w.codes:
+            assert h.columns[k][point] == step(h, point, *signed(k))
 
 
 def test_kills_edge_cases():
@@ -113,8 +142,7 @@ def test_kills_edge_cases():
     columns = columns_by_code(h)
     assert kills((), columns)
     for text, dies in (("a", False), ("A", False), ("aa", True), ("aB", False), ("bbb", True)):
-        codes = letter_codes(parse_word(text, AB).letters)
-        assert kills(codes, columns) == dies
+        assert kills(parse_word(text, AB).codes, columns) == dies
     # one point: every word dies
     assert kills((0, 3, 1), columns_by_code(hom((0,), (0,))))
 
@@ -132,7 +160,7 @@ def test_kills_matches_word_image():
         image = word_image(h, w)
         dies = image == tuple(range(degree))
         fixes_0_only += image[0] == 0 and not dies
-        assert kills(letter_codes(w.letters), columns_by_code(h)) == dies
+        assert kills(w.codes, columns_by_code(h)) == dies
     assert fixes_0_only >= 20
 
 
@@ -164,7 +192,7 @@ def test_kills_relators_matches_word_image():
             u = random_word(rng, AB, 10)
             v = random_word(rng, AB, 10)
             assert word_image(h, invert(u)) == inverse(word_image(h, u))
-            uv = free_reduce(AB, u.letters + v.letters)
+            uv = free_reduce(AB, u.codes + v.codes)
             assert word_image(h, uv) == compose(word_image(h, u), word_image(h, v))
             assert kills_relators(h, [u]) == (word_image(h, u) == identity)
             assert kills_relators(h, [u, v]) == (

@@ -35,6 +35,7 @@ from schreierkit import (
 )
 from test_perms import word_image
 from test_transversal import reference_evaluate_positions
+from test_words import signed
 
 AB = Alphabet.of("ab")
 
@@ -74,7 +75,7 @@ def random_killed_relator(rng, table):
         k = perm_order(word_image(table, u))
         relator = u
         for _ in range(k - 1):
-            relator = free_reduce(alphabet, relator.letters + u.letters)
+            relator = free_reduce(alphabet, relator.codes + u.codes)
         return relator
 
 
@@ -87,15 +88,16 @@ def test_surface_presentation_examples():
     assert genus2.alphabet.size == 4
     assert len(genus2.relators) == 1
     assert len(genus2.relators[0]) == 8
+    assert [str(rel) for rel in genus2.relators] == ["abABcdCD"]
 
 
 def test_surface_presentation_cyclically_reduced():
     for g in range(1, 13):
         relator = surface_presentation(g).relators[0]
         assert len(relator) == 4 * g
-        assert is_reduced(relator.letters)
-        first, last = relator.letters[0], relator.letters[-1]
-        assert not (first.gen == last.gen and first.sign == -last.sign)
+        assert is_reduced(relator.codes)
+        (g, s), (h, t) = signed(relator.codes[0]), signed(relator.codes[-1])
+        assert not (g == h and s == -t)
 
 
 def test_surface_presentation_bounds():
@@ -186,8 +188,8 @@ def assert_relators_are_conjugates(pres, table, sp):
     for c in range(table.n):
         for rel in pres.relators:
             rep = tr.reps[c]
-            letters = rep.letters + rel.letters + invert(rep).letters
-            conjugate = free_reduce(table.alphabet, letters)
+            codes = rep.codes + rel.codes + invert(rep).codes
+            conjugate = free_reduce(table.alphabet, codes)
             relator = sp.relators[i]
             walk = crossings(table, numbering, BASE, conjugate)
             assert walk == (list(relator), BASE)

@@ -38,6 +38,8 @@ from schreierkit import (
 )
 from schreierkit.lemma import _basis_invariants, _transversal_valid
 from test_cosets import walk
+from test_perms import step
+from test_words import letters, signed
 
 AB = Alphabet.of("ab")
 TWO = regular_table(FiniteQuotientHom(AB, ((1, 0), (0, 1))))
@@ -64,7 +66,7 @@ def bfs_distances(table):
         c = queue.popleft()
         for g in range(table.alphabet.size):
             for s in (1, -1):
-                d = table.step(c, g, s)
+                d = step(table, c, g, s)
                 if d not in dist:
                     dist[d] = dist[c] + 1
                     queue.append(d)
@@ -92,15 +94,15 @@ def separated(table, w):
     """Oracle: the initial segments of ``w`` reach pairwise distinct cosets,
     walked here one column lookup at a time."""
     c, seen = 0, {0}
-    for g, s in w.letters[:-1]:
-        c = table.gen_images[g][c] if s > 0 else table.inverse_images[g][c]
+    for g, s in letters(w)[:-1]:
+        c = step(table, c, g, s)
         seen.add(c)
     return len(seen) == len(w)
 
 
 def initial_segments(w):
     """The empty word up to all but the last letter of ``w``."""
-    return [FreeWord(w.alphabet, w.letters[:i]) for i in range(len(w))]
+    return [FreeWord(w.alphabet, w.codes[:i]) for i in range(len(w))]
 
 
 def test_unseeded_transversal_examples():
@@ -175,7 +177,7 @@ def test_seeded_reps_are_minimal_extensions():
             c = queue.popleft()
             for g in range(table.alphabet.size):
                 for s in (1, -1):
-                    d = table.step(c, g, s)
+                    d = step(table, c, g, s)
                     if d not in dist:
                         dist[d] = dist[c] + 1
                         queue.append(d)
@@ -185,10 +187,10 @@ def test_seeded_reps_are_minimal_extensions():
                 continue
             # each off-seed rep extends the rep of a coset one BFS layer in,
             # by exactly one letter and without cancellation
-            g, s = tr.reps[c].letters[-1]
-            parent = table.step(c, g, -s)
+            g, s = signed(tr.reps[c].codes[-1])
+            parent = step(table, c, g, -s)
             assert dist[parent] == dist[c] - 1
-            assert tr.reps[parent] == FreeWord(AB, tr.reps[c].letters[:-1])
+            assert tr.reps[parent] == FreeWord(AB, tr.reps[c].codes[:-1])
 
 
 def test_schreier_basis_examples():
@@ -229,18 +231,18 @@ def rewrite(table, w):
 def reference_evaluate_positions(b, positions):
     """Oracle: multiply out a signed position sequence over the basis
     elements."""
-    letters = []
+    codes = []
     for position, sign in positions:
         factor = b.elements[position]
-        letters += factor.letters if sign > 0 else invert(factor).letters
-    return free_reduce(b.table.alphabet, letters)
+        codes += factor.codes if sign > 0 else invert(factor).codes
+    return free_reduce(b.table.alphabet, codes)
 
 
 def test_rewrite_in_basis_examples():
     assert rewrite(TWO, empty_word(AB)) == ([], BASE)
     assert rewrite(TWO, parse_word("aa", AB)) == ([(1, 1)], BASE)
     # aa * (abA)^-1 crosses the aa edge forward and the abA edge backward
-    w = free_reduce(AB, parse_word("aa", AB).letters + invert(parse_word("abA", AB)).letters)
+    w = free_reduce(AB, parse_word("aa", AB).codes + invert(parse_word("abA", AB)).codes)
     assert str(w) == "aaaBA"
     assert rewrite(TWO, w) == ([(1, 1), (2, -1)], BASE)
     basis = schreier_basis(schreier_transversal(TWO))
@@ -279,7 +281,7 @@ def random_word_in_subgroup(rng, table):
     u = free_reduce(alphabet, raw)
     tr = schreier_transversal(table)
     rep = tr.reps[walk(table, 0, u)]
-    return free_reduce(alphabet, u.letters + invert(rep).letters)
+    return free_reduce(alphabet, u.codes + invert(rep).codes)
 
 
 def test_basis_elements_rewrite_to_themselves():
@@ -345,8 +347,8 @@ def test_basis_through_word_randomized():
         assert _basis_invariants(basis)
         assert fold_verify(basis)
         # the through-word sits on its final edge
-        final = walk(table, 0, FreeWord(w.alphabet, w.letters[:-1]))
-        assert basis.edge_index[(final, w.letters[-1].gen)] == position
+        final = walk(table, 0, FreeWord(w.alphabet, w.codes[:-1]))
+        assert basis.edge_index[(final, signed(w.codes[-1])[0])] == position
 
 
 def test_basis_through_word_checks_membership_first():
@@ -361,15 +363,15 @@ def closed_path_table(rng, alphabet, n):
     along the word's ``i``-th letter, and the columns are completed at
     random.  The word is cyclically reduced, so the path's edges never
     give one coset two images under a generator."""
-    letters = [Letter(rng.randrange(alphabet.size), rng.choice((1, -1)))]
-    while len(letters) < n:
+    codes = [Letter(rng.randrange(alphabet.size), rng.choice((1, -1)))]
+    while len(codes) < n:
         ell = Letter(rng.randrange(alphabet.size), rng.choice((1, -1)))
-        closing = len(letters) == n - 1
-        if ell != letters[-1].inverse() and not (closing and ell == letters[0].inverse()):
-            letters.append(ell)
-    w = FreeWord(alphabet, tuple(letters))
+        closing = len(codes) == n - 1
+        if ell != codes[-1].inverse() and not (closing and ell == codes[0].inverse()):
+            codes.append(ell)
+    w = FreeWord(alphabet, tuple(codes))
     images: list[dict[int, int]] = [{} for _ in range(alphabet.size)]
-    for i, (g, s) in enumerate(w.letters):
+    for i, (g, s) in enumerate(letters(w)):
         src, dst = (i, (i + 1) % n) if s > 0 else ((i + 1) % n, i)
         images[g][src] = dst
     columns = []
@@ -414,7 +416,7 @@ def test_fold_verify_rejects_tampered_lists():
     squared = SubgroupBasis(
         basis.transversal,
         basis.flipped,
-        basis.elements[:-1] + (free_reduce(AB, basis.elements[-1].letters * 2),),
+        basis.elements[:-1] + (free_reduce(AB, basis.elements[-1].codes * 2),),
         basis.edge_index,
     )
     assert not fold_verify(squared)
@@ -508,8 +510,8 @@ def reference_fold_verify(b: SubgroupBasis) -> bool:
         if len(w) == 0:
             return False
         current = base
-        for i, (g, s) in enumerate(w.letters):
-            target = base if i == len(w.letters) - 1 else next_vertex
+        for i, (g, s) in enumerate(letters(w)):
+            target = base if i == len(w) - 1 else next_vertex
             if target == next_vertex:
                 uf.add(target)
                 next_vertex += 1
@@ -566,7 +568,7 @@ def reference_fold_verify(b: SubgroupBasis) -> bool:
             v = out_map.get((u, g))
             if v is None:
                 return False  # coset graph is complete; folded graph is not
-            expected = t.step(c, g, 1)
+            expected = step(t, c, g, 1)
             if v in mapping:
                 if mapping[v] != expected:
                     return False
@@ -592,9 +594,9 @@ def nielsen_move(rng, elements):
     other = elements[j] if rng.random() < 0.5 else invert(elements[j])
     alphabet = other.alphabet
     if rng.random() < 0.5:
-        elements[i] = free_reduce(alphabet, elements[i].letters + other.letters)
+        elements[i] = free_reduce(alphabet, elements[i].codes + other.codes)
     else:
-        elements[i] = free_reduce(alphabet, other.letters + elements[i].letters)
+        elements[i] = free_reduce(alphabet, other.codes + elements[i].codes)
 
 
 def tampered_lists(rng, table, elements):
@@ -612,10 +614,10 @@ def tampered_lists(rng, table, elements):
     variants.append((elements[:i] + elements[i + 1:], False))
     variants.append((elements + [elements[i]], False))
     squared = list(elements)
-    squared[i] = free_reduce(alphabet, elements[i].letters * 2)
+    squared[i] = free_reduce(alphabet, elements[i].codes * 2)
     variants.append((squared, False))
     product = list(elements)
-    product[i] = free_reduce(alphabet, elements[i].letters + elements[j].letters)
+    product[i] = free_reduce(alphabet, elements[i].codes + elements[j].codes)
     variants.append((product, False))
     inverted = list(elements)
     inverted[i] = invert(elements[i])
@@ -628,17 +630,17 @@ def tampered_lists(rng, table, elements):
     emptied[i] = empty_word(alphabet)
     variants.append((emptied, False))
     # a generator that moves the base exists exactly when the index is above 1
-    movers = [g for g in range(table.alphabet.size) if table.step(BASE, g, 1) != BASE]
+    movers = [g for g in range(table.alphabet.size) if step(table, BASE, g, 1) != BASE]
     if movers:
         outside = list(elements)
         letter = Letter(rng.choice(movers), 1)
-        outside[j] = free_reduce(alphabet, elements[j].letters + (letter,))
+        outside[j] = free_reduce(alphabet, elements[j].codes + (letter,))
         variants.append((outside, False))
     if k >= 2:
         a, c = rng.sample(range(k), 2)
         conjugated = list(elements)
         conjugated[a] = free_reduce(
-            alphabet, elements[c].letters + elements[a].letters + invert(elements[c]).letters
+            alphabet, elements[c].codes + elements[a].codes + invert(elements[c]).codes
         )
         variants.append((conjugated, True))
         chained = list(elements)
@@ -692,7 +694,7 @@ def test_fold_verify_large_index():
     table = random_table(rng, AB, 2000)
     basis = schreier_basis(schreier_transversal(table))
     assert fold_verify(basis)
-    extra = free_reduce(AB, basis.elements[0].letters + basis.elements[1].letters)
+    extra = free_reduce(AB, basis.elements[0].codes + basis.elements[1].codes)
     assert not fold_verify(with_elements(basis, basis.elements + (extra,)))
 
 
@@ -760,14 +762,14 @@ def reference_check_transversal(tr: SchreierTransversal) -> list[str]:
         return [f"expected {t.n} representatives, found {len(tr.reps)}"]
     if len(tr.reps[BASE]) != 0:
         failures.append("base representative is not the empty word")
-    pool = {w.letters for w in tr.reps if w.alphabet == t.alphabet}
+    pool = {w.codes for w in tr.reps if w.alphabet == t.alphabet}
     for c, w in enumerate(tr.reps):
         if w.alphabet != t.alphabet:
             failures.append(f"representative {c} uses a different alphabet")
             continue
         if walk(t, BASE, w) != c:
             failures.append(f"representative {w} does not trace to coset {c}")
-        if len(w) > 0 and w.letters[:-1] not in pool:
+        if len(w) > 0 and w.codes[:-1] not in pool:
             failures.append(f"representative set is not prefix-closed at {w}")
     return failures
 
@@ -789,7 +791,7 @@ def tampered_transversals(rng, tr):
     letter = random_letter()
     variants = [reps]
     extended = list(reps)
-    extended[c] = free_reduce(alphabet, reps[d].letters + (letter,))
+    extended[c] = free_reduce(alphabet, reps[d].codes + (letter,))
     variants.append(extended)
     scrambled = list(reps)
     scrambled[c] = free_reduce(alphabet, [random_letter() for _ in range(rng.randrange(4))])
@@ -804,7 +806,7 @@ def tampered_transversals(rng, tr):
     variants.append(reps + [reps[d]])
     wider = Alphabet.first(alphabet.size + 1)
     foreign = list(reps)
-    foreign[c] = FreeWord(wider, reps[c].letters + (Letter(alphabet.size, 1),))
+    foreign[c] = FreeWord(wider, reps[c].codes + (Letter(alphabet.size, 1),))
     variants.append(foreign)
     return [SchreierTransversal(t, tuple(v)) for v in variants]
 
@@ -863,7 +865,7 @@ def reference_schreier_transversal(
         for w in words:
             if w.alphabet != t.alphabet:
                 raise AlphabetMismatch("seed word alphabet differs from table alphabet")
-            assert len(w) == 0 or FreeWord(w.alphabet, w.letters[:-1]) in pool, (
+            assert len(w) == 0 or FreeWord(w.alphabet, w.codes[:-1]) in pool, (
                 f"seed is not prefix-closed: missing prefix of {w}"
             )
         for w in words:
@@ -880,9 +882,9 @@ def reference_schreier_transversal(
         assert rep is not None
         for g in range(t.alphabet.size):
             for s in (1, -1):
-                d = t.step(c, g, s)
+                d = step(t, c, g, s)
                 if reps[d] is None:
-                    reps[d] = free_reduce(t.alphabet, rep.letters + (Letter(g, s),))
+                    reps[d] = free_reduce(t.alphabet, rep.codes + (Letter(g, s),))
                     queue.append(d)
     return SchreierTransversal(t, tuple(reps))  # type: ignore[arg-type]
 
@@ -897,8 +899,8 @@ def reference_tree_edges(tr: SchreierTransversal, flipped: frozenset[int]) -> se
         w = tr.reps[c]
         if len(w) == 0:
             continue
-        g, s = w.letters[-1]
-        parent = t.step(c, g, -s)
+        g, s = signed(w.codes[-1])
+        parent = step(t, c, g, -s)
         if (s > 0) != (g in flipped):
             tree.add((parent, g))
         else:
@@ -928,9 +930,9 @@ def reference_schreier_basis(
             if (c, g) in tree:
                 continue
             e = -1 if g in flipped else 1
-            d = t.step(c, g, e)
+            d = step(t, c, g, e)
             u = free_reduce(
-                t.alphabet, tr.reps[c].letters + (Letter(g, e),) + invert(tr.reps[d]).letters
+                t.alphabet, tr.reps[c].codes + (Letter(g, e),) + invert(tr.reps[d]).codes
             )
             edge_index[(c, g)] = len(elements)
             elements.append(u)
@@ -959,8 +961,8 @@ def test_words_match_eager_reference():
             assert tr.reps == expected.reps
             flipped = frozenset(g for g in range(m) if rng.random() < 0.5)
             flip_sets = [frozenset(), flipped]
-            if through is not None and through.letters[-1].sign < 0:
-                flip_sets.append(frozenset({through.letters[-1].gen}))
+            if through is not None and signed(through.codes[-1])[1] < 0:
+                flip_sets.append(frozenset({signed(through.codes[-1])[0]}))
                 assert basis_through_word(table, through)[0] == schreier_basis(
                     tr, flip_sets[-1]
                 )
@@ -985,8 +987,8 @@ def reference_crossings(
     ``SubgroupBasis.edge_index`` of an unflipped basis."""
     out: list[tuple[int, int]] = []
     c = start
-    for g, s in w.letters:
-        d = t.step(c, g, s)
+    for g, s in letters(w):
+        d = step(t, c, g, s)
         if s > 0:
             key, sign = (c, g), 1
         else:
@@ -1041,25 +1043,25 @@ def flat_numbering(
 
 def last_letters(tr: SchreierTransversal):
     """The last letter of each representative, ``None`` at the base."""
-    return tuple(w.letters[-1] if w.letters else None for w in tr.reps)
+    return tuple(signed(w.codes[-1]) if w.codes else None for w in tr.reps)
 
 
 def reference_tree_letters(t: CosetTable, through: FreeWord | None = None):
     """Oracle: the transversal's breadth-first search written plainly, one
-    ``t.step`` per letter, the seed path first."""
+    oracle ``step`` per letter, the seed path first."""
     last: dict[int, tuple[int, int] | None] = {BASE: None}
     queue = deque([BASE])
     if through is not None:
         c = BASE
-        for g, s in through.letters[:-1]:
-            c = t.step(c, g, s)
+        for g, s in letters(through)[:-1]:
+            c = step(t, c, g, s)
             last[c] = (g, s)
             queue.append(c)
     while queue:
         c = queue.popleft()
         for g in range(t.alphabet.size):
             for s in (1, -1):
-                d = t.step(c, g, s)
+                d = step(t, c, g, s)
                 if d not in last:
                     last[d] = (g, s)
                     queue.append(d)

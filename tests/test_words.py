@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from dataclasses import fields
 
@@ -23,9 +25,20 @@ AB = Alphabet.of("ab")
 ABC = Alphabet.of("abc")
 
 
-def naive_reduce(letters):
-    """Oracle: repeat single-pass adjacent cancellation until a fixpoint."""
-    current = list(letters)
+def signed(k):
+    """The tests' own decoding of a letter code: (generator, sign)."""
+    return k >> 1, -1 if k & 1 else 1
+
+
+def letters(w):
+    """The (generator, sign) pairs of ``w``, decoded as :func:`signed` does."""
+    return [(k >> 1, -1 if k & 1 else 1) for k in w.codes]
+
+
+def naive_reduce(codes):
+    """Oracle: repeat single-pass adjacent cancellation until a fixpoint,
+    on the decoded (generator, sign) pairs."""
+    current = list(codes)
     while True:
         out = []
         i = 0
@@ -33,8 +46,8 @@ def naive_reduce(letters):
         while i < len(current):
             if (
                 i + 1 < len(current)
-                and current[i].gen == current[i + 1].gen
-                and current[i].sign == -current[i + 1].sign
+                and signed(current[i])[0] == signed(current[i + 1])[0]
+                and signed(current[i])[1] == -signed(current[i + 1])[1]
             ):
                 i += 2
                 cancelled = True
@@ -79,6 +92,67 @@ def test_free_reduce_rejects_bad_letters():
     # a bad pair that would cancel is still rejected
     with pytest.raises(InvalidLetter):
         free_reduce(AB, [Letter(2, 1), Letter(2, -1)])
+    with pytest.raises(InvalidLetter):
+        free_reduce(AB, [4, 5])
+    with pytest.raises(InvalidLetter):
+        free_reduce(AB, [-1])
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, "a"])
+def test_a_code_that_is_not_an_integer_is_rejected(bad):
+    # 0.5 used to truncate to generator 0, and printing it raised KeyError
+    with pytest.raises(InvalidLetter):
+        FreeWord(AB, (bad,))
+    with pytest.raises(InvalidLetter):
+        FreeWord(AB, (0, bad))
+    with pytest.raises(InvalidLetter):
+        free_reduce(AB, [bad])
+    with pytest.raises(InvalidLetter):
+        Letter(bad, 1)
+    with pytest.raises(InvalidLetter):
+        Letter(0, bad)
+
+
+def test_letter_is_its_code():
+    assert [Letter(g, s) for g in (0, 1) for s in (1, -1)] == [0, 1, 2, 3]
+    assert Letter(2, -1) == 2 * 2 + 1 and Letter(2, -1).inverse() == Letter(2, 1) == 4
+    assert isinstance(Letter(0, 1).inverse(), Letter)
+    assert str(FreeWord(AB, (Letter(0, 1), Letter(1, -1)))) == "aB"
+    assert FreeWord(AB, (Letter(0, 1), Letter(1, -1))) == parse_word("aB", AB)
+    for gen, sign in ((True, 1), (-1, 1), (0, 0), (0, 2), (0, True)):
+        with pytest.raises(InvalidLetter):
+            Letter(gen, sign)
+    with pytest.raises(InvalidLetter):
+        FreeWord(AB, (True,))
+    for ell in (Letter(0, 1), Letter(3, -1)):
+        for copied in (pickle.loads(pickle.dumps(ell)), copy.deepcopy(ell)):
+            assert copied == ell and type(copied) is Letter
+
+
+def test_constructor_accepts_exactly_the_in_range_reduced_code_tuples():
+    rng = random.Random(3232)
+    accepted = 0
+    for _ in range(3000):
+        alphabet = Alphabet.first(rng.randrange(1, 5))
+        m = alphabet.size
+        codes = tuple(rng.randrange(-1, 2 * m + 1) for _ in range(rng.randrange(7)))
+        pairs = [signed(k) for k in codes]
+        valid = all(0 <= k < 2 * m for k in codes) and not any(
+            g == h and s == -t for (g, s), (h, t) in zip(pairs, pairs[1:])
+        )
+        try:
+            w = FreeWord(alphabet, codes)
+        except (InvalidLetter, UnreducedWord):
+            assert not valid, codes
+            continue
+        assert valid, codes
+        accepted += 1
+        spelled = "".join(
+            alphabet.names[g] if s > 0 else alphabet.names[g].upper() for g, s in pairs
+        )
+        assert str(w) == (spelled or "1")
+        assert parse_word(str(w), alphabet) == w
+    assert 500 < accepted < 2500
 
 
 def test_free_reduce_against_fixpoint_oracle():
@@ -86,9 +160,9 @@ def test_free_reduce_against_fixpoint_oracle():
     for _ in range(1000):
         raw = random_raw(rng, ABC, 64)
         reduced = free_reduce(ABC, raw)
-        assert reduced.letters == naive_reduce(raw)
-        assert free_reduce(ABC, reduced.letters) == reduced  # idempotent
-        assert is_reduced(reduced.letters)
+        assert reduced.codes == naive_reduce(raw)
+        assert free_reduce(ABC, reduced.codes) == reduced  # idempotent
+        assert is_reduced(reduced.codes)
 
 
 def test_invert_examples():
@@ -102,24 +176,25 @@ def test_invert_laws():
     for _ in range(200):
         w = free_reduce(AB, random_raw(rng, AB, 24))
         assert invert(invert(w)) == w
-        assert free_reduce(AB, w.letters + invert(w).letters) == empty_word(AB)
+        assert free_reduce(AB, w.codes + invert(w).codes) == empty_word(AB)
+        assert letters(invert(w)) == [(g, -s) for g, s in reversed(letters(w))]
 
 
 def test_concat_examples():
-    # a product is reduced as the concatenation of its factors' letters
+    # a product is reduced as the concatenation of its factors' codes
     u, v = parse_word("ab", AB), parse_word("Ba", AB)
-    assert str(free_reduce(AB, u.letters + v.letters)) == "aa"
+    assert str(free_reduce(AB, u.codes + v.codes)) == "aa"
     w = parse_word("abA", AB)
-    assert free_reduce(AB, w.letters + empty_word(AB).letters) == w
+    assert free_reduce(AB, w.codes + empty_word(AB).codes) == w
 
 
 def test_concat_associativity_against_flat_oracle():
     rng = random.Random(99)
     for _ in range(1000):
         u, v, w = (free_reduce(AB, random_raw(rng, AB, 12)) for _ in range(3))
-        flat = free_reduce(AB, u.letters + v.letters + w.letters)
-        assert free_reduce(AB, free_reduce(AB, u.letters + v.letters).letters + w.letters) == flat
-        assert free_reduce(AB, u.letters + free_reduce(AB, v.letters + w.letters).letters) == flat
+        flat = free_reduce(AB, u.codes + v.codes + w.codes)
+        assert free_reduce(AB, free_reduce(AB, u.codes + v.codes).codes + w.codes) == flat
+        assert free_reduce(AB, u.codes + free_reduce(AB, v.codes + w.codes).codes) == flat
 
 
 def test_concat_length_parity():
@@ -127,18 +202,18 @@ def test_concat_length_parity():
     for _ in range(300):
         u = free_reduce(AB, random_raw(rng, AB, 16))
         v = free_reduce(AB, random_raw(rng, AB, 16))
-        assert (len(free_reduce(AB, u.letters + v.letters)) - len(u) - len(v)) % 2 == 0
+        assert (len(free_reduce(AB, u.codes + v.codes)) - len(u) - len(v)) % 2 == 0
 
 
 def test_prefixes_properties():
     # an initial segment of a reduced word is reduced, so a representative
-    # is its parent's letters plus one with no re-reduction
+    # is its parent's codes plus one with no re-reduction
     rng = random.Random(31)
     for _ in range(300):
         w = free_reduce(ABC, random_raw(rng, ABC, 20))
         for i in range(len(w)):
-            assert is_reduced(w.letters[:i])
-            assert free_reduce(ABC, w.letters[:i]).letters == w.letters[:i]
+            assert is_reduced(w.codes[:i])
+            assert free_reduce(ABC, w.codes[:i]).codes == w.codes[:i]
 
 
 def test_parse_examples():
@@ -200,7 +275,9 @@ def test_constructor_rejects_unreduced():
 
 def test_alphabet_equality_hash_and_repr_ignore_letter_tables():
     first, second = Alphabet.of("ab"), Alphabet(("a", "b"))
-    assert first.inverse_of is not second.inverse_of
+    assert first.code_of is not second.code_of
+    assert first.chars == second.chars == "aAbB"
+    assert first.code_of == {"a": 0, "A": 1, "b": 2, "B": 3}
     assert first == second and hash(first) == hash(second)
     assert repr(first) == "Alphabet(names=('a', 'b'))"
     assert [f.name for f in fields(Alphabet) if f.compare or f.repr or f.init] == ["names"]
@@ -209,9 +286,11 @@ def test_alphabet_equality_hash_and_repr_ignore_letter_tables():
     assert first != ("a", "b") and hash(first) == hash((("a", "b"),))
 
 
-raw_letters_strategy = st.lists(
-    st.tuples(st.integers(-1, 3), st.sampled_from((1, -1, 1, -1, 0, 2, -2, True))).flatmap(
-        lambda t: st.sampled_from((t, Letter(*t)))
+raw_codes_strategy = st.lists(
+    st.one_of(
+        st.integers(-2, 7),
+        st.sampled_from((0.5, 1.0, "a", True, False, None)),
+        st.builds(Letter, st.integers(0, 3), st.sampled_from((1, -1))),
     ),
     max_size=12,
 )
@@ -226,24 +305,22 @@ def _outcome(call):
 
 
 @settings(max_examples=250)
-@given(raw_letters_strategy)
+@given(raw_codes_strategy)
 def test_constructor_raises_exactly_when_reference_checks_do(raw):
-    letters = tuple(raw)
+    codes = tuple(raw)
 
-    def reference():  # the letter rules, spelled out one letter and one pair at a time
-        for gen, sign in letters:
-            if not 0 <= gen < 3:
-                raise InvalidLetter(f"generator index {gen} outside alphabet of size 3")
-            if sign not in (1, -1):
-                raise InvalidLetter(f"letter sign must be +1 or -1, got {sign}")
-        for (g, s), (h, t) in zip(letters, letters[1:]):
+    def reference():  # the code rules, spelled out one code and one pair at a time
+        for k in codes:
+            if not isinstance(k, int) or isinstance(k, bool) or not 0 <= k < 6:
+                raise InvalidLetter(f"letter code {k!r} is not an integer in 0..5")
+        for (g, s), (h, t) in zip(map(signed, codes), map(signed, codes[1:])):
             if g == h and s == -t:
-                raise UnreducedWord(f"letters are not freely reduced: {letters!r}")
+                raise UnreducedWord(f"codes are not freely reduced: {codes!r}")
 
     expected = _outcome(reference)
-    assert _outcome(lambda: FreeWord(ABC, letters)) == expected
+    assert _outcome(lambda: FreeWord(ABC, codes)) == expected
     if expected is None or expected[0] is UnreducedWord:
-        assert is_reduced(letters) == (expected is None)
+        assert is_reduced(codes) == (expected is None)
 
 
 letters_strategy = st.lists(
@@ -256,15 +333,15 @@ letters_strategy = st.lists(
 @given(letters_strategy)
 def test_reduction_idempotent_hypothesis(raw):
     once = free_reduce(ABC, raw)
-    assert free_reduce(ABC, once.letters) == once
-    assert once.letters == naive_reduce(raw)
+    assert free_reduce(ABC, once.codes) == once
+    assert once.codes == naive_reduce(raw)
 
 
 @settings(max_examples=200)
 @given(letters_strategy, letters_strategy)
 def test_concat_hypothesis(raw_u, raw_v):
     u, v = free_reduce(ABC, raw_u), free_reduce(ABC, raw_v)
-    uv = free_reduce(ABC, u.letters + v.letters)
-    assert is_reduced(uv.letters)
+    uv = free_reduce(ABC, u.codes + v.codes)
+    assert is_reduced(uv.codes)
     assert len(uv) <= len(u) + len(v)
     assert uv == free_reduce(ABC, list(raw_u) + list(raw_v))
