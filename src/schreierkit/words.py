@@ -87,10 +87,11 @@ class Letter(int):
         return super().__new__(cls, 2 * gen + (sign < 0))
 
     def inverse(self) -> Letter:
-        return Letter(self >> 1, 1 if self & 1 else -1)
+        gen, sign = self.__getnewargs__()
+        return Letter(gen, -sign)
 
     def __getnewargs__(self) -> tuple[int, int]:
-        # pickle and copy rebuild a letter from its generator and sign
+        # the generator and sign, from which pickle and copy rebuild a letter
         return self >> 1, -1 if self & 1 else 1
 
 
