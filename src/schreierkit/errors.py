@@ -21,7 +21,7 @@ class InvalidHom(SchreierKitError, ValueError):
     """Generator images do not match the alphabet size or share no degree."""
 
 
-class InvalidLetter(SchreierKitError):
+class InvalidLetter(SchreierKitError, ValueError):
     """A letter code is not an integer in ``0 .. 2m-1`` for an alphabet of
     ``m`` generators, or a ``Letter`` has a bad generator or sign."""
 

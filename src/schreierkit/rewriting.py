@@ -10,10 +10,13 @@ edges it crosses (Reidemeister–Schreier); ``rep(c)`` runs along the
 spanning tree and contributes nothing, so the conjugate is never built.
 The same walk ends at the coset that shows whether ``rho`` fixes ``c``,
 so each relator is walked once from each coset.
-Only the spanning tree's numbering of the non-tree edges is needed, and
-:func:`~schreierkit.transversal.tree_numbering` numbers them during the
+Only the labels of the half-edges off the spanning tree are needed, and
+:func:`~schreierkit.transversal.tree_numbering` reads them off the
 breadth-first search that spells the transversal, without spelling any
 word: the basis elements are spelled on demand, when printed.
+A rewritten relator is a word in the free group on the basis symbols, held
+as letter codes as :mod:`~schreierkit.words` holds a word: symbol ``i``
+with sign ``s`` is ``2i + (s < 0)``, the label of the half-edge crossed.
 Rewritten relators are kept raw (freely reduced over the fresh basis
 symbols, but never simplified further) so the counting identities are exact:
 ``generators = n·(m-1) + 1`` and ``relators = n·k`` make the presentation
@@ -23,8 +26,8 @@ Euler characteristic multiply by the index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import chain, product
+from functools import cached_property
+from itertools import chain
 from typing import Iterator
 
 from .cosets import CosetTable, Presentation, iter_low_index_tables
@@ -42,23 +45,15 @@ MAX_GENUS = 12
 DEFAULT_REPORT_MAX_GENUS = 4
 DEFAULT_REPORT_MAX_INDEX = 6
 
-SignedSymbol = tuple[int, int]  # (basis symbol position, sign)
-SymbolWord = tuple[SignedSymbol, ...]
-
-
-@lru_cache(maxsize=16)
-def _signed_symbols(count: int) -> frozenset[SignedSymbol]:
-    """``(i, +1)`` and ``(i, -1)`` for every symbol ``i < count``.  Every
-    subgroup of one survey has the same count, so the set is built once."""
-    return frozenset(product(range(count), (1, -1)))
+SymbolWord = tuple[int, ...]  # symbol codes 2i + (s < 0)
 
 
 @dataclass(frozen=True)
 class SubgroupPresentation:
     """Raw rewritten presentation of the subgroup of a coset table.
 
-    ``relators`` are words over fresh basis symbols, stored as signed
-    position sequences; symbol ``i`` prints as ``x<i>`` and stands for
+    ``relators`` are words over fresh basis symbols, stored as symbol
+    codes ``2i + (s < 0)``; symbol ``i`` prints as ``x<i>`` and stands for
     ``basis.elements[i]``.
     """
 
@@ -73,18 +68,19 @@ class SubgroupPresentation:
 
     def symbols_paired(self) -> bool:
         """True iff every symbol occurs exactly once with sign +1 and once
-        with sign -1 across the relators.  For a surface group this is the
-        lifted surface closing up: the cover of the one-vertex genus-``g``
-        complex is a closed orientable surface, so each of its edges off the
-        spanning tree borders exactly two faces, in opposite directions
-        (Stillwell, *Classical Topology and Combinatorial Group Theory*,
-        §§3–4).  A symbol outside ``0 .. generator_count - 1`` gives False."""
-        count = self.generator_count
-        # 2 * count symbols whose set is the 2 * count expected ones:
-        # each expected symbol occurs, so none occurs twice
-        if sum(map(len, self.relators)) != 2 * count:
+        with sign -1 across the relators: each code ``0 .. 2·count - 1``
+        occurs once, and any other code gives False.  For a surface group
+        this is the lifted surface closing up: the cover of the one-vertex
+        genus-``g`` complex is a closed orientable surface, so each of its
+        edges off the spanning tree borders exactly two faces, in opposite
+        directions (Stillwell, *Classical Topology and Combinatorial Group
+        Theory*, §§3–4)."""
+        width = 2 * self.generator_count
+        # width codes whose set is the width expected ones: each expected
+        # code occurs, so none occurs twice
+        if sum(map(len, self.relators)) != width:
             return False
-        return set(chain.from_iterable(self.relators)) == _signed_symbols(count)
+        return set(chain.from_iterable(self.relators)) == set(range(width))
 
     def symbol_name(self, position: int) -> str:
         return f"x{position}"
@@ -93,8 +89,7 @@ class SubgroupPresentation:
         if not relator:
             return "1"
         return " ".join(
-            self.symbol_name(pos) if sign > 0 else self.symbol_name(pos) + "^-1"
-            for pos, sign in relator
+            self.symbol_name(k >> 1) + ("^-1" if k & 1 else "") for k in relator
         )
 
 
@@ -154,17 +149,17 @@ def rewrite_presentation(p: Presentation, t: CosetTable) -> SubgroupPresentation
     """
     if p.alphabet != t.alphabet:
         raise AlphabetMismatch("presentation and table use different alphabets")
-    numbering = tree_numbering(t)
+    label = tree_numbering(t)
     walks = []
     for rel in p.relators:
         row = []
         for c in range(t.n):
-            positions, end = crossings(t, numbering, c, rel)
+            codes, end = crossings(t, label, c, rel)
             if end != c:
                 raise RelatorNotKilled(rel, c)
-            row.append(tuple(positions))
+            row.append(tuple(codes))
         walks.append(row)
-    generator_count = len(numbering) - numbering.count(None)
+    generator_count = (len(label) - label.count(None)) // 2
     # zip regroups the walks coset by coset
     return SubgroupPresentation(t, generator_count, tuple(chain.from_iterable(zip(*walks))))
 

@@ -12,8 +12,9 @@ One breadth-first search finds the spanning tree:
 :func:`~schreierkit.cosets.tree_edges`, which also checks that a table
 is transitive.  :func:`schreier_transversal` spells each representative
 from its parent's as the search reaches it; :func:`tree_numbering`
-numbers the non-tree edges of the plain tree during the same search,
-which is all that :func:`crossings` (and so rewriting) reads;
+labels the half-edges off the plain tree after the same search, edge
+``i`` with the symbol codes ``2i`` forward and ``2i + 1`` back, which is
+all that :func:`crossings` (and so rewriting) reads;
 :func:`schreier_basis` reads the tree back off the representatives' last
 letters, so it also takes a transversal it did not build.
 
@@ -63,56 +64,55 @@ class SubgroupBasis:
 
 
 def tree_numbering(t: CosetTable) -> list[int | None]:
-    """Number the edges of the coset graph that the unseeded spanning tree
-    of :func:`schreier_transversal` leaves out.  The edge leaving coset
-    ``c`` along generator ``g`` has slot ``c·m + g`` (``m`` generators);
-    the result holds, slot by slot, its number or ``None`` for a tree edge.
-    Numbers therefore run coset ascending, then generator ascending, and
-    there are exactly ``n·(m-1) + 1`` of them, as in the unflipped
-    ``edge_index`` of :func:`schreier_basis`."""
-    m = t.alphabet.size
-    numbering: list[int | None] = [0] * (t.n * m)
+    """Label the half-edges off the unseeded spanning tree of
+    :func:`schreier_transversal`.  Slot ``c·2m + k`` (``m`` generators),
+    the layout of :func:`fold_verify`, is the half-edge leaving coset ``c``
+    along code ``k``; it holds ``None`` on a tree edge.  Edge ``i``,
+    numbered coset ascending, then generator ascending, as in the
+    unflipped ``edge_index`` of :func:`schreier_basis`, is labelled ``2i``
+    forward and ``2i + 1`` back: the code of basis symbol ``i`` with its
+    sign.  There are exactly ``n·(m-1) + 1`` such edges."""
+    width = 2 * t.alphabet.size
+    label: list[int | None] = [0] * (t.n * width)
     reached = [False] * t.n
     reached[BASE] = True
     for c, k, d in tree_edges(t, [BASE], reached):
-        # the tree edge leaves the parent along g, or the child along g^-1
-        numbering[(d if k & 1 else c) * m + (k >> 1)] = None
-    position = 0
-    for slot, mark in enumerate(numbering):
-        if mark is not None:
-            numbering[slot] = position
-            position += 1
-    return numbering
+        label[c * width + k] = label[d * width + (k ^ 1)] = None
+    columns = t.columns
+    code = 0
+    for slot in range(0, len(label), 2):  # the forward half-edges
+        if label[slot] is not None:
+            c, k = divmod(slot, width)
+            label[slot] = code
+            label[columns[k][c] * width + k + 1] = code + 1
+            code += 2
+    return label
 
 
 def crossings(
     t: CosetTable,
-    numbering: Sequence[int | None],
+    label: Sequence[int | None],
     start: int,
     w: FreeWord,
-) -> tuple[list[tuple[int, int]], int]:
-    """Walk ``w`` once from coset ``start``: the ``(edge number, sign)``
-    of each numbered (non-tree) edge crossed, as ``numbering`` (from
-    :func:`tree_numbering`) gives it, tree
-    edges contributing nothing, and the coset where the walk ends, so that
-    membership is read off the same walk.  An edge is keyed at the coset
-    it leaves along ``g``, and a crossing's sign is its letter's sign.
-    The caller checks that ``start`` is a coset of the table and ``w`` is
-    over its alphabet.  For reduced ``w`` the crossings are freely
-    reduced: between two crossings of one edge in opposite directions the
-    walk would be a closed non-backtracking path in the spanning tree,
-    which is empty, and then ``w`` itself would cancel."""
-    m = t.alphabet.size
+) -> tuple[list[int], int]:
+    """Walk ``w`` once from coset ``start``: the label (from
+    :func:`tree_numbering`) of each non-tree half-edge crossed, tree
+    half-edges contributing nothing, and the coset where the walk ends, so
+    that membership is read off the same walk.  The caller checks that
+    ``start`` is a coset of the table and ``w`` is over its alphabet.  For
+    reduced ``w`` the crossings are freely reduced: between two crossings
+    of one edge in opposite directions the walk would be a closed
+    non-backtracking path in the spanning tree, which is empty, and then
+    ``w`` itself would cancel."""
+    width = 2 * t.alphabet.size
     columns = t.columns
-    out: list[tuple[int, int]] = []
+    out: list[int] = []
     c = start
     for k in w.codes:
-        d = columns[k][c]
-        # the edge is keyed at the coset it leaves along its generator
-        position = numbering[(d if k & 1 else c) * m + (k >> 1)]
-        if position is not None:
-            out.append((position, -1 if k & 1 else 1))
-        c = d
+        code = label[c * width + k]
+        if code is not None:
+            out.append(code)
+        c = columns[k][c]
     return out, c
 
 

@@ -127,6 +127,8 @@ class FreeWord:
     codes: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        # tuple() returns a tuple argument itself, so tuple input costs nothing
+        object.__setattr__(self, "codes", tuple(self.codes))
         _check_codes(self.alphabet, self.codes)
         if not is_reduced(self.codes):
             raise UnreducedWord(f"codes are not freely reduced: {self.codes!r}")

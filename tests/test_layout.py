@@ -140,6 +140,52 @@ def test_src_never_reads_letter_outside_its_definition():
     assert reads == []
 
 
+def src_nodes_with_scope():
+    """Every node of ``src/`` with its module and the dotted name of the
+    definitions enclosing it (``""`` at module level)."""
+    def visit(node, module, scope):
+        yield node, module, scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, module, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+
+
+def test_src_decodes_a_sign_only_where_a_letter_is_pickled():
+    # a letter and a rewritten relator's symbol are both codes 2i + (s < 0):
+    # src/ reads k >> 1 and k & 1, and spells the sign out only to rebuild
+    # a Letter from its pickled (generator, sign)
+    decodings = [
+        (module, scope)
+        for node, module, scope in src_nodes_with_scope()
+        if isinstance(node, ast.IfExp)
+        and (ast.unparse(node.body), ast.unparse(node.orelse)) == ("-1", "1")
+    ]
+    assert decodings == [("words", "Letter.__getnewargs__")]
+
+
+def test_process_caches_are_the_two_known_ones():
+    def names_a_cache(node):
+        # functools.cache, or cache and lru_cache imported by name
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("cache", "lru_cache") and ast.unparse(node.value) == "functools"
+        return isinstance(node, ast.Name) and node.id in ("cache", "lru_cache")
+
+    cached, mentions = [], 0
+    for node, module, scope in src_nodes_with_scope():
+        mentions += names_a_cache(node)
+        if isinstance(node, ast.FunctionDef):
+            for decorator in node.decorator_list:
+                if names_a_cache(getattr(decorator, "func", decorator)):
+                    cached.append((module, f"{scope}.{node.name}" if scope else node.name))
+    assert cached == [("cli", "_parser"), ("lemma", "_symmetric")]
+    # functools.cache or lru_cache is named nowhere but in those decorators
+    assert mentions == len(cached)
+
+
 def test_every_export_is_used_in_src_or_shown_in_the_tour():
     # a public function or class that only tests call does not belong in src/,
     # exported or not; main finds the cmd_* handlers by name

@@ -109,14 +109,14 @@ def test_surface_presentation_bounds():
 
 def test_rewrite_rank_one_power_relator():
     # F(a) realised as <a | a^4> with the index-2 table: basis [aa], and both
-    # coset conjugates of the relator rewrite to x0 x0
+    # coset conjugates of the relator rewrite to x0 x0, symbol codes 0 0
     alphabet = Alphabet.of("a")
     pres = Presentation(alphabet, (parse_word("aaaa", alphabet),))
     table = regular_table(FiniteQuotientHom(alphabet, ((1, 0),)))
     sp = rewrite_presentation(pres, table)
     assert sp.generator_count == 1
     assert [str(u) for u in sp.basis.elements] == ["aa"]
-    assert sp.relators == (((0, 1), (0, 1)), ((0, 1), (0, 1)))
+    assert sp.relators == ((0, 0), (0, 0))
     assert sp.relator_text(sp.relators[0]) == "x0 x0"
 
 
@@ -193,7 +193,8 @@ def assert_relators_are_conjugates(pres, table, sp):
             relator = sp.relators[i]
             walk = crossings(table, numbering, BASE, conjugate)
             assert walk == (list(relator), BASE)
-            assert all(x[0] != y[0] or x[1] != -y[1] for x, y in zip(relator, relator[1:]))
+            pairs = list(map(signed, relator))
+            assert all(x[0] != y[0] or x[1] != -y[1] for x, y in zip(pairs, pairs[1:]))
             assert reference_evaluate_positions(sp.basis, relator) == conjugate
             i += 1
     assert i == len(sp.relators)
@@ -288,13 +289,13 @@ def test_corrupted_crossings_fail_the_pairing_check():
         while not relators[i]:
             i = rng.randrange(len(relators))
         j = rng.randrange(len(relators[i]))
-        position, sign = relators[i][j]
+        k = relators[i][j]
         dropped = [list(rel) for rel in relators]
         del dropped[i][j]
         duplicated = [list(rel) for rel in relators]
-        duplicated[i].insert(j, (position, sign))
+        duplicated[i].insert(j, k)
         flipped = [list(rel) for rel in relators]
-        flipped[i][j] = (position, -sign)
+        flipped[i][j] = k ^ 1  # the same symbol, its sign flipped
         for corrupted in (dropped, duplicated, flipped):
             bad = replace(sp, relators=tuple(map(tuple, corrupted)))
             assert not bad.symbols_paired()
@@ -368,20 +369,22 @@ def test_symbols_paired_on_hand_built_presentations():
     def paired(count, *relators):
         return SubgroupPresentation(table, count, relators).symbols_paired()
 
-    assert paired(2, ((0, 1), (1, 1), (0, -1), (1, -1)))
-    assert paired(2, ((0, 1), (1, -1)), ((1, 1),), ((0, -1),))
+    # symbol i with sign s is the code 2i + (s < 0): x0 is 0, x0^-1 is 1,
+    # x1 is 2, x1^-1 is 3
+    assert paired(2, (0, 2, 1, 3))
+    assert paired(2, (0, 3), (2,), (1,))
     assert paired(0)
-    # (0, +1) twice, so (0, -1) is missing though the length is right
-    assert not paired(2, ((0, 1), (1, 1), (0, 1), (1, -1)))
+    # x0 twice, so x0^-1 is missing though the length is right
+    assert not paired(2, (0, 2, 0, 3))
     # symbol 1 never appears
-    assert not paired(2, ((0, 1), (0, -1)))
-    # a position outside 0 .. generator_count - 1 gives False, not an error
-    assert not paired(1, ((0, 1), (0, -1), (1, 1)))
-    assert not paired(1, ((0, 1), (-1, -1)))
+    assert not paired(2, (0, 1))
+    # a code outside 0 .. 2·generator_count - 1 gives False, not an error
+    assert not paired(1, (0, 1, 2))
+    assert not paired(1, (0, -1))
     # the total length is right in each of these
-    assert not paired(1, ((0, 1), (1, -1)))  # a position out of range
-    assert not paired(2, ((0, 1), (0, -1), (1, 1), (2, -1)))
-    assert not paired(1, ((0, 1), (0, 0)))  # a sign of 0
-    assert not paired(2, ((0, 1), (0, -1), (1, 0), (1, -1)))
-    assert not paired(2, ((0, 1), (0, -1)), ((1, 1), (1, 1)))  # a symbol twice
-    assert not paired(2, ((0, 1), (0, -1), (0, 1), (1, -1)))
+    assert not paired(1, (0, 3))  # a code out of range
+    assert not paired(2, (0, 1, 2, 5))
+    assert not paired(1, (0, -2))  # a negative code
+    assert not paired(2, (0, 1, -2, 3))
+    assert not paired(2, (0, 1), (2, 2))  # a symbol twice
+    assert not paired(2, (0, 1, 0, 3))

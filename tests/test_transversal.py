@@ -228,11 +228,11 @@ def rewrite(table, w):
     return crossings(table, numbering, BASE, w)
 
 
-def reference_evaluate_positions(b, positions):
-    """Oracle: multiply out a signed position sequence over the basis
-    elements."""
+def reference_evaluate_positions(b, symbols):
+    """Oracle: multiply out a word of basis symbol codes ``2i + (s < 0)``,
+    decoded by :func:`signed`, over the basis elements."""
     codes = []
-    for position, sign in positions:
+    for position, sign in map(signed, symbols):
         factor = b.elements[position]
         codes += factor.codes if sign > 0 else invert(factor).codes
     return free_reduce(b.table.alphabet, codes)
@@ -240,13 +240,13 @@ def reference_evaluate_positions(b, positions):
 
 def test_rewrite_in_basis_examples():
     assert rewrite(TWO, empty_word(AB)) == ([], BASE)
-    assert rewrite(TWO, parse_word("aa", AB)) == ([(1, 1)], BASE)
+    assert rewrite(TWO, parse_word("aa", AB)) == ([2], BASE)  # x1
     # aa * (abA)^-1 crosses the aa edge forward and the abA edge backward
     w = free_reduce(AB, parse_word("aa", AB).codes + invert(parse_word("abA", AB)).codes)
     assert str(w) == "aaaBA"
-    assert rewrite(TWO, w) == ([(1, 1), (2, -1)], BASE)
+    assert rewrite(TWO, w) == ([2, 5], BASE)  # x1 x2^-1
     basis = schreier_basis(schreier_transversal(TWO))
-    assert reference_evaluate_positions(basis, [(1, 1), (2, -1)]) == w
+    assert reference_evaluate_positions(basis, [2, 5]) == w
     # a word outside the subgroup ends away from the base
     assert rewrite(TWO, parse_word("a", AB)) == ([], 1)
 
@@ -290,7 +290,7 @@ def test_basis_elements_rewrite_to_themselves():
         table = random_table(rng, AB, rng.randrange(1, 7))
         basis = schreier_basis(schreier_transversal(table))
         for position, u in enumerate(basis.elements):
-            assert rewrite(table, u) == ([(position, 1)], BASE)
+            assert rewrite(table, u) == ([2 * position], BASE)
 
 
 def test_basis_through_word_case1():
@@ -982,10 +982,11 @@ def reference_crossings(
     edge_index: dict[tuple[int, int], int],
     start: int,
     w: FreeWord,
-) -> tuple[list[tuple[int, int]], int]:
+) -> tuple[list[int], int]:
     """Oracle: the walker as it read the ``(coset, generator)`` keyed
-    ``SubgroupBasis.edge_index`` of an unflipped basis."""
-    out: list[tuple[int, int]] = []
+    ``SubgroupBasis.edge_index`` of an unflipped basis, each crossing's
+    ``(position, sign)`` encoded as the symbol code ``2·position + (sign < 0)``."""
+    out: list[int] = []
     c = start
     for g, s in letters(w):
         d = step(t, c, g, s)
@@ -995,13 +996,13 @@ def reference_crossings(
             key, sign = (d, g), -1
         position = edge_index.get(key)
         if position is not None:
-            out.append((position, sign))
+            out.append(2 * position + (sign < 0))
         c = d
     return out, c
 
 
 def test_crossings_match_reference_walker():
-    """The walker over the flat numbering gives the reference's positions
+    """The walker over the flat numbering gives the reference's symbols
     and end coset for random reduced words from every coset, over the
     unflipped basis of the plain tree and of a tree seeded by a subgroup
     word, each numbered slot by slot from the basis's ``edge_index``."""
@@ -1035,10 +1036,44 @@ def flat_numbering(
     t: CosetTable, edge_index: dict[tuple[int, int], int]
 ) -> list[int | None]:
     """``edge_index`` laid out as :func:`tree_numbering` lays out its
-    numbers: slot ``c·m + g`` holds the number of edge ``(c, g)``, or
-    ``None`` for a tree edge."""
-    m = t.alphabet.size
-    return [edge_index.get(divmod(slot, m)) for slot in range(t.n * m)]
+    labels: edge ``(c, g)`` numbered ``i`` puts ``2i`` in slot
+    ``c·2m + 2g``, leaving ``c`` along ``g``, and ``2i + 1`` in slot
+    ``d·2m + 2g + 1``, leaving ``d = c·g`` along ``g^-1``; a half-edge of
+    a tree edge holds ``None``."""
+    width = 2 * t.alphabet.size
+    label: list[int | None] = [None] * (t.n * width)
+    for (c, g), i in edge_index.items():
+        label[c * width + 2 * g] = 2 * i
+        label[step(t, c, g, 1) * width + 2 * g + 1] = 2 * i + 1
+    return label
+
+
+def test_tree_numbering_labels_each_half_edge_off_the_tree():
+    """On random tables, with the reference basis's ``edge_index`` as the
+    oracle: each symbol code ``0 .. 2(n(m-1)+1) - 1`` labels exactly one
+    half-edge, the forward half-edge of edge ``(c, g)`` holds twice its
+    position, the half-edge back along ``k ^ 1`` holds the label ``^ 1``,
+    and the half-edges of a tree edge, missing from ``edge_index``, hold
+    ``None`` in both directions."""
+    rng = random.Random(3303)
+    for _ in range(150):
+        m = rng.randrange(1, 5)
+        n = rng.randrange(1, 9)
+        table = random_table(rng, Alphabet.first(m), n)
+        edge_index = schreier_basis(schreier_transversal(table)).edge_index
+        label = tree_numbering(table)
+        width = 2 * m
+        assert len(label) == n * width
+        count = n * (m - 1) + 1
+        assert sorted(k for k in label if k is not None) == list(range(2 * count))
+        for slot, code in enumerate(label):
+            c, k = divmod(slot, width)
+            g, s = signed(k)
+            if s > 0:
+                position = edge_index.get((c, g))
+                assert code == (None if position is None else 2 * position)
+            back = label[step(table, c, g, s) * width + (k ^ 1)]
+            assert back == (None if code is None else code ^ 1)
 
 
 def last_letters(tr: SchreierTransversal):

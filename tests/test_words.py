@@ -113,6 +113,30 @@ def test_a_code_that_is_not_an_integer_is_rejected(bad):
         Letter(0, bad)
 
 
+def test_constructor_stores_any_code_iterable_as_a_tuple():
+    # a list or a generator of codes makes the same hashable word as the
+    # tuple; a generator used to be spent by the check and then fail
+    w = parse_word("ab", AB)
+    for codes in ([0, 2], iter((0, 2)), (k for k in (0, 2)), [Letter(0, 1), Letter(1, 1)]):
+        word = FreeWord(AB, codes)
+        assert type(word.codes) is tuple
+        assert word == w and hash(word) == hash(w) and str(word) == "ab"
+    assert FreeWord(AB, iter(())) == empty_word(AB)
+    with pytest.raises(InvalidLetter):
+        FreeWord(AB, (k for k in (0, 4)))
+    with pytest.raises(UnreducedWord):
+        FreeWord(AB, [0, 1])
+
+
+def test_an_invalid_letter_is_a_value_error():
+    # as the other constructor errors are, so `except ValueError` catches
+    # an out-of-range code too
+    assert issubclass(InvalidLetter, ValueError)
+    for make in (lambda: FreeWord(AB, (4,)), lambda: free_reduce(AB, [-1]), lambda: Letter(0, 0)):
+        with pytest.raises(ValueError):
+            make()
+
+
 def test_letter_is_its_code():
     assert [Letter(g, s) for g in (0, 1) for s in (1, -1)] == [0, 1, 2, 3]
     assert Letter(2, -1) == 2 * 2 + 1 and Letter(2, -1).inverse() == Letter(2, 1) == 4
